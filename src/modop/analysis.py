@@ -25,7 +25,7 @@ the dual variable).
 import numpy as np
 
 from .errors import DimensionUnsupported, TooLarge, ZeroWindow
-from .exponents import ExponentValue, power_mean
+from .exponents import power_mean
 from .grid import (
     SampledFunction,
     ft_along,
@@ -110,6 +110,16 @@ def _check_window(g):
         raise ZeroWindow("window is identically zero")
 
 
+def _translate_gather(n, stride=1):
+    """Index table of the lattice translates of an N-point periodic axis.
+
+    Row i maps sample j to (j - m_i) % N for the translation offsets
+    m_i = i * stride - N/2, so window[table] stacks every translate.
+    """
+    offsets = np.arange(n // stride) * stride - n // 2
+    return (np.arange(n)[None, :] - offsets[:, None]) % n
+
+
 def _windowed_spectra(f, g, stride, conjugate_window):
     """Stack of forward transforms of f times (conjugated) window translates.
 
@@ -128,11 +138,7 @@ def _windowed_spectra(f, g, stride, conjugate_window):
     window = np.conj(g.values) if conjugate_window else g.values
 
     if grid.dim == 1:
-        # one gather builds every translate: translate by index offset m
-        # maps sample j to window[(j - m) % n]
-        offsets = np.arange(count) * stride - n // 2
-        gather = (np.arange(n)[None, :] - offsets[:, None]) % n
-        stack = f.values[None, :] * window[gather]
+        stack = f.values[None, :] * window[_translate_gather(n, stride)]
         spectra = ft_along(stack, 1, grid.spacing)
         return x_axis, spectra
 
@@ -171,6 +177,14 @@ def sobolev_norm(f, p, s):
     return lp_norm(bessel_potential(f, s), p)
 
 
+def _mixed_norm(mags, inner, inner_cell, inner_axes, outer, outer_cell):
+    """L^outer over the remaining axes of the L^inner norms over
+    inner_axes: the reduction half of modulation_norm and amalgam_norm,
+    for callers that reuse one |STFT| array across exponent pairs."""
+    inner_norms = power_mean(mags, inner, inner_cell, axis=inner_axes)
+    return float(power_mean(inner_norms, outer, outer_cell))
+
+
 def modulation_norm(f, p, q, weight=None, window=None, stride=1):
     """Modulation norm: L^p over x inside, L^q over xi outside.
 
@@ -184,8 +198,7 @@ def modulation_norm(f, p, q, weight=None, window=None, stride=1):
     mags = np.abs(tfa.values)
     if weight is not None and (weight.s1 != 0.0 or weight.s2 != 0.0):
         mags = mags * weight.on_array(tfa)
-    inner = power_mean(mags, p, tfa.x_cell, axis=tuple(range(d)))
-    return float(power_mean(inner, q, tfa.xi_cell))
+    return _mixed_norm(mags, p, tfa.x_cell, tuple(range(d)), q, tfa.xi_cell)
 
 
 def amalgam_norm(f, p, q, s=0.0, window=None, stride=1):
@@ -200,8 +213,7 @@ def amalgam_norm(f, p, q, s=0.0, window=None, stride=1):
     if s != 0.0:
         omega2 = sum(np.square(a) for a in np.meshgrid(*([tfa.xi_axis_points] * d), indexing="ij"))
         mags = mags * ((1.0 + omega2) ** (s / 2.0)).reshape((1,) * d + omega2.shape)
-    inner = power_mean(mags, q, tfa.xi_cell, axis=tuple(range(d, 2 * d)))
-    return float(power_mean(inner, p, tfa.x_cell))
+    return _mixed_norm(mags, q, tfa.xi_cell, tuple(range(d, 2 * d)), p, tfa.x_cell)
 
 
 def phase_space_window(grid):
@@ -211,18 +223,12 @@ def phase_space_window(grid):
     return np.sqrt(2.0) * np.exp(-np.pi * (x[:, None] ** 2 + xi[None, :] ** 2))
 
 
-def _sjostrand_axes(grid):
-    """(spacings, dual axes) of the d=1 phase-space product lattice.
-
-    Axis 0 holds x (step h, period L), axis 1 holds xi (step 1/L,
-    period N/L).  The dual lattice of axis 0 steps by 1/L; the dual of
-    axis 1 steps by L/N = h.
-    """
-    n = grid.points_per_axis
-    spacings = (grid.spacing, grid.dual_spacing)
-    zeta1 = (np.arange(n) - n // 2) * grid.dual_spacing
-    zeta2 = (np.arange(n) - n // 2) * grid.spacing
-    return spacings, (zeta1, zeta2)
+def _sup_stft(values, window, spacing, weight):
+    """max over lattice translates z of |V_window values(z, zeta)| weight(z),
+    for every dual point zeta, on one periodic axis with the given step."""
+    stack = values[None, :] * np.conj(window[_translate_gather(len(values))])
+    spectra = ft_along(stack, 1, spacing)
+    return (np.abs(spectra) * weight[:, None]).max(axis=0)
 
 
 def sjostrand_norm(symbol, s=0.0, window=None):
@@ -232,17 +238,17 @@ def sjostrand_norm(symbol, s=0.0, window=None):
     translates z, takes sup_z of |V| <z_xi>^s for each dual point zeta,
     and integrates the result over zeta (L^1, cell measure 1/N).
 
-    For x-independent symbols under the default window the computation
-    factors exactly into two one-dimensional transforms, which is what
-    makes large-N multiplier symbols affordable; the dense path is kept
-    for everything else and agrees with the factored one to roundoff.
+    For a symbol built from factors, sigma = a (x) b, under the default
+    window Phi = phi1 (x) phi2 the transform factors too,
+    V_Phi(sigma) = V_phi1(a) (x) V_phi2(b), and the norm is the product
+    of two one-dimensional sums of sup-STFTs, O(N^2 log N).  Every other
+    symbol, and any explicit window, takes the dense O(N^4 log N) path,
+    limited to N <= 256; it agrees with the factored one to roundoff.
     """
     grid = symbol.grid
     if grid.dim != 1:
         raise DimensionUnsupported("sjostrand_norm supports d=1 phase space only")
     n = grid.points_per_axis
-    sigma = symbol.values
-    spacings, _ = _sjostrand_axes(grid)
     # dual cells: axis-0 dual steps 1/L, axis-1 dual steps L/N = h; the
     # zeta quadrature measure is their product, 1/N.
     zeta_cell = grid.dual_spacing * grid.spacing
@@ -251,24 +257,17 @@ def sjostrand_norm(symbol, s=0.0, window=None):
     xi = grid.axis_frequencies()
     zweight2 = (1.0 + xi**2) ** (s / 2.0)  # <z_xi>^s on the z lattice, axis 1
 
-    separable = window is None
-    if separable and np.all(sigma == sigma[:1, :]):
-        # factored path: |V| = |F(conj(phi1))(zeta1)| * |V_{phi2} sigma0(z2, zeta2)|
-        phi1 = 2.0**0.25 * np.exp(-np.pi * x**2)
-        phi2 = 2.0**0.25 * np.exp(-np.pi * xi**2)
-        first = np.abs(ft_along(np.conj(phi1), 0, grid.spacing))
-        sigma0 = sigma[0]
-        offsets = np.arange(n) - n // 2
-        gather = (np.arange(n)[None, :] - offsets[:, None]) % n
-        stack = sigma0[None, :] * np.conj(phi2[gather])
-        v2 = ft_along(stack, 1, grid.dual_spacing)
-        second = (np.abs(v2) * zweight2[:, None]).max(axis=0)
-        return float(zeta_cell * np.sum(first[:, None] * second[None, :]))
+    if window is None and symbol.factors is not None:
+        a, b = symbol.factors
+        first = _sup_stft(a, 2.0**0.25 * np.exp(-np.pi * x**2), grid.spacing, np.ones(n))
+        second = _sup_stft(b, 2.0**0.25 * np.exp(-np.pi * xi**2), grid.dual_spacing, zweight2)
+        return float(zeta_cell * first.sum() * second.sum())
 
     if n > _SJOSTRAND_DENSE_LIMIT:
         raise TooLarge(
             f"dense sjostrand_norm is limited to N <= {_SJOSTRAND_DENSE_LIMIT}; "
-            "x-independent symbols with the default window use the factored path"
+            "symbols built from factors (PhaseSpaceSymbol.product) with the "
+            "default window use the factored path"
         )
     phi = phase_space_window(grid) if window is None else np.asarray(window, dtype=complex)
     if phi.shape != (n, n):
@@ -276,19 +275,14 @@ def sjostrand_norm(symbol, s=0.0, window=None):
     if not np.any(phi):
         raise ZeroWindow("phase-space window is identically zero")
 
-    offsets = np.arange(n) - n // 2
-    gather = (np.arange(n)[None, :] - offsets[:, None]) % n
+    sigma = symbol.values
+    gather = _translate_gather(n)
     best = np.zeros((n, n))
     for i1 in range(n):
         rolled1 = phi[gather[i1], :]  # window shifted by z1 along axis 0
         # all axis-1 shifts at once: stack[i2, a, b] = rolled1[a, (b - m2) % n]
         stack = np.conj(rolled1[:, gather].transpose(1, 0, 2)) * sigma[None, :, :]
-        spec = ft_along(ft_along(stack, 1, spacings[0]), 2, spacings[1])
+        spec = ft_along(ft_along(stack, 1, grid.spacing), 2, grid.dual_spacing)
         weighted = np.abs(spec) * zweight2[:, None, None]
         np.maximum(best, weighted.max(axis=0), out=best)
     return float(zeta_cell * best.sum())
-
-
-def exponent(p):
-    """Coerce to ExponentValue (accepts numbers, 'inf', fractions, instances)."""
-    return ExponentValue.from_p(p)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ._rng import bulk_rng, derive_seed
 from .analysis import (
+    _mixed_norm,
     _windowed_spectra,
     amalgam_norm,
     default_window,
@@ -31,7 +32,7 @@ from .analysis import (
     stft,
 )
 from .errors import ConfigError, FileFormatError
-from .exponents import from_p, power_mean
+from .exponents import from_p
 from .grid import (
     SampledFunction,
     UniformGrid,
@@ -523,16 +524,21 @@ _FOURIER_AMALGAM_EXPONENTS = ("1", "4/3", "2", "4", "inf")
 
 def _check_fourier_amalgam(grid, seed):
     # the transform of a sampled function lives on the same lattice only
-    # when h = 1/L, so this check runs on the self-dual companion grid
+    # when h = 1/L, so this check runs on the self-dual companion grid.
+    # modulation_norm(fhat, p, q) against amalgam_norm(f, q, p), with each
+    # function's two |STFT| arrays computed once for all exponent pairs
     self_dual = UniformGrid(1, grid.points_per_axis, math.sqrt(grid.points_per_axis))
+    window = default_window(self_dual)
     worst = 0.0
     for i in range(20):
         f = _test_function(self_dual, derive_seed(seed, 0xFA, i), modes=4)
-        fhat = forward_ft(f)
+        tfa = stft(forward_ft(f), window)
+        modulation_mags = np.abs(tfa.values)
+        amalgam_mags = np.abs(_windowed_spectra(f, window, 1, conjugate_window=False)[1])
         for p in _FOURIER_AMALGAM_EXPONENTS:
             for q in _FOURIER_AMALGAM_EXPONENTS:
-                lhs = modulation_norm(fhat, p, q)
-                rhs = amalgam_norm(f, q, p)
+                lhs = _mixed_norm(modulation_mags, p, tfa.x_cell, (0,), q, tfa.xi_cell)
+                rhs = _mixed_norm(amalgam_mags, p, tfa.xi_cell, (1,), q, tfa.x_cell)
                 worst = max(worst, abs(lhs / rhs - 1.0))
     return worst
 
@@ -702,12 +708,6 @@ def run_identity_suite(config=None, jobs=1):
 _DEFAULT_EMBED_EXPONENTS = ("1", "4/3", "2", "4", "inf")
 
 
-def _amalgam_from_mags(mags, grid, p, q):
-    """The amalgam reduction of cached |windowed spectra| magnitudes."""
-    inner = power_mean(mags, q, grid.dual_cell, axis=1)
-    return float(power_mean(inner, p, grid.cell))
-
-
 def _max_over_median(ratios):
     return float(np.max(ratios) / np.median(ratios))
 
@@ -756,7 +756,7 @@ def _embedding_records(n, extent, seed, ps, qs, svals, functions):
         np.abs(_windowed_spectra(f, window, 1, conjugate_window=False)[1]) for f in fs
     ]
     amalgam_cache = {
-        (i, pi, qi): _amalgam_from_mags(mags[i], grid, p, q)
+        (i, pi, qi): _mixed_norm(mags[i], q, grid.dual_cell, 1, p, grid.cell)
         for i in range(functions)
         for pi, p in enumerate(ps)
         for qi, q in enumerate(qs)
@@ -811,7 +811,7 @@ def _embedding_records(n, extent, seed, ps, qs, svals, functions):
             for qi, q in enumerate(qs):
                 ratios = np.array(
                     [
-                        _amalgam_from_mags(out_mags[i], grid, p, q)
+                        _mixed_norm(out_mags[i], q, grid.dual_cell, 1, p, grid.cell)
                         / amalgam_cache[(i, pi, qi)]
                         for i in range(functions)
                     ]

@@ -125,11 +125,6 @@ class UniformGrid:
         """Meshgrid ('ij') of dual-lattice coordinates, one array per axis."""
         return np.meshgrid(*([self.axis_frequencies()] * self.dim), indexing="ij")
 
-    def frequency_magnitude(self):
-        """|xi| on the dual lattice, shape self.shape."""
-        mesh = self.frequency_arrays()
-        return np.sqrt(sum(a**2 for a in mesh))
-
     def index_offset(self, a, spacing, name):
         """Integer lattice offsets of the point `a`, or raise OffLattice.
 

@@ -89,6 +89,7 @@ def norm_2(matrix, tol=1e-10, seed=0):
     rng = bulk_rng(derive_seed(seed, _NORM2_SALT))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
+    a_star = a.conj().T
     previous = 0.0
     sigma = 0.0
     residual = np.inf
@@ -97,7 +98,7 @@ def norm_2(matrix, tol=1e-10, seed=0):
         sigma = np.linalg.norm(w)
         if sigma == 0.0:
             return NormEstimate(0.0, "power_2", it, 0.0, 0, False)
-        v = a.conj().T @ w
+        v = a_star @ w
         v /= np.linalg.norm(v)
         residual = abs(sigma - previous)
         if residual < tol:
@@ -143,6 +144,7 @@ def norm_p(matrix, p, tol=1e-8, restarts=8, seed=0):
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     x = np.stack(starts, axis=1)
     x /= _lp(x, pval)[None, :]
+    a_star = a.conj().T
     best = 0.0
     iterations = 0
     residual = np.inf
@@ -156,7 +158,7 @@ def norm_p(matrix, p, tol=1e-8, restarts=8, seed=0):
             best = top
         if residual < tol and it > 1:
             break
-        z = a.conj().T @ _psi(y, pval)
+        z = a_star @ _psi(y, pval)
         x = _psi(z, pconj)
         norms = _lp(x, pval)
         dead = norms == 0.0

@@ -35,7 +35,14 @@ from .errors import (
     TooLarge,
     WrongQuantization,
 )
-from .grid import SampledFunction, UniformGrid, forward_ft, ft_along, ift_along
+from .grid import (
+    SampledFunction,
+    UniformGrid,
+    bessel_weights,
+    forward_ft,
+    ft_along,
+    ift_along,
+)
 
 KOHN_NIRENBERG = "kn"
 WEYL = "weyl"
@@ -44,29 +51,69 @@ _MATRIX_LIMIT = 1024
 _APPLY_LIMIT = 2048  # dense apply materializes a (count, count) stack
 
 
+def _frozen(values, shape, what):
+    """A read-only complex copy of values, checked for shape and finiteness."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape != shape:
+        raise GridMismatch(f"{what} shape {values.shape}, expected {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} values must be finite")
+    values = values.copy()
+    values.setflags(write=False)
+    return values
+
+
+def _require_known_tag(quantization):
+    if quantization not in (KOHN_NIRENBERG, WEYL):
+        raise WrongQuantization(f"unknown quantization tag {quantization!r}")
+
+
 class PhaseSpaceSymbol:
     """Samples sigma(x_j, xi_k) with a quantization tag.
 
     values has shape (N^d, N^d): rows indexed by the flattened spatial
     lattice, columns by the flattened dual lattice.
+
+    A symbol built by `product` is rank one, sigma(x, xi) = a(x) b(xi),
+    and keeps factors = (a, b); its values are np.outer(a, b), computed
+    on first use and cached.  Fast paths (the factored Sjostrand norm,
+    the FFT-multiplier kn_apply) are chosen from factors alone.  A
+    symbol built from values has factors None.
     """
 
-    __slots__ = ("grid", "values", "quantization")
+    __slots__ = ("grid", "quantization", "factors", "_values")
 
     def __init__(self, grid, values, quantization):
-        if quantization not in (KOHN_NIRENBERG, WEYL):
-            raise WrongQuantization(f"unknown quantization tag {quantization!r}")
+        _require_known_tag(quantization)
         count = grid.points_per_axis**grid.dim
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (count, count):
-            raise GridMismatch(f"symbol shape {values.shape}, expected {(count, count)}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("symbol values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "quantization", quantization)
+        object.__setattr__(self, "factors", None)
+        object.__setattr__(self, "_values", _frozen(values, (count, count), "symbol"))
+
+    @classmethod
+    def product(cls, grid, a, b, quantization=KOHN_NIRENBERG):
+        """The rank-one symbol sigma(x_j, xi_k) = a[j] * b[k]."""
+        _require_known_tag(quantization)
+        count = grid.points_per_axis**grid.dim
+        symbol = object.__new__(cls)
+        object.__setattr__(symbol, "grid", grid)
+        object.__setattr__(symbol, "quantization", quantization)
+        object.__setattr__(
+            symbol,
+            "factors",
+            (_frozen(a, (count,), "x factor"), _frozen(b, (count,), "xi factor")),
+        )
+        object.__setattr__(symbol, "_values", None)
+        return symbol
+
+    @property
+    def values(self):
+        if self._values is None:
+            values = np.outer(*self.factors)
+            values.setflags(write=False)
+            object.__setattr__(self, "_values", values)
+        return self._values
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseSpaceSymbol is immutable")
@@ -84,6 +131,7 @@ class PhaseSpaceSymbol:
         return cls(grid, np.broadcast_to(np.asarray(fn(x, xi), dtype=complex), (grid.points_per_axis,) * 2), quantization)
 
     def with_values(self, values):
+        """A dense symbol (no factors) on the same grid with the same tag."""
         return PhaseSpaceSymbol(self.grid, values, self.quantization)
 
 
@@ -94,15 +142,8 @@ class KernelRep:
 
     def __init__(self, grid, values):
         n = grid.points_per_axis**grid.dim
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (n, n):
-            raise GridMismatch(f"kernel shape {values.shape}, expected {(n, n)}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("kernel values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values, (n, n), "kernel"))
 
     def __setattr__(self, name, value):
         raise AttributeError("KernelRep is immutable")
@@ -146,11 +187,23 @@ def _require_tag(symbol, tag):
 
 
 def kn_apply(symbol, f):
-    """Apply the Kohn-Nirenberg operator of the symbol to f."""
+    """Apply the Kohn-Nirenberg operator of the symbol to f.
+
+    A rank-one symbol a(x) b(xi) acts as multiplication by a after the
+    Fourier multiplier b, in O(N log N); any other symbol takes the
+    dense path, limited to 2048 grid points.
+    """
     _require_tag(symbol, KOHN_NIRENBERG)
     grid = symbol.grid
     if grid != f.grid:
         raise GridMismatch("symbol and function live on different grids")
+    if symbol.factors is not None:
+        a, b = (factor.reshape(grid.shape) for factor in symbol.factors)
+        # inverse_ft(b * forward_ft(f)): a Fourier multiplier commutes with
+        # translation, so the centering shifts of the two transforms (and
+        # their cell measures) cancel; only b goes to FFT frequency order
+        out = np.fft.ifftn(np.fft.ifftshift(b) * np.fft.fftn(f.values))
+        return SampledFunction(grid, a * out)
     count = grid.points_per_axis**grid.dim
     if count > _APPLY_LIMIT:
         raise TooLarge(f"dense apply is limited to {_APPLY_LIMIT} grid points, got {count}")
@@ -209,10 +262,11 @@ def lift_symbol(symbol, s):
     """Multiply the symbol by the Bessel weight <xi>^s (tag preserved)."""
     if s == 0:
         return symbol
-    grid = symbol.grid
-    mesh = grid.frequency_arrays()
-    weights = (1.0 + sum(a**2 for a in mesh)) ** (s / 2.0)
-    return symbol.with_values(symbol.values * weights.ravel()[None, :])
+    weights = bessel_weights(symbol.grid, s).ravel()
+    if symbol.factors is not None:
+        a, b = symbol.factors
+        return PhaseSpaceSymbol.product(symbol.grid, a, b * weights, symbol.quantization)
+    return symbol.with_values(symbol.values * weights[None, :])
 
 
 def _centered_differences(n):
@@ -312,7 +366,13 @@ def write_pss(symbol, path):
 
 
 def read_pss(path):
-    """Read a PSS v1 file back into a PhaseSpaceSymbol."""
+    """Read a PSS v1 file back into a PhaseSpaceSymbol.
+
+    The file does not record how the symbol was built, so this is the
+    one place that inspects values: when every row is bitwise identical
+    the symbol loads as the product (ones, row), when every column is,
+    as (column, ones); anything else loads dense.
+    """
     from .grid import _parse_header
 
     with open(path, "r", encoding="ascii") as fh:
@@ -342,4 +402,11 @@ def read_pss(path):
                 raise FileFormatError(f"{path}: bad number on line {i + 3}: {line!r}") from exc
         if fh.readline().strip():
             raise FileFormatError(f"{path}: trailing content after {total} samples")
-    return PhaseSpaceSymbol(grid, values.reshape(count, count), header["quant"])
+    values = values.reshape(count, count)
+    bits = values.view(np.uint64).reshape(count, count, 2)
+    ones = np.ones(count, dtype=complex)
+    if np.all(bits == bits[:1]):
+        return PhaseSpaceSymbol.product(grid, ones, values[0], header["quant"])
+    if np.all(bits == bits[:, :1]):
+        return PhaseSpaceSymbol.product(grid, values[:, 0], ones, header["quant"])
+    return PhaseSpaceSymbol(grid, values, header["quant"])

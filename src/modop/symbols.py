@@ -13,7 +13,7 @@ import numpy as np
 
 from ._rng import uniform_stream
 from .errors import DimensionUnsupported, OrderTooHigh, TooManyModes
-from .quantize import KOHN_NIRENBERG, PhaseSpaceSymbol
+from .quantize import PhaseSpaceSymbol
 
 BUMP_RADIUS = 0.45
 
@@ -32,12 +32,6 @@ def bump_profile(t, radius=BUMP_RADIUS):
     ratio[inside] = (t[inside] / radius) ** 2
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - ratio[inside]))
     return out
-
-
-def _x_independent(grid, row):
-    n = grid.points_per_axis
-    values = np.broadcast_to(np.asarray(row, dtype=complex)[None, :], (n, n))
-    return PhaseSpaceSymbol(grid, values, KOHN_NIRENBERG)
 
 
 def random_phase_multiplier(grid, n_modes, seed, radius=BUMP_RADIUS):
@@ -63,13 +57,13 @@ def random_phase_multiplier(grid, n_modes, seed, radius=BUMP_RADIUS):
     row = np.zeros(grid.points_per_axis, dtype=complex)
     for j, k in enumerate(range(-m, m + 1)):
         row += np.exp(1j * phases[j]) * bump_profile(xi - k, radius)
-    return _x_independent(grid, row)
+    return PhaseSpaceSymbol.product(grid, np.ones(grid.points_per_axis), row)
 
 
 def constant_symbol(grid, value=1.0):
     """sigma(x, xi) = value; quantizes to value * identity."""
     n = grid.points_per_axis**grid.dim
-    return PhaseSpaceSymbol(grid, np.full((n, n), value, dtype=complex), KOHN_NIRENBERG)
+    return PhaseSpaceSymbol.product(grid, np.full(n, value, dtype=complex), np.ones(n))
 
 
 def multiplication_symbol(grid, m_values):
@@ -78,7 +72,7 @@ def multiplication_symbol(grid, m_values):
     col = np.asarray(m_values, dtype=complex).ravel()
     if col.shape != (n,):
         raise ValueError(f"m must have {n} samples, got {col.shape}")
-    return PhaseSpaceSymbol(grid, np.broadcast_to(col[:, None], (n, n)), KOHN_NIRENBERG)
+    return PhaseSpaceSymbol.product(grid, col, np.ones(n))
 
 
 def translation_symbol(grid, a):
@@ -87,7 +81,9 @@ def translation_symbol(grid, a):
     if grid.dim != 1:
         raise DimensionUnsupported("translation_symbol builds d=1 symbols")
     xi = grid.axis_frequencies()
-    return _x_independent(grid, np.exp(-2j * np.pi * a * xi))
+    return PhaseSpaceSymbol.product(
+        grid, np.ones(grid.points_per_axis), np.exp(-2j * np.pi * a * xi)
+    )
 
 
 def bessel_symbol(grid, s):
@@ -95,18 +91,21 @@ def bessel_symbol(grid, s):
     if grid.dim != 1:
         raise DimensionUnsupported("bessel_symbol builds d=1 symbols")
     xi = grid.axis_frequencies()
-    return _x_independent(grid, (1.0 + xi**2) ** (s / 2.0))
+    return PhaseSpaceSymbol.product(
+        grid, np.ones(grid.points_per_axis), (1.0 + xi**2) ** (s / 2.0)
+    )
 
 
 def gaussian_bump_symbol(grid, width=1.0):
-    """sigma(x, xi) = e^{-pi (x^2 + xi^2) / width^2}, a rank-smearing
+    """sigma(x, xi) = e^{-pi x^2 / width^2} e^{-pi xi^2 / width^2}, a
     phase-space bump used in smoothness checks (d=1)."""
     if grid.dim != 1:
         raise DimensionUnsupported("gaussian_bump_symbol builds d=1 symbols")
-    x = grid.axis_points()[:, None]
-    xi = grid.axis_frequencies()[None, :]
-    values = np.exp(-np.pi * (x**2 + xi**2) / width**2)
-    return PhaseSpaceSymbol(grid, values, KOHN_NIRENBERG)
+    x = grid.axis_points()
+    xi = grid.axis_frequencies()
+    return PhaseSpaceSymbol.product(
+        grid, np.exp(-np.pi * x**2 / width**2), np.exp(-np.pi * xi**2 / width**2)
+    )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from modop import (
     DimensionUnsupported,
     GridMismatch,
     SampledFunction,
+    TooLarge,
     UniformGrid,
     Weight,
     ZeroWindow,
@@ -13,12 +14,16 @@ from modop import (
     constant_symbol,
     default_window,
     forward_ft,
+    gaussian_bump_symbol,
     lp_norm,
     modulation_norm,
+    multiplication_symbol,
+    random_phase_multiplier,
     sjostrand_norm,
     sobolev_norm,
     stft,
     translate,
+    translation_symbol,
 )
 from modop.analysis import phase_space_window
 from modop.exponents import from_p
@@ -242,13 +247,41 @@ def test_sjostrand_triangle_inequality():
 
 
 def test_sjostrand_dense_agrees_with_factored():
-    grid = UniformGrid(1, 32, 4.0)
-    sigma = constant_symbol(grid).with_values(
-        np.tile((1.0 + grid.axis_frequencies() ** 2) ** -0.5 + 0j, (32, 1))
-    )
-    fast = sjostrand_norm(sigma, 0.0)
-    dense = sjostrand_norm(sigma, 0.0, window=phase_space_window(grid))
-    assert abs(fast - dense) <= 1e-10 * fast
+    for n, weights in ((32, (0.0, 0.5)), (64, (0.5,))):
+        # N/(2L) = 8 leaves room for the phases-4 bumps
+        grid = UniformGrid(1, n, n / 16.0)
+        shift = round(1.0 / grid.spacing) * grid.spacing
+        symbols = {
+            "bump": gaussian_bump_symbol(grid),
+            "multiplication": multiplication_symbol(
+                grid, 1.0 + 0.5 * np.exp(-np.pi * grid.axis_points() ** 2)
+            ),
+            "translation": translation_symbol(grid, shift),
+            "phases-4": random_phase_multiplier(grid, 4, seed=0),
+        }
+        for name, sigma in symbols.items():
+            assert sigma.factors is not None, name
+            for s in weights:
+                fast = sjostrand_norm(sigma, s)
+                dense = sjostrand_norm(sigma, s, window=phase_space_window(grid))
+                assert abs(fast - dense) <= 1e-10 * dense, (n, name, s)
+
+
+def test_sjostrand_factored_path_scales_past_dense_limit():
+    # the dense path refuses N > 256 with TooLarge, so a finite value here
+    # means the rank-one bump took the factored path
+    fine = sjostrand_norm(gaussian_bump_symbol(UniformGrid(1, 1024, 32.0)))
+    coarse = sjostrand_norm(gaussian_bump_symbol(UniformGrid(1, 128, 8.0)))
+    assert np.isfinite(fine)
+    assert abs(fine - coarse) <= 1e-10 * coarse
+
+
+def test_sjostrand_dense_symbol_past_limit_is_too_large():
+    grid = UniformGrid(1, 512, 16.0)
+    dense = constant_symbol(grid).with_values(constant_symbol(grid).values)
+    assert dense.factors is None
+    with pytest.raises(TooLarge):
+        sjostrand_norm(dense)
 
 
 def test_sjostrand_rejects_higher_dimensions():

@@ -138,6 +138,20 @@ def test_classify_rows(tmp_path):
     assert float(sjostrand[0][7]) > 0
 
 
+def test_classify_large_phases_file_loads_factored(tmp_path):
+    # every row of a generated multiplier file is identical, so read_pss
+    # loads it as a product and classify takes the factored Sjostrand path;
+    # a dense symbol at N=512 would be refused as too large
+    out = tmp_path / "phases.pss"
+    assert run_cli("gen", "--kind", "phases", "--n", "512", "--extent", "16",
+                   "--out", out).returncode == 0
+    assert read_pss(out).factors is not None
+    proc = run_cli("classify", "--symbol", out)
+    assert proc.returncode == 0, proc.stderr
+    sjostrand = [l.split(",") for l in proc.stdout.splitlines() if l.startswith("sjostrand,")]
+    assert len(sjostrand) == 1 and math.isfinite(float(sjostrand[0][7]))
+
+
 def test_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"experiment": "identity", "banana": 1}))

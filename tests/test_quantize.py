@@ -14,11 +14,13 @@ from modop import (
     bessel_symbol,
     constant_symbol,
     forward_ft,
+    gaussian_bump_symbol,
     kernel_to_weyl,
     kn_apply,
     lift_symbol,
     multiplication_symbol,
     read_pss,
+    standard_suite,
     translate,
     translation_symbol,
     u_transform,
@@ -92,6 +94,24 @@ def test_kn_linearity(small_grid):
     lhs = kn_apply(combined, f).values
     rhs = 2.0 * kn_apply(s1, f).values - 1j * kn_apply(s2, f).values
     assert rel_err(lhs, rhs) <= 1e-13
+
+
+def test_kn_factored_matches_dense_twin(default_grid):
+    f = make_bandlimited(default_grid, seed=7)
+    for name, sigma in standard_suite(default_grid, seed=0):
+        assert sigma.factors is not None, name
+        dense = sigma.with_values(sigma.values)
+        assert dense.factors is None
+        got = kn_apply(sigma, f).values
+        assert rel_err(got, kn_apply(dense, f).values) <= 1e-12, name
+
+
+def test_kn_factored_skips_dense_apply_limit():
+    # the dense path raises TooLarge past 2048 grid points
+    grid = UniformGrid(1, 4096, 64.0)
+    f = make_bandlimited(grid, seed=8)
+    out = kn_apply(bessel_symbol(grid, -1.3), f)
+    assert rel_err(out.values, bessel_potential(f, -1.3).values) <= 1e-10
 
 
 def test_kn_guards(default_grid, tiny_grid):
@@ -226,6 +246,15 @@ def test_rank_one_kernel_pairing(small_grid):
 # symbol lift
 
 
+def test_lift_keeps_factors(default_grid):
+    sigma = gaussian_bump_symbol(default_grid)
+    lifted = lift_symbol(sigma, 0.7)
+    assert lifted.factors is not None
+    dense = lift_symbol(sigma.with_values(sigma.values), 0.7)
+    assert dense.factors is None
+    assert rel_err(lifted.values, dense.values) <= 1e-15
+
+
 def test_lift_trivial_and_composition(default_grid):
     sigma = random_symbol(default_grid, seed=81)
     assert np.array_equal(lift_symbol(sigma, 0.0).values, sigma.values)
@@ -307,6 +336,26 @@ def test_pss_roundtrip(tmp_path, tiny_grid):
     assert back.quantization == "weyl"
     assert back.grid.extent == tiny_grid.extent
     assert np.array_equal(back.values, sigma.values)
+
+
+def test_pss_load_rule(tmp_path, tiny_grid):
+    x = tiny_grid.axis_points()
+    cases = {
+        "bessel": (bessel_symbol(tiny_grid, -1.0), "row"),
+        "multiplication": (multiplication_symbol(tiny_grid, 1.0 + np.exp(-x**2)), "column"),
+        "random": (random_symbol(tiny_grid, seed=98), None),
+    }
+    for name, (sigma, shape) in cases.items():
+        path = tmp_path / f"{name}.pss"
+        write_pss(sigma, path)
+        back = read_pss(path)
+        assert np.array_equal(back.values, sigma.values), name
+        if shape is None:
+            assert back.factors is None, name
+            continue
+        a, b = back.factors
+        ones = a if shape == "row" else b
+        assert np.array_equal(ones, np.ones(tiny_grid.points_per_axis)), name
 
 
 def test_pss_header_validation(tmp_path):

@@ -6,14 +6,17 @@ from modop import (
     PhaseSpaceSymbol,
     TooManyModes,
     UniformGrid,
+    bessel_symbol,
     bump_profile,
     constant_symbol,
     gaussian_bump_symbol,
     kn_apply,
+    multiplication_symbol,
     random_phase_multiplier,
     s_seminorms,
     sjostrand_norm,
     standard_suite,
+    translation_symbol,
     uniform_stream,
 )
 
@@ -146,6 +149,31 @@ def test_seminorm_report_accessors():
     assert rep.value(0, 0) == rep.values[rep.orders.index((0, 0))]
     assert rep.largest() == max(rep.values)
     assert rep.max_order == 1
+
+
+def test_generator_values_match_dense_construction(default_grid):
+    # values derived from the factors equal, bit for bit, the arrays the
+    # generators used to build densely
+    n = default_grid.points_per_axis
+    x = default_grid.axis_points()
+    xi = default_grid.axis_frequencies()
+    m = 1.0 + 0.5 * np.exp(-np.pi * x**2)
+    phases = 2.0 * np.pi * uniform_stream(5, 9)
+    row = np.zeros(n, dtype=complex)
+    for j, k in enumerate(range(-4, 5)):
+        row += np.exp(1j * phases[j]) * bump_profile(xi - k)
+    cases = [
+        (constant_symbol(default_grid, 2.5), np.full((n, n), 2.5, dtype=complex)),
+        (multiplication_symbol(default_grid, m), np.tile(m + 0j, (n, 1)).T),
+        (translation_symbol(default_grid, 1.0), np.tile(np.exp(-2j * np.pi * xi), (n, 1))),
+        (bessel_symbol(default_grid, -1.0), np.tile((1.0 + xi**2) ** -0.5 + 0j, (n, 1))),
+        (random_phase_multiplier(default_grid, 4, seed=5), np.tile(row, (n, 1))),
+    ]
+    for sym, want in cases:
+        assert sym.factors is not None
+        got = sym.values
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
 
 
 def test_standard_suite_contents(default_grid):
