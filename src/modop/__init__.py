@@ -27,7 +27,6 @@ from .errors import (
     FileFormatError,
     GridMismatch,
     ModopError,
-    NoConvergence,
     OffLattice,
     OrderTooHigh,
     TooLarge,

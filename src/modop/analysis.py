@@ -6,10 +6,9 @@ The discrete STFT of f against a window g, both sampled on one grid, is
 
 evaluated for every lattice translate x_i (optionally strided) and
 every dual-lattice frequency xi_k.  On the full lattice this map is a
-tight frame: with quadrature measures h^d (space) and (1/L)^d
-(frequency),
+tight frame: with quadrature measures h (space) and 1/L (frequency),
 
-    h^d (1/L)^d sum |V_g f|^2  =  ||f||_2^2 ||g||_2^2
+    h (1/L) sum |V_g f|^2  =  ||f||_2^2 ||g||_2^2
 
 holds exactly, which is what makes the p=q=2 modulation and amalgam
 norms collapse to the L^2 norm for a unit-norm window.
@@ -22,12 +21,15 @@ norm of a phase-space symbol: sup over phase-space translates, L^1 over
 the dual variable).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import DimensionUnsupported, TooLarge, ZeroWindow
+from .errors import TooLarge, ZeroWindow
 from .exponents import power_mean
 from .grid import (
     SampledFunction,
+    bessel_weights,
     ft_along,
     require_same_grid,
 )
@@ -35,47 +37,38 @@ from .grid import (
 _SJOSTRAND_DENSE_LIMIT = 256
 
 
+@dataclass(frozen=True, eq=False)
 class Weight:
     """The polynomial weight nu_{s1,s2}(x, xi) = <x>^s1 <xi>^s2."""
 
-    __slots__ = ("s1", "s2")
+    s1: float = 0.0
+    s2: float = 0.0
 
-    def __init__(self, s1=0.0, s2=0.0):
-        object.__setattr__(self, "s1", float(s1))
-        object.__setattr__(self, "s2", float(s2))
+    def __post_init__(self):
+        object.__setattr__(self, "s1", float(self.s1))
+        object.__setattr__(self, "s2", float(self.s2))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Weight is immutable")
-
-    def __repr__(self):
-        return f"Weight(s1={self.s1}, s2={self.s2})"
-
-    def on_array(self, tfa):
-        """Evaluate on the (x, xi) lattice of a TimeFrequencyArray."""
-        d = tfa.dim
-        x2 = sum(np.square(a) for a in np.meshgrid(*([tfa.x_axis_points] * d), indexing="ij"))
-        xi2 = sum(np.square(a) for a in np.meshgrid(*([tfa.xi_axis_points] * d), indexing="ij"))
-        wx = (1.0 + x2) ** (self.s1 / 2.0)
-        wxi = (1.0 + xi2) ** (self.s2 / 2.0)
-        return wx.reshape(wx.shape + (1,) * d) * wxi.reshape((1,) * d + wxi.shape)
+    def on_array(self, tfa, grid):
+        """Evaluate on the (x, xi) lattice of a TimeFrequencyArray on grid."""
+        wx = (1.0 + np.square(tfa.x_axis_points)) ** (self.s1 / 2.0)
+        return wx[:, None] * bessel_weights(grid, self.s2)[None, :]
 
 
 class TimeFrequencyArray:
     """STFT values on an (x, xi) product lattice with quadrature data.
 
-    values has shape (x points per axis,)*d + (N,)*d; the x lattice has
-    step h*stride and the xi lattice is the grid's dual lattice.
+    values has shape (x points, N); the x lattice has step h*stride and
+    the xi lattice is the grid's dual lattice.
     """
 
-    __slots__ = ("dim", "x_axis_points", "xi_axis_points", "x_step", "xi_step", "values")
+    __slots__ = ("x_axis_points", "xi_axis_points", "x_step", "xi_step", "values")
 
-    def __init__(self, dim, x_axis_points, xi_axis_points, values):
+    def __init__(self, x_axis_points, xi_axis_points, values):
         if not np.all(np.isfinite(values)):
             raise ValueError("time-frequency values must be finite")
-        expected = (len(x_axis_points),) * dim + (len(xi_axis_points),) * dim
+        expected = (len(x_axis_points), len(xi_axis_points))
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape}, expected {expected}")
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "x_axis_points", np.asarray(x_axis_points, dtype=float))
         object.__setattr__(self, "xi_axis_points", np.asarray(xi_axis_points, dtype=float))
         object.__setattr__(self, "x_step", float(x_axis_points[1] - x_axis_points[0]))
@@ -87,11 +80,11 @@ class TimeFrequencyArray:
 
     @property
     def x_cell(self):
-        return self.x_step**self.dim
+        return self.x_step
 
     @property
     def xi_cell(self):
-        return self.xi_step**self.dim
+        return self.xi_step
 
     @property
     def cell(self):
@@ -99,10 +92,8 @@ class TimeFrequencyArray:
 
 
 def default_window(grid):
-    """The L^2-normalized Gaussian 2^(d/4) exp(-pi |t|^2) on the grid."""
-    mesh = grid.coordinate_arrays()
-    values = 2.0 ** (grid.dim / 4.0) * np.exp(-np.pi * sum(a**2 for a in mesh))
-    return SampledFunction(grid, values)
+    """The L^2-normalized Gaussian 2^(1/4) exp(-pi t^2) on the grid."""
+    return SampledFunction(grid, 2.0**0.25 * np.exp(-np.pi * grid.axis_points() ** 2))
 
 
 def _check_window(g):
@@ -120,11 +111,18 @@ def _translate_gather(n, stride=1):
     return (np.arange(n)[None, :] - offsets[:, None]) % n
 
 
+def _translate_spectra(values, window, spacing, stride=1):
+    """Forward transforms along one periodic axis of values times every
+    stride-th lattice translate of window, stacked along axis 0."""
+    stack = values[None, :] * window[_translate_gather(len(values), stride)]
+    return ft_along(stack, 1, spacing)
+
+
 def _windowed_spectra(f, g, stride, conjugate_window):
     """Stack of forward transforms of f times (conjugated) window translates.
 
-    Returns (x_axis_points, array) with the array shaped
-    (x count,)*d + (N,)*d over the strided translation lattice.
+    Returns (x_axis_points, array) with the array shaped (x count, N)
+    over the strided translation lattice.
     """
     grid = require_same_grid(f, g)
     _check_window(g)
@@ -132,37 +130,19 @@ def _windowed_spectra(f, g, stride, conjugate_window):
     n = grid.points_per_axis
     if stride < 1 or n % stride != 0:
         raise ValueError(f"stride must be a positive divisor of {n}, got {stride}")
-    count = n // stride
-    x_axis = grid.axis_points()[::stride]
-
     window = np.conj(g.values) if conjugate_window else g.values
-
-    if grid.dim == 1:
-        stack = f.values[None, :] * window[_translate_gather(n, stride)]
-        spectra = ft_along(stack, 1, grid.spacing)
-        return x_axis, spectra
-
-    shifts_per_axis = [np.arange(count) * stride - n // 2] * grid.dim
-    out_shape = (count,) * grid.dim + grid.shape
-    spectra = np.empty(out_shape, dtype=complex)
-    for index in np.ndindex(*(count,) * grid.dim):
-        rolled = np.roll(window, [shifts_per_axis[ax][i] for ax, i in enumerate(index)], axis=tuple(range(grid.dim)))
-        prod = f.values * rolled
-        for axis in range(grid.dim):
-            prod = ft_along(prod, axis, grid.spacing)
-        spectra[index] = prod
-    return x_axis, spectra
+    return grid.axis_points()[::stride], _translate_spectra(f.values, window, grid.spacing, stride)
 
 
 def stft(f, g, stride=1):
     """Short-time Fourier transform V_g f on the (strided) lattice."""
     grid = require_same_grid(f, g)
     x_axis, spectra = _windowed_spectra(f, g, stride, conjugate_window=True)
-    return TimeFrequencyArray(grid.dim, x_axis, grid.axis_frequencies(), spectra)
+    return TimeFrequencyArray(x_axis, grid.axis_frequencies(), spectra)
 
 
 def lp_norm(f, p):
-    """Riemann-sum L^p norm: (h^d sum |f|^p)^(1/p), max |f| for p=inf."""
+    """Riemann-sum L^p norm: (h sum |f|^p)^(1/p), max |f| for p=inf."""
     return float(power_mean(np.abs(f.values), p, f.grid.cell))
 
 
@@ -177,12 +157,13 @@ def sobolev_norm(f, p, s):
     return lp_norm(bessel_potential(f, s), p)
 
 
-def _mixed_norm(mags, inner, inner_cell, inner_axes, outer, outer_cell):
-    """L^outer over the remaining axes of the L^inner norms over
-    inner_axes: the reduction half of modulation_norm and amalgam_norm,
-    for callers that reuse one |STFT| array across exponent pairs."""
-    inner_norms = power_mean(mags, inner, inner_cell, axis=inner_axes)
-    return float(power_mean(inner_norms, outer, outer_cell))
+def _mixed_norms(mags, inner, inner_cell, inner_axis, outers, outer_cell):
+    """For each exponent in outers, the L^outer norm over the other axis
+    of the L^inner norms over inner_axis: the reduction half of
+    modulation_norm and amalgam_norm, for callers that reuse one |STFT|
+    array across exponent pairs.  The inner reduction is done once."""
+    inner_norms = power_mean(mags, inner, inner_cell, axis=inner_axis)
+    return [float(power_mean(inner_norms, outer, outer_cell)) for outer in outers]
 
 
 def modulation_norm(f, p, q, weight=None, window=None, stride=1):
@@ -194,11 +175,10 @@ def modulation_norm(f, p, q, weight=None, window=None, stride=1):
     if window is None:
         window = default_window(f.grid)
     tfa = stft(f, window, stride)
-    d = tfa.dim
     mags = np.abs(tfa.values)
     if weight is not None and (weight.s1 != 0.0 or weight.s2 != 0.0):
-        mags = mags * weight.on_array(tfa)
-    return _mixed_norm(mags, p, tfa.x_cell, tuple(range(d)), q, tfa.xi_cell)
+        mags = mags * weight.on_array(tfa, f.grid)
+    return _mixed_norms(mags, p, tfa.x_cell, 0, [q], tfa.xi_cell)[0]
 
 
 def amalgam_norm(f, p, q, s=0.0, window=None, stride=1):
@@ -207,17 +187,15 @@ def amalgam_norm(f, p, q, s=0.0, window=None, stride=1):
         window = default_window(f.grid)
     grid = require_same_grid(f, window)
     x_axis, spectra = _windowed_spectra(f, window, stride, conjugate_window=False)
-    tfa = TimeFrequencyArray(grid.dim, x_axis, grid.axis_frequencies(), spectra)
-    d = tfa.dim
+    tfa = TimeFrequencyArray(x_axis, grid.axis_frequencies(), spectra)
     mags = np.abs(tfa.values)
     if s != 0.0:
-        omega2 = sum(np.square(a) for a in np.meshgrid(*([tfa.xi_axis_points] * d), indexing="ij"))
-        mags = mags * ((1.0 + omega2) ** (s / 2.0)).reshape((1,) * d + omega2.shape)
-    return _mixed_norm(mags, q, tfa.xi_cell, tuple(range(d, 2 * d)), p, tfa.x_cell)
+        mags = mags * bessel_weights(grid, s)[None, :]
+    return _mixed_norms(mags, q, tfa.xi_cell, 1, [p], tfa.x_cell)[0]
 
 
 def phase_space_window(grid):
-    """L^2(R^2)-normalized Gaussian on the (x, xi) product lattice, d=1."""
+    """L^2(R^2)-normalized Gaussian on the (x, xi) product lattice."""
     x = grid.axis_points()
     xi = grid.axis_frequencies()
     return np.sqrt(2.0) * np.exp(-np.pi * (x[:, None] ** 2 + xi[None, :] ** 2))
@@ -226,8 +204,7 @@ def phase_space_window(grid):
 def _sup_stft(values, window, spacing, weight):
     """max over lattice translates z of |V_window values(z, zeta)| weight(z),
     for every dual point zeta, on one periodic axis with the given step."""
-    stack = values[None, :] * np.conj(window[_translate_gather(len(values))])
-    spectra = ft_along(stack, 1, spacing)
+    spectra = _translate_spectra(values, np.conj(window), spacing)
     return (np.abs(spectra) * weight[:, None]).max(axis=0)
 
 
@@ -246,19 +223,17 @@ def sjostrand_norm(symbol, s=0.0, window=None):
     limited to N <= 256; it agrees with the factored one to roundoff.
     """
     grid = symbol.grid
-    if grid.dim != 1:
-        raise DimensionUnsupported("sjostrand_norm supports d=1 phase space only")
     n = grid.points_per_axis
     # dual cells: axis-0 dual steps 1/L, axis-1 dual steps L/N = h; the
     # zeta quadrature measure is their product, 1/N.
     zeta_cell = grid.dual_spacing * grid.spacing
 
-    x = grid.axis_points()
-    xi = grid.axis_frequencies()
-    zweight2 = (1.0 + xi**2) ** (s / 2.0)  # <z_xi>^s on the z lattice, axis 1
+    zweight2 = bessel_weights(grid, s)  # <z_xi>^s on the z lattice, axis 1
 
     if window is None and symbol.factors is not None:
         a, b = symbol.factors
+        x = grid.axis_points()
+        xi = grid.axis_frequencies()
         first = _sup_stft(a, 2.0**0.25 * np.exp(-np.pi * x**2), grid.spacing, np.ones(n))
         second = _sup_stft(b, 2.0**0.25 * np.exp(-np.pi * xi**2), grid.dual_spacing, zweight2)
         return float(zeta_cell * first.sum() * second.sum())

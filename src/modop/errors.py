@@ -38,10 +38,6 @@ class UnsupportedExponent(ModopError):
     """The Lebesgue exponent is outside the range this routine accepts."""
 
 
-class NoConvergence(ModopError):
-    """An iteration reached its cap without meeting the tolerance."""
-
-
 class TooManyModes(ModopError):
     """Bump centers would overflow the frequency box of the grid."""
 

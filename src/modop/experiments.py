@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import bulk_rng, derive_seed
 from .analysis import (
-    _mixed_norm,
+    _mixed_norms,
     _windowed_spectra,
     amalgam_norm,
     default_window,
@@ -536,10 +536,10 @@ def _check_fourier_amalgam(grid, seed):
         modulation_mags = np.abs(tfa.values)
         amalgam_mags = np.abs(_windowed_spectra(f, window, 1, conjugate_window=False)[1])
         for p in _FOURIER_AMALGAM_EXPONENTS:
-            for q in _FOURIER_AMALGAM_EXPONENTS:
-                lhs = _mixed_norm(modulation_mags, p, tfa.x_cell, (0,), q, tfa.xi_cell)
-                rhs = _mixed_norm(amalgam_mags, p, tfa.xi_cell, (1,), q, tfa.x_cell)
-                worst = max(worst, abs(lhs / rhs - 1.0))
+            lhs = _mixed_norms(modulation_mags, p, tfa.x_cell, 0, _FOURIER_AMALGAM_EXPONENTS, tfa.xi_cell)
+            rhs = _mixed_norms(amalgam_mags, p, tfa.xi_cell, 1, _FOURIER_AMALGAM_EXPONENTS, tfa.x_cell)
+            for left, right in zip(lhs, rhs):
+                worst = max(worst, abs(left / right - 1.0))
     return worst
 
 
@@ -755,12 +755,8 @@ def _embedding_records(n, extent, seed, ps, qs, svals, functions):
     mags = [
         np.abs(_windowed_spectra(f, window, 1, conjugate_window=False)[1]) for f in fs
     ]
-    amalgam_cache = {
-        (i, pi, qi): _mixed_norm(mags[i], q, grid.dual_cell, 1, p, grid.cell)
-        for i in range(functions)
-        for pi, p in enumerate(ps)
-        for qi, q in enumerate(qs)
-    }
+    # amalgam[i][qi][pi]: function i, inner exponent q, outer exponent p
+    amalgam = [[_mixed_norms(m, q, grid.dual_cell, 1, ps, grid.cell) for q in qs] for m in mags]
     sobolev_cache = {}
     for i, f in enumerate(fs):
         for si, s in enumerate(svals):
@@ -772,7 +768,7 @@ def _embedding_records(n, extent, seed, ps, qs, svals, functions):
     for pi, p in enumerate(ps):
         for qi, q in enumerate(qs):
             for si, s in enumerate(svals):
-                amal = np.array([amalgam_cache[(i, pi, qi)] for i in range(functions)])
+                amal = np.array([amalgam[i][qi][pi] for i in range(functions)])
                 sob = np.array([sobolev_cache[(i, pi, si)] for i in range(functions)])
                 common = dict(
                     experiment="embedding", p=p.p, q=q.p, s=s, n=1, N=n, seed=seed
@@ -807,14 +803,13 @@ def _embedding_records(n, extent, seed, ps, qs, svals, functions):
             )
             for f in fs
         ]
+        out_amalgam = [
+            [_mixed_norms(m, q, grid.dual_cell, 1, ps, grid.cell) for q in qs] for m in out_mags
+        ]
         for pi, p in enumerate(ps):
             for qi, q in enumerate(qs):
                 ratios = np.array(
-                    [
-                        _mixed_norm(out_mags[i], q, grid.dual_cell, 1, p, grid.cell)
-                        / amalgam_cache[(i, pi, qi)]
-                        for i in range(functions)
-                    ]
+                    [out_amalgam[i][qi][pi] / amalgam[i][qi][pi] for i in range(functions)]
                 )
                 spread = _max_over_median(ratios)
                 records.append(

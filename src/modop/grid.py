@@ -1,31 +1,33 @@
 """Periodic uniform grids and the 2*pi-convention Fourier transform.
 
-Everything in this package approximates analysis on R^d by analysis on
-the periodic box [-L/2, L/2)^d sampled at N points per axis.  The
-continuous transform pair is
+Everything in this package approximates analysis on R by analysis on
+the periodic interval [-L/2, L/2) sampled at N points.  The continuous
+transform pair is
 
-    (F f)(xi)      = integral f(x) exp(-2 pi i x.xi) dx
-    (F^-1 g)(x)    = integral g(xi) exp(+2 pi i xi.x) dxi
+    (F f)(xi)      = integral f(x) exp(-2 pi i x xi) dx
+    (F^-1 g)(x)    = integral g(xi) exp(+2 pi i xi x) dxi
 
-for which the unit Gaussian exp(-pi |x|^2) is a fixed point.  With grid
+for which the unit Gaussian exp(-pi x^2) is a fixed point.  With grid
 points x_j = -L/2 + j h (h = L/N) and dual lattice xi_k = k/L for
 k = -N/2 .. N/2-1, the Riemann sum of the forward integral factors
 through an FFT conjugated by index shifts:
 
-    F f(xi_k) = h^d * fftshift(fft_d(ifftshift(f)))
+    F f(xi_k) = h * fftshift(fft(ifftshift(f)))
 
 The inner ifftshift moves the sample at x = 0 to index 0 (where the FFT
 expects the origin), and the outer fftshift moves frequency 0 back to
 the middle so spectra are stored in natural ascending order, never in
 FFT-wrapped order.  The inverse transform carries the dual cell measure
-1/L per axis, making inverse_ft(forward_ft(f)) == f in exact
-arithmetic, and Parseval exact:  h^d sum|f|^2 = (1/L)^d sum|f_hat|^2.
+1/L, making inverse_ft(forward_ft(f)) == f in exact arithmetic, and
+Parseval exact:  h sum|f|^2 = (1/L) sum|f_hat|^2.
 
 Functions whose mass does not decay below roundoff at the box boundary
 are silently periodized; callers choose L large enough that this is a
 non-issue (the experiment defaults L=16, N=256 keep Gaussian tails
 below 1e-12 at the boundary).
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,55 +36,39 @@ from .errors import DimensionUnsupported, FileFormatError, GridMismatch, OffLatt
 _LATTICE_RTOL = 1e-9
 
 
+@dataclass(frozen=True)
 class UniformGrid:
-    """A periodic uniform grid on [-L/2, L/2)^d with N points per axis.
+    """A periodic uniform grid on [-L/2, L/2) with N points.
 
     Parameters
     ----------
     dim : int
-        Spatial dimension d >= 1 (norms and quantization are exercised
-        at d=1 and d=2; higher d works where memory allows).
+        Spatial dimension; must be 1.  It is kept in the constructor and
+        in the SFN/PSS file headers, and anything else raises
+        DimensionUnsupported.
     points_per_axis : int
         N, even and at least 2.  Powers of two give the fastest FFTs.
     extent : float
         Side length L > 0 of the periodic box.
 
-    The dual (frequency) lattice is {k/L : k = -N/2 .. N/2-1} per axis,
-    with cell measure (1/L)^d; the spatial cell measure is h^d, h = L/N.
+    The dual (frequency) lattice is {k/L : k = -N/2 .. N/2-1}, with cell
+    measure 1/L; the spatial cell measure is h = L/N.
     """
 
-    __slots__ = ("dim", "points_per_axis", "extent")
+    dim: int
+    points_per_axis: int
+    extent: float
 
-    def __init__(self, dim, points_per_axis, extent):
-        dim = int(dim)
-        points_per_axis = int(points_per_axis)
-        extent = float(extent)
-        if dim < 1:
-            raise DimensionUnsupported(f"dimension must be >= 1, got {dim}")
-        if points_per_axis < 2 or points_per_axis % 2 != 0:
-            raise ValueError(f"points_per_axis must be even and >= 2, got {points_per_axis}")
-        if not extent > 0:
-            raise ValueError(f"extent must be positive, got {extent}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "points_per_axis", points_per_axis)
-        object.__setattr__(self, "extent", extent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniformGrid is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniformGrid)
-            and self.dim == other.dim
-            and self.points_per_axis == other.points_per_axis
-            and self.extent == other.extent
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.points_per_axis, self.extent))
-
-    def __repr__(self):
-        return f"UniformGrid(dim={self.dim}, points_per_axis={self.points_per_axis}, extent={self.extent})"
+    def __post_init__(self):
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "points_per_axis", int(self.points_per_axis))
+        object.__setattr__(self, "extent", float(self.extent))
+        if self.dim != 1:
+            raise DimensionUnsupported(f"only dimension 1 is supported, got {self.dim}")
+        if self.points_per_axis < 2 or self.points_per_axis % 2 != 0:
+            raise ValueError(f"points_per_axis must be even and >= 2, got {self.points_per_axis}")
+        if not self.extent > 0:
+            raise ValueError(f"extent must be positive, got {self.extent}")
 
     @property
     def spacing(self):
@@ -91,72 +77,52 @@ class UniformGrid:
 
     @property
     def shape(self):
-        return (self.points_per_axis,) * self.dim
+        return (self.points_per_axis,)
 
     @property
     def cell(self):
-        """Spatial quadrature cell measure h^d."""
-        return self.spacing**self.dim
+        """Spatial quadrature cell measure h."""
+        return self.spacing
 
     @property
     def dual_cell(self):
-        """Frequency quadrature cell measure (1/L)^d."""
-        return self.extent**-self.dim
+        """Frequency quadrature cell measure 1/L."""
+        return self.extent**-1
 
     @property
     def dual_spacing(self):
         return 1.0 / self.extent
 
     def axis_points(self):
-        """Grid coordinates -L/2 + j h along one axis, j = 0..N-1."""
+        """Grid coordinates -L/2 + j h, j = 0..N-1."""
         n = self.points_per_axis
         return (np.arange(n) - n // 2) * self.spacing
 
     def axis_frequencies(self):
-        """Dual lattice k/L along one axis, k = -N/2..N/2-1, ascending."""
+        """Dual lattice k/L, k = -N/2..N/2-1, ascending."""
         n = self.points_per_axis
         return (np.arange(n) - n // 2) / self.extent
 
-    def coordinate_arrays(self):
-        """Meshgrid ('ij') of spatial coordinates, one array per axis."""
-        return np.meshgrid(*([self.axis_points()] * self.dim), indexing="ij")
-
-    def frequency_arrays(self):
-        """Meshgrid ('ij') of dual-lattice coordinates, one array per axis."""
-        return np.meshgrid(*([self.axis_frequencies()] * self.dim), indexing="ij")
-
     def index_offset(self, a, spacing, name):
-        """Integer lattice offsets of the point `a`, or raise OffLattice.
-
-        `a` may be a scalar (d=1 or isotropic shorthand) or a length-d
-        sequence; the result is a length-d tuple of ints with
-        a_i = offset_i * spacing.
-        """
-        arr = np.atleast_1d(np.asarray(a, dtype=float))
-        if arr.size == 1 and self.dim > 1:
-            arr = np.repeat(arr, self.dim)
-        if arr.shape != (self.dim,):
-            raise OffLattice(f"{name} must have {self.dim} components, got shape {arr.shape}")
-        ratio = arr / spacing
-        rounded = np.round(ratio)
-        if np.any(np.abs(ratio - rounded) > _LATTICE_RTOL * np.maximum(1.0, np.abs(ratio))):
+        """The integer m with a = m * spacing, or raise OffLattice."""
+        ratio = float(a) / spacing
+        rounded = round(ratio)
+        if abs(ratio - rounded) > _LATTICE_RTOL * max(1.0, abs(ratio)):
             raise OffLattice(f"{name}={a!r} is not a lattice multiple of {spacing}")
-        return tuple(int(r) for r in rounded)
+        return rounded
 
 
 class SampledFunction:
     """Complex samples of a function on a UniformGrid.
 
-    values has shape grid.shape (row-major over axes) and is held
-    read-only; all operations return new instances.
+    values has shape grid.shape and is held read-only; all operations
+    return new instances.
     """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=complex)
-        if values.shape == (grid.points_per_axis**grid.dim,):
-            values = values.reshape(grid.shape)
         if values.shape != grid.shape:
             raise GridMismatch(f"values shape {values.shape} does not match grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
@@ -171,8 +137,8 @@ class SampledFunction:
 
     @classmethod
     def from_callable(cls, grid, fn):
-        """Sample fn(x1, ..., xd) on the grid."""
-        return cls(grid, np.asarray(fn(*grid.coordinate_arrays()), dtype=complex))
+        """Sample fn(x) on the grid."""
+        return cls(grid, np.asarray(fn(grid.axis_points()), dtype=complex))
 
     def __repr__(self):
         return f"SampledFunction(grid={self.grid!r})"
@@ -203,18 +169,12 @@ def forward_ft(f):
     Returns a SampledFunction on the same grid whose values are indexed
     by the dual lattice (natural ascending order).
     """
-    out = f.values
-    for axis in range(f.grid.dim):
-        out = ft_along(out, axis, f.grid.spacing)
-    return SampledFunction(f.grid, out)
+    return SampledFunction(f.grid, ft_along(f.values, 0, f.grid.spacing))
 
 
 def inverse_ft(F):
     """Inverse transform; exact inverse of forward_ft on the grid."""
-    out = F.values
-    for axis in range(F.grid.dim):
-        out = ift_along(out, axis, F.grid.spacing)
-    return SampledFunction(F.grid, out)
+    return SampledFunction(F.grid, ift_along(F.values, 0, F.grid.spacing))
 
 
 def translate(f, a):
@@ -222,22 +182,20 @@ def translate(f, a):
 
     Implemented as an exact cyclic shift; raises OffLattice when a is
     not a grid point."""
-    offsets = f.grid.index_offset(a, f.grid.spacing, "shift")
-    return SampledFunction(f.grid, np.roll(f.values, offsets, axis=tuple(range(f.grid.dim))))
+    offset = f.grid.index_offset(a, f.grid.spacing, "shift")
+    return SampledFunction(f.grid, np.roll(f.values, offset))
 
 
 def modulate(f, xi0):
-    """Multiply f by the character exp(2 pi i xi0.x), xi0 on the dual lattice."""
-    offsets = f.grid.index_offset(xi0, f.grid.dual_spacing, "modulation frequency")
-    mesh = f.grid.coordinate_arrays()
-    phase = sum((k * f.grid.dual_spacing) * x for k, x in zip(offsets, mesh))
+    """Multiply f by the character exp(2 pi i xi0 x), xi0 on the dual lattice."""
+    k = f.grid.index_offset(xi0, f.grid.dual_spacing, "modulation frequency")
+    phase = (k * f.grid.dual_spacing) * f.grid.axis_points()
     return SampledFunction(f.grid, f.values * np.exp(2j * np.pi * phase))
 
 
 def bessel_weights(grid, s):
-    """The multiplier <xi>^s = (1 + |xi|^2)^(s/2) on the dual lattice."""
-    mesh = grid.frequency_arrays()
-    return (1.0 + sum(a**2 for a in mesh)) ** (s / 2.0)
+    """The multiplier <xi>^s = (1 + xi^2)^(s/2) on the dual lattice."""
+    return (1.0 + grid.axis_frequencies() ** 2) ** (s / 2.0)
 
 
 def bessel_potential(f, s):
@@ -257,19 +215,15 @@ def require_same_grid(*functions):
     return first
 
 
-def write_sfn(f, path):
-    """Write a SampledFunction as an SFN v1 text file.
-
-    Line 1: ``SFN 1``.  Line 2: ``dim=<d> n=<N> extent=<L>``.  Then one
-    ``re im`` pair per sample, row-major, printed with 17 significant
-    digits so the round trip is bit-exact.
-    """
-    grid = f.grid
-    flat = f.values.ravel()
+def _write_samples(path, magic, grid, extra, values):
+    """Write a sample file: the magic line, the header
+    ``dim=1 n=<N> extent=<L>`` plus `extra`, then one ``re im`` pair per
+    value, row-major, with 17 significant digits so the round trip is
+    bit-exact."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("SFN 1\n")
-        fh.write(f"dim={grid.dim} n={grid.points_per_axis} extent={grid.extent:.17g}\n")
-        for z in flat:
+        fh.write(f"{magic}\n")
+        fh.write(f"dim={grid.dim} n={grid.points_per_axis} extent={grid.extent:.17g}{extra}\n")
+        for z in values.ravel():
             fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
 
 
@@ -286,18 +240,23 @@ def _parse_header(line, expected_keys, path):
     return out
 
 
-def read_sfn(path):
-    """Read an SFN v1 file back into a SampledFunction."""
+def _read_samples(path, magic, extra_keys, rank):
+    """Read a file written by _write_samples.
+
+    Returns (header fields, grid, values) with values shaped (N,)*rank.
+    A header with dim other than 1 raises DimensionUnsupported; every
+    other departure from the format raises FileFormatError.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().strip()
-        if magic != "SFN 1":
-            raise FileFormatError(f"{path}: bad magic line {magic!r}, expected 'SFN 1'")
-        header = _parse_header(fh.readline().strip(), ["dim", "n", "extent"], path)
+        line = fh.readline().strip()
+        if line != magic:
+            raise FileFormatError(f"{path}: bad magic line {line!r}, expected {magic!r}")
+        header = _parse_header(fh.readline().strip(), ["dim", "n", "extent", *extra_keys], path)
         try:
             grid = UniformGrid(int(header["dim"]), int(header["n"]), float(header["extent"]))
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad header values: {exc}") from exc
-        count = grid.points_per_axis**grid.dim
+        count = grid.points_per_axis**rank
         values = np.empty(count, dtype=complex)
         for i in range(count):
             line = fh.readline()
@@ -312,4 +271,20 @@ def read_sfn(path):
                 raise FileFormatError(f"{path}: bad number on line {i + 3}: {line!r}") from exc
         if fh.readline().strip():
             raise FileFormatError(f"{path}: trailing content after {count} samples")
+    return header, grid, values.reshape(grid.shape * rank)
+
+
+def write_sfn(f, path):
+    """Write a SampledFunction as an SFN v1 text file.
+
+    Line 1: ``SFN 1``.  Line 2: ``dim=1 n=<N> extent=<L>``.  Then one
+    ``re im`` pair per sample, printed with 17 significant digits so the
+    round trip is bit-exact.
+    """
+    _write_samples(path, "SFN 1", f.grid, "", f.values)
+
+
+def read_sfn(path):
+    """Read an SFN v1 file back into a SampledFunction."""
+    _, grid, values = _read_samples(path, "SFN 1", [], 1)
     return SampledFunction(grid, values)

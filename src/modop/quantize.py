@@ -4,14 +4,14 @@ A phase-space symbol is sampled on the product of the spatial grid and
 its dual lattice.  The Kohn-Nirenberg operator of a symbol sigma acts
 by
 
-    (Op f)(x_j) = (1/L)^d sum_k  e^{2 pi i x_j.xi_k} sigma(x_j, xi_k) f_hat(xi_k)
+    (Op f)(x_j) = (1/L) sum_k  e^{2 pi i x_j xi_k} sigma(x_j, xi_k) f_hat(xi_k)
 
 and the Weyl operator evaluates the symbol at periodic midpoints
 (x+y)/2 instead of at x.  The two calculi are intertwined by a
 Fourier multiplier on the symbol: writing sigma_hat(omega, u) for the
-2d-dimensional transform of the symbol (omega dual to x, u dual to xi),
+two-dimensional transform of the symbol (omega dual to x, u dual to xi),
 
-    (KN symbol)_hat(omega, u) = e^{+pi i omega.u} (Weyl symbol)_hat(omega, u)
+    (KN symbol)_hat(omega, u) = e^{+pi i omega u} (Weyl symbol)_hat(omega, u)
 
 which u_transform applies on the centered dual lattice.  Half-lattice
 evaluations (the Weyl midpoints and the kernel shear below) are
@@ -28,16 +28,11 @@ interpolation only for the half-step t/2, again done spectrally.
 
 import numpy as np
 
-from .errors import (
-    DimensionUnsupported,
-    FileFormatError,
-    GridMismatch,
-    TooLarge,
-    WrongQuantization,
-)
+from .errors import FileFormatError, GridMismatch, TooLarge, WrongQuantization
 from .grid import (
     SampledFunction,
-    UniformGrid,
+    _read_samples,
+    _write_samples,
     bessel_weights,
     forward_ft,
     ft_along,
@@ -71,8 +66,8 @@ def _require_known_tag(quantization):
 class PhaseSpaceSymbol:
     """Samples sigma(x_j, xi_k) with a quantization tag.
 
-    values has shape (N^d, N^d): rows indexed by the flattened spatial
-    lattice, columns by the flattened dual lattice.
+    values has shape (N, N): rows indexed by the spatial lattice,
+    columns by the dual lattice.
 
     A symbol built by `product` is rank one, sigma(x, xi) = a(x) b(xi),
     and keeps factors = (a, b); its values are np.outer(a, b), computed
@@ -85,24 +80,22 @@ class PhaseSpaceSymbol:
 
     def __init__(self, grid, values, quantization):
         _require_known_tag(quantization)
-        count = grid.points_per_axis**grid.dim
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "quantization", quantization)
         object.__setattr__(self, "factors", None)
-        object.__setattr__(self, "_values", _frozen(values, (count, count), "symbol"))
+        object.__setattr__(self, "_values", _frozen(values, grid.shape * 2, "symbol"))
 
     @classmethod
     def product(cls, grid, a, b, quantization=KOHN_NIRENBERG):
         """The rank-one symbol sigma(x_j, xi_k) = a[j] * b[k]."""
         _require_known_tag(quantization)
-        count = grid.points_per_axis**grid.dim
         symbol = object.__new__(cls)
         object.__setattr__(symbol, "grid", grid)
         object.__setattr__(symbol, "quantization", quantization)
         object.__setattr__(
             symbol,
             "factors",
-            (_frozen(a, (count,), "x factor"), _frozen(b, (count,), "xi factor")),
+            (_frozen(a, grid.shape, "x factor"), _frozen(b, grid.shape, "xi factor")),
         )
         object.__setattr__(symbol, "_values", None)
         return symbol
@@ -121,29 +114,19 @@ class PhaseSpaceSymbol:
     def __repr__(self):
         return f"PhaseSpaceSymbol(grid={self.grid!r}, quantization={self.quantization!r})"
 
-    @classmethod
-    def from_callable(cls, grid, fn, quantization=KOHN_NIRENBERG):
-        """Sample fn(x, xi) on the product lattice (d=1)."""
-        if grid.dim != 1:
-            raise DimensionUnsupported("from_callable builds d=1 symbols")
-        x = grid.axis_points()[:, None]
-        xi = grid.axis_frequencies()[None, :]
-        return cls(grid, np.broadcast_to(np.asarray(fn(x, xi), dtype=complex), (grid.points_per_axis,) * 2), quantization)
-
     def with_values(self, values):
         """A dense symbol (no factors) on the same grid with the same tag."""
         return PhaseSpaceSymbol(self.grid, values, self.quantization)
 
 
 class KernelRep:
-    """A Schwartz kernel K(x, y) sampled on grid x grid (d=1)."""
+    """A Schwartz kernel K(x, y) sampled on grid x grid."""
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid, values):
-        n = grid.points_per_axis**grid.dim
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _frozen(values, (n, n), "kernel"))
+        object.__setattr__(self, "values", _frozen(values, grid.shape * 2, "kernel"))
 
     def __setattr__(self, name, value):
         raise AttributeError("KernelRep is immutable")
@@ -154,7 +137,7 @@ class OperatorMatrix:
 
     entries maps raw samples to raw samples; domain_measure and
     codomain_measure are the L^p quadrature cells of the two sides
-    (both h^d for operators produced by as_matrix).
+    (both h for operators produced by as_matrix).
     """
 
     __slots__ = ("entries", "domain_measure", "codomain_measure")
@@ -198,24 +181,20 @@ def kn_apply(symbol, f):
     if grid != f.grid:
         raise GridMismatch("symbol and function live on different grids")
     if symbol.factors is not None:
-        a, b = (factor.reshape(grid.shape) for factor in symbol.factors)
+        a, b = symbol.factors
         # inverse_ft(b * forward_ft(f)): a Fourier multiplier commutes with
         # translation, so the centering shifts of the two transforms (and
         # their cell measures) cancel; only b goes to FFT frequency order
-        out = np.fft.ifftn(np.fft.ifftshift(b) * np.fft.fftn(f.values))
+        out = np.fft.ifft(np.fft.ifftshift(b) * np.fft.fft(f.values))
         return SampledFunction(grid, a * out)
-    count = grid.points_per_axis**grid.dim
-    if count > _APPLY_LIMIT:
-        raise TooLarge(f"dense apply is limited to {_APPLY_LIMIT} grid points, got {count}")
-    spectrum = forward_ft(f).values.ravel()
-    weighted = symbol.values * spectrum[None, :]
+    n = grid.points_per_axis
+    if n > _APPLY_LIMIT:
+        raise TooLarge(f"dense apply is limited to {_APPLY_LIMIT} grid points, got {n}")
+    weighted = symbol.values * forward_ft(f).values[None, :]
     # per-row inverse transform, batched over rows; row r of the result
     # evaluated at its own grid point r is the operator output there
-    stack = weighted.reshape((count,) + grid.shape)
-    for axis in range(grid.dim):
-        stack = ift_along(stack, 1 + axis, grid.spacing)
-    out = stack.reshape(count, count)[np.arange(count), np.arange(count)]
-    return SampledFunction(grid, out.reshape(grid.shape))
+    rows = ift_along(weighted, 1, grid.spacing)
+    return SampledFunction(grid, np.diagonal(rows))
 
 
 def weyl_apply(symbol, f):
@@ -234,13 +213,11 @@ def u_transform(symbol, direction):
     """Convert between Weyl and Kohn-Nirenberg symbols of one operator.
 
     direction is 'to_KN' (input must be Weyl) or 'to_Weyl' (input must
-    be KN).  The conversion multiplies the symbol's 2d-dimensional
+    be KN).  The conversion multiplies the symbol's two-dimensional
     transform by e^{+/- pi i omega u} on the centered dual lattice and
     flips the tag; the two directions are exact mutual inverses.
     """
     grid = symbol.grid
-    if grid.dim != 1:
-        raise DimensionUnsupported("u_transform supports d=1 symbols")
     if direction == "to_KN":
         _require_tag(symbol, WEYL)
         sign, new_tag = +1.0, KOHN_NIRENBERG
@@ -262,18 +239,11 @@ def lift_symbol(symbol, s):
     """Multiply the symbol by the Bessel weight <xi>^s (tag preserved)."""
     if s == 0:
         return symbol
-    weights = bessel_weights(symbol.grid, s).ravel()
+    weights = bessel_weights(symbol.grid, s)
     if symbol.factors is not None:
         a, b = symbol.factors
         return PhaseSpaceSymbol.product(symbol.grid, a, b * weights, symbol.quantization)
     return symbol.with_values(symbol.values * weights[None, :])
-
-
-def _centered_differences(n):
-    """Wrapped index differences j - l in [-N/2, N/2) for all (j, l)."""
-    j = np.arange(n)[:, None]
-    l = np.arange(n)[None, :]
-    return (j - l + n // 2) % n - n // 2
 
 
 def _half_shift_rows(rows, shifts, spacing, extent):
@@ -291,11 +261,9 @@ def _half_shift_rows(rows, shifts, spacing, extent):
 
 
 def weyl_to_kernel(symbol):
-    """The Schwartz kernel of the Weyl operator of the symbol (d=1)."""
+    """The Schwartz kernel of the Weyl operator of the symbol."""
     _require_tag(symbol, WEYL)
     grid = symbol.grid
-    if grid.dim != 1:
-        raise DimensionUnsupported("kernel correspondence supports d=1")
     n = grid.points_per_axis
     h = grid.spacing
     # sheared kernel G(x, t) = K(x + t h/2, x + t h/2 - t h) for the
@@ -312,10 +280,8 @@ def weyl_to_kernel(symbol):
 
 
 def kernel_to_weyl(kernel):
-    """Invert weyl_to_kernel: Weyl symbol from a sampled kernel (d=1)."""
+    """Invert weyl_to_kernel: Weyl symbol from a sampled kernel."""
     grid = kernel.grid
-    if grid.dim != 1:
-        raise DimensionUnsupported("kernel correspondence supports d=1")
     n = grid.points_per_axis
     h = grid.spacing
     t = np.arange(n) - n // 2
@@ -331,12 +297,10 @@ def kernel_to_weyl(kernel):
 def as_matrix(symbol):
     """Dense matrix of the quantized operator, with quadrature weights.
 
-    d=1 only, N <= 1024.  The matrix acts on raw samples; both measures
-    are the grid cell h, so OperatorMatrix norms are L^p(h) -> L^p(h).
+    N <= 1024.  The matrix acts on raw samples; both measures are the
+    grid cell h, so OperatorMatrix norms are L^p(h) -> L^p(h).
     """
     grid = symbol.grid
-    if grid.dim != 1:
-        raise DimensionUnsupported("as_matrix supports d=1 symbols")
     n = grid.points_per_axis
     if n > _MATRIX_LIMIT:
         raise TooLarge(f"as_matrix is limited to N <= {_MATRIX_LIMIT}, got {n}")
@@ -354,15 +318,7 @@ def as_matrix(symbol):
 
 def write_pss(symbol, path):
     """Write a PhaseSpaceSymbol as a PSS v1 text file (x-major order)."""
-    grid = symbol.grid
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("PSS 1\n")
-        fh.write(
-            f"dim={grid.dim} n={grid.points_per_axis} extent={grid.extent:.17g} "
-            f"quant={symbol.quantization}\n"
-        )
-        for z in symbol.values.ravel():
-            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
+    _write_samples(path, "PSS 1", symbol.grid, f" quant={symbol.quantization}", symbol.values)
 
 
 def read_pss(path):
@@ -373,38 +329,11 @@ def read_pss(path):
     the symbol loads as the product (ones, row), when every column is,
     as (column, ones); anything else loads dense.
     """
-    from .grid import _parse_header
-
-    with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().strip()
-        if magic != "PSS 1":
-            raise FileFormatError(f"{path}: bad magic line {magic!r}, expected 'PSS 1'")
-        header = _parse_header(fh.readline().strip(), ["dim", "n", "extent", "quant"], path)
-        if header["quant"] not in (KOHN_NIRENBERG, WEYL):
-            raise FileFormatError(f"{path}: quant must be 'kn' or 'weyl', got {header['quant']!r}")
-        try:
-            grid = UniformGrid(int(header["dim"]), int(header["n"]), float(header["extent"]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad header values: {exc}") from exc
-        count = grid.points_per_axis**grid.dim
-        total = count * count
-        values = np.empty(total, dtype=complex)
-        for i in range(total):
-            line = fh.readline()
-            if not line:
-                raise FileFormatError(f"{path}: expected {total} sample lines, got {i}")
-            parts = line.split()
-            if len(parts) != 2:
-                raise FileFormatError(f"{path}: sample line {i + 3} must be 're im', got {line!r}")
-            try:
-                values[i] = complex(float(parts[0]), float(parts[1]))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: bad number on line {i + 3}: {line!r}") from exc
-        if fh.readline().strip():
-            raise FileFormatError(f"{path}: trailing content after {total} samples")
-    values = values.reshape(count, count)
-    bits = values.view(np.uint64).reshape(count, count, 2)
-    ones = np.ones(count, dtype=complex)
+    header, grid, values = _read_samples(path, "PSS 1", ["quant"], 2)
+    if header["quant"] not in (KOHN_NIRENBERG, WEYL):
+        raise FileFormatError(f"{path}: quant must be 'kn' or 'weyl', got {header['quant']!r}")
+    bits = values.view(np.uint64).reshape(values.shape + (2,))
+    ones = np.ones(grid.points_per_axis, dtype=complex)
     if np.all(bits == bits[:1]):
         return PhaseSpaceSymbol.product(grid, ones, values[0], header["quant"])
     if np.all(bits == bits[:, :1]):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import uniform_stream
-from .errors import DimensionUnsupported, OrderTooHigh, TooManyModes
+from .errors import OrderTooHigh, TooManyModes
+from .grid import bessel_weights
 from .quantize import PhaseSpaceSymbol
 
 BUMP_RADIUS = 0.45
@@ -41,8 +42,6 @@ def random_phase_multiplier(grid, n_modes, seed, radius=BUMP_RADIUS):
     cannot exceed N / (2 L); otherwise TooManyModes is raised.  Phases
     are uniform on [0, 2 pi), one stream per (seed), ordered k = -M..M.
     """
-    if grid.dim != 1:
-        raise DimensionUnsupported("random_phase_multiplier builds d=1 symbols")
     m = int(n_modes)
     if m < 0:
         raise ValueError(f"n_modes must be >= 0, got {n_modes!r}")
@@ -62,13 +61,13 @@ def random_phase_multiplier(grid, n_modes, seed, radius=BUMP_RADIUS):
 
 def constant_symbol(grid, value=1.0):
     """sigma(x, xi) = value; quantizes to value * identity."""
-    n = grid.points_per_axis**grid.dim
+    n = grid.points_per_axis
     return PhaseSpaceSymbol.product(grid, np.full(n, value, dtype=complex), np.ones(n))
 
 
 def multiplication_symbol(grid, m_values):
     """sigma(x, xi) = m(x); quantizes to pointwise multiplication by m."""
-    n = grid.points_per_axis**grid.dim
+    n = grid.points_per_axis
     col = np.asarray(m_values, dtype=complex).ravel()
     if col.shape != (n,):
         raise ValueError(f"m must have {n} samples, got {col.shape}")
@@ -77,9 +76,7 @@ def multiplication_symbol(grid, m_values):
 
 def translation_symbol(grid, a):
     """sigma(x, xi) = e^{-2 pi i a xi}; quantizes to f(. - a) for
-    lattice a (d=1)."""
-    if grid.dim != 1:
-        raise DimensionUnsupported("translation_symbol builds d=1 symbols")
+    lattice a."""
     xi = grid.axis_frequencies()
     return PhaseSpaceSymbol.product(
         grid, np.ones(grid.points_per_axis), np.exp(-2j * np.pi * a * xi)
@@ -88,19 +85,12 @@ def translation_symbol(grid, a):
 
 def bessel_symbol(grid, s):
     """sigma(x, xi) = <xi>^s; quantizes to the Bessel potential."""
-    if grid.dim != 1:
-        raise DimensionUnsupported("bessel_symbol builds d=1 symbols")
-    xi = grid.axis_frequencies()
-    return PhaseSpaceSymbol.product(
-        grid, np.ones(grid.points_per_axis), (1.0 + xi**2) ** (s / 2.0)
-    )
+    return PhaseSpaceSymbol.product(grid, np.ones(grid.points_per_axis), bessel_weights(grid, s))
 
 
 def gaussian_bump_symbol(grid, width=1.0):
     """sigma(x, xi) = e^{-pi x^2 / width^2} e^{-pi xi^2 / width^2}, a
-    phase-space bump used in smoothness checks (d=1)."""
-    if grid.dim != 1:
-        raise DimensionUnsupported("gaussian_bump_symbol builds d=1 symbols")
+    phase-space bump used in smoothness checks."""
     x = grid.axis_points()
     xi = grid.axis_frequencies()
     return PhaseSpaceSymbol.product(
@@ -155,8 +145,6 @@ def s_seminorms(symbol, m=0.0, rho=1.0, delta=0.0, max_order=2):
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order!r}")
     grid = symbol.grid
-    if grid.dim != 1:
-        raise DimensionUnsupported("s_seminorms supports d=1 symbols")
     xi = grid.axis_frequencies()[None, :]
     orders = []
     values = []
@@ -187,8 +175,6 @@ def standard_suite(grid, seed=0):
     phase-space Gaussian, and every random-phase multiplier whose mode
     count from {4, 8, 16, 32} fits the frequency window.
     """
-    if grid.dim != 1:
-        raise DimensionUnsupported("standard_suite builds d=1 symbols")
     x = grid.axis_points()
     shift = round(1.0 / grid.spacing) * grid.spacing
     suite = [

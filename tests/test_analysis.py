@@ -124,6 +124,18 @@ def test_modulation_norm_unweighted_matches_default(default_grid):
     assert abs(a - b) <= 1e-12 * a
 
 
+def test_modulation_norm_weight_is_bracket_product(tiny_grid):
+    f = make_bandlimited(tiny_grid, seed=5, modes=3)
+    v = stft(f, default_window(tiny_grid), stride=2)
+    x = v.x_axis_points[:, None]
+    xi = v.xi_axis_points[None, :]
+    weighted = np.abs(v.values) * (1 + x**2) ** 0.25 * (1 + xi**2) ** -0.5
+    inner = (v.x_cell * (weighted**4).sum(axis=0)) ** 0.25
+    want = v.xi_cell * inner.sum()
+    got = modulation_norm(f, 4, 1, weight=Weight(0.5, -1.0), stride=2)
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_modulation_isometry(bandlimited_suite):
     for f in bandlimited_suite:
         m = modulation_norm(f, TWO, TWO)
@@ -284,15 +296,9 @@ def test_sjostrand_dense_symbol_past_limit_is_too_large():
         sjostrand_norm(dense)
 
 
-def test_sjostrand_rejects_higher_dimensions():
-    grid = UniformGrid(2, 8, 4.0)
-    values = np.zeros((64, 64), dtype=complex)
-    values[0, 0] = 1.0
-    from modop import PhaseSpaceSymbol
-
-    sigma = PhaseSpaceSymbol(grid, values, "kn")
+def test_grid_rejects_dimension_other_than_one():
     with pytest.raises(DimensionUnsupported):
-        sjostrand_norm(sigma)
+        UniformGrid(2, 8, 4.0)
 
 
 def test_default_window_is_normalized(default_grid):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from modop import (
+    DimensionUnsupported,
+    FileFormatError,
     OffLattice,
     SampledFunction,
     UniformGrid,
@@ -10,6 +12,7 @@ from modop import (
     inverse_ft,
     lp_norm,
     modulate,
+    read_pss,
     read_sfn,
     translate,
     write_sfn,
@@ -166,6 +169,47 @@ def test_sfn_header_is_validated(tmp_path):
     path.write_text("SFN 1\ndim=1 n=4 extent=4\n0 0\n0 0\n")
     with pytest.raises(FileFormatError):
         read_sfn(path)
+
+
+# reader, magic line, header fields after extent, sample lines at n=2
+_SAMPLE_FORMATS = {
+    "sfn": (read_sfn, "SFN 1", "", 2),
+    "pss": (read_pss, "PSS 1", " quant=kn", 4),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_SAMPLE_FORMATS))
+def test_sample_file_with_dim_2_header_is_unsupported(tmp_path, fmt):
+    reader, magic, extra, count = _SAMPLE_FORMATS[fmt]
+    path = tmp_path / f"f.{fmt}"
+    # at d=2 a function holds n^2 samples and a symbol n^4
+    path.write_text(f"{magic}\ndim=2 n=2 extent=2{extra}\n" + "0 0\n" * count**2)
+    with pytest.raises(DimensionUnsupported):
+        reader(path)
+
+
+@pytest.mark.parametrize(
+    "defect", ["header key", "odd n", "three fields", "bad number", "trailing content"]
+)
+@pytest.mark.parametrize("fmt", sorted(_SAMPLE_FORMATS))
+def test_malformed_sample_file_is_rejected(tmp_path, fmt, defect):
+    reader, magic, extra, count = _SAMPLE_FORMATS[fmt]
+    head = f"{magic}\ndim=1 n=2 extent=2{extra}\n"
+    samples = "0 0\n" * count
+    path = tmp_path / f"f.{fmt}"
+    path.write_text(head + samples)
+    reader(path)
+    path.write_text(
+        {
+            "header key": f"{magic}\ndim=1 size=2 extent=2{extra}\n" + samples,
+            "odd n": f"{magic}\ndim=1 n=3 extent=2{extra}\n" + samples,
+            "three fields": head + "0 0 0\n" + samples[4:],
+            "bad number": head + "0 zero\n" + samples[4:],
+            "trailing content": head + samples + "0 0\n",
+        }[defect]
+    )
+    with pytest.raises(FileFormatError):
+        reader(path)
 
 
 def test_values_must_match_grid(default_grid):
