@@ -26,6 +26,7 @@ from .errors import (
     DimensionUnsupported,
     FileFormatError,
     GridMismatch,
+    InvalidValue,
     ModopError,
     OffLattice,
     OrderTooHigh,

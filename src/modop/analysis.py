@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge, ZeroWindow
+from .errors import InvalidValue, TooLarge, ZeroWindow
 from .exponents import power_mean
 from .grid import (
     SampledFunction,
+    bessel_potential,
     bessel_weights,
     ft_along,
     require_same_grid,
@@ -65,10 +66,10 @@ class TimeFrequencyArray:
 
     def __init__(self, x_axis_points, xi_axis_points, values):
         if not np.all(np.isfinite(values)):
-            raise ValueError("time-frequency values must be finite")
+            raise InvalidValue("time-frequency values must be finite")
         expected = (len(x_axis_points), len(xi_axis_points))
         if values.shape != expected:
-            raise ValueError(f"values shape {values.shape}, expected {expected}")
+            raise InvalidValue(f"values shape {values.shape}, expected {expected}")
         object.__setattr__(self, "x_axis_points", np.asarray(x_axis_points, dtype=float))
         object.__setattr__(self, "xi_axis_points", np.asarray(xi_axis_points, dtype=float))
         object.__setattr__(self, "x_step", float(x_axis_points[1] - x_axis_points[0]))
@@ -129,7 +130,7 @@ def _windowed_spectra(f, g, stride, conjugate_window):
     stride = int(stride)
     n = grid.points_per_axis
     if stride < 1 or n % stride != 0:
-        raise ValueError(f"stride must be a positive divisor of {n}, got {stride}")
+        raise InvalidValue(f"stride must be a positive divisor of {n}, got {stride}")
     window = np.conj(g.values) if conjugate_window else g.values
     return grid.axis_points()[::stride], _translate_spectra(f.values, window, grid.spacing, stride)
 
@@ -152,8 +153,6 @@ def sobolev_norm(f, p, s):
     The Bessel multiplier is <xi>^s = (1 + |xi|^2)^(s/2), matching the
     bracket convention used everywhere else in the package.
     """
-    from .grid import bessel_potential
-
     return lp_norm(bessel_potential(f, s), p)
 
 
@@ -246,7 +245,7 @@ def sjostrand_norm(symbol, s=0.0, window=None):
         )
     phi = phase_space_window(grid) if window is None else np.asarray(window, dtype=complex)
     if phi.shape != (n, n):
-        raise ValueError(f"window shape {phi.shape}, expected {(n, n)}")
+        raise InvalidValue(f"window shape {phi.shape}, expected {(n, n)}")
     if not np.any(phi):
         raise ZeroWindow("phase-space window is identically zero")
 

@@ -20,6 +20,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .analysis import sjostrand_norm
 from .errors import ModopError
 from .experiments import (
@@ -141,8 +143,6 @@ def _run_gen(args):
     if kind == "constant":
         symbol = constant_symbol(grid)
     elif kind == "multiplication":
-        import numpy as np
-
         symbol = multiplication_symbol(grid, 1.0 + 0.5 * np.exp(-np.pi * grid.axis_points() ** 2))
     elif kind == "translation":
         symbol = translation_symbol(grid, args.a)

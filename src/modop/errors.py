@@ -10,6 +10,10 @@ class ModopError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidValue(ModopError, ValueError):
+    """An argument lies outside its valid range or is not finite."""
+
+
 class OffLattice(ModopError):
     """A requested shift or frequency does not lie on the grid lattice."""
 

@@ -9,13 +9,18 @@ identical whatever the worker count.
 Records use one flat schema (see CSV_HEADER).  Fields that do not apply
 to a row are left empty; `flags` carries semicolon-separated markers
 such as pass / fail, lower-bound notices, predicate verdicts, and
-error=<ExceptionName> for tasks that raised.
+error=<ExceptionName> for tasks that raised a package error.
+
+Each runner builds a table of tasks, `partial(_task, stub, fn, *args)`
+over module-level functions, and hands it to one executor.
 """
 
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .analysis import (
     sobolev_norm,
     stft,
 )
-from .errors import ConfigError, FileFormatError
+from .errors import ConfigError, FileFormatError, ModopError
 from .exponents import from_p
 from .grid import (
     SampledFunction,
@@ -47,6 +52,7 @@ from .opnorm import sobolev_opnorm
 from .quantize import (
     KOHN_NIRENBERG,
     WEYL,
+    KernelRep,
     PhaseSpaceSymbol,
     as_matrix,
     kernel_to_weyl,
@@ -74,20 +80,6 @@ from .symbols import (
 CSV_HEADER = "experiment,p,q,s,n,N,N_modes,seed,value,method,flags"
 
 _EXPERIMENTS = ("identity", "embedding", "threshold")
-
-_CONFIG_KEYS = {
-    "experiment",
-    "N",
-    "L",
-    "p",
-    "q",
-    "s",
-    "n_modes",
-    "seeds",
-    "functions",
-    "tolerances",
-    "out",
-}
 
 _FUNCTION_SALT = 0xF0
 _NORM_SALT = 0x6E6F726D
@@ -128,24 +120,32 @@ class SweepRecord:
     flags: str = ""
 
 
-def _int_list(value, key):
-    if isinstance(value, int) and not isinstance(value, bool):
-        return [value]
-    if isinstance(value, list) and value and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
-        return list(value)
-    raise ConfigError(f"config key {key!r} must be an integer or list of integers")
+_CONFIG_KEYS = {f.name for f in fields(SweepConfig)}
+_RECORD_FIELDS = fields(SweepRecord)
+
+# a task turns these into an error row; any other exception is a bug
+# and propagates out of the runner
+_TASK_ERRORS = (ModopError, FloatingPointError, np.linalg.LinAlgError)
 
 
-def _float_list(value, key):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)]
-    if isinstance(value, list) and value and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        return [float(v) for v in value]
-    raise ConfigError(f"config key {key!r} must be a number or list of numbers")
+def _number_list(value, key, kind):
+    """A number or non-empty list of numbers as a list of kind (int or
+    float); kind int admits integers only."""
+    items = value if isinstance(value, list) else [value]
+    accepted = int if kind is int else (int, float)
+    if not items or not all(isinstance(v, accepted) and not isinstance(v, bool) for v in items):
+        noun = "an integer or list of integers" if kind is int else "a number or list of numbers"
+        raise ConfigError(f"config key {key!r} must be {noun}")
+    return [kind(v) for v in items]
+
+
+def _finite_number(text):
+    """JSON number hook: NaN, Infinity and overflowing literals are
+    rejected, since no config value means them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return value
 
 
 def _exponent_list(value, key):
@@ -165,14 +165,15 @@ def _exponent_list(value, key):
 def load_config(path, experiment=None):
     """Read a strict-JSON sweep configuration.
 
-    Unknown keys are rejected rather than ignored, so typos fail loudly.
-    When `experiment` is given, a mismatching experiment field in the
-    file is an error.
+    Unknown keys, unknown `tolerances` names and non-finite numbers are
+    rejected rather than ignored, so typos fail loudly.  `tolerances`
+    applies to the identity suite only.  When `experiment` is given, a
+    mismatching experiment field in the file is an error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+    except (json.JSONDecodeError, ConfigError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -191,7 +192,7 @@ def load_config(path, experiment=None):
 
     cfg = SweepConfig(experiment=named or experiment)
     if "N" in raw:
-        cfg.N = _int_list(raw["N"], "N")
+        cfg.N = _number_list(raw["N"], "N", int)
         if any(n < 2 or n & (n - 1) for n in cfg.N):
             raise ConfigError("config key 'N' entries must be powers of two, >= 2")
     if "L" in raw:
@@ -203,15 +204,15 @@ def load_config(path, experiment=None):
     if "q" in raw:
         cfg.q = _exponent_list(raw["q"], "q")
     if "s" in raw:
-        cfg.s = _float_list(raw["s"], "s")
+        cfg.s = _number_list(raw["s"], "s", float)
         if cfg.experiment == "threshold" and any(v < 0 for v in cfg.s):
             raise ConfigError("config key 's' entries must be >= 0 for the threshold sweep")
     if "n_modes" in raw:
-        cfg.n_modes = _int_list(raw["n_modes"], "n_modes")
+        cfg.n_modes = _number_list(raw["n_modes"], "n_modes", int)
         if any(m < 0 for m in cfg.n_modes):
             raise ConfigError("config key 'n_modes' entries must be >= 0")
     if "seeds" in raw:
-        cfg.seeds = _int_list(raw["seeds"], "seeds")
+        cfg.seeds = _number_list(raw["seeds"], "seeds", int)
         if any(s < 0 or s > 0xFFFFFFFFFFFFFFFF for s in cfg.seeds):
             raise ConfigError("config key 'seeds' entries must be unsigned 64-bit")
     if "functions" in raw:
@@ -221,8 +222,14 @@ def load_config(path, experiment=None):
         cfg.functions = count
     if "tolerances" in raw:
         tols = raw["tolerances"]
+        if cfg.experiment != "identity":
+            raise ConfigError("config key 'tolerances' applies to the identity experiment only")
         if not isinstance(tols, dict):
             raise ConfigError("config key 'tolerances' must be an object")
+        checks = {name for name, _, _ in _IDENTITY_CHECKS}
+        unknown = sorted(set(tols) - checks)
+        if unknown:
+            raise ConfigError(f"unknown identity checks in 'tolerances': {', '.join(unknown)}")
         for key, val in tols.items():
             if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
                 raise ConfigError(f"tolerance {key!r} must be a positive number")
@@ -254,24 +261,7 @@ def emit_csv(records, destination):
     """Write records to a path or a file-like object, header first."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.experiment,
-                    r.p,
-                    r.q,
-                    r.s,
-                    r.n,
-                    r.N,
-                    r.n_modes,
-                    r.seed,
-                    r.value,
-                    r.method,
-                    r.flags,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, f.name)) for f in _RECORD_FIELDS))
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
@@ -281,12 +271,12 @@ def emit_csv(records, destination):
 
 
 def _parse_field(text, kind, column, lineno, path):
+    if kind is str:
+        return text
     if text == "":
         return None
     try:
-        if kind is int:
-            return int(text)
-        return float(text)
+        return kind(text)
     except ValueError as exc:
         raise FileFormatError(
             f"{path}: line {lineno}: bad {column} value {text!r}"
@@ -304,28 +294,21 @@ def read_records(path):
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 11:
-            raise FileFormatError(f"{path}: line {lineno}: expected 11 fields, got {len(parts)}")
-        records.append(
-            SweepRecord(
-                experiment=parts[0],
-                p=_parse_field(parts[1], float, "p", lineno, path),
-                q=_parse_field(parts[2], float, "q", lineno, path),
-                s=_parse_field(parts[3], float, "s", lineno, path),
-                n=_parse_field(parts[4], int, "n", lineno, path),
-                N=_parse_field(parts[5], int, "N", lineno, path),
-                n_modes=_parse_field(parts[6], int, "N_modes", lineno, path),
-                seed=_parse_field(parts[7], int, "seed", lineno, path),
-                value=_parse_field(parts[8], float, "value", lineno, path),
-                method=parts[9],
-                flags=parts[10],
+        if len(parts) != len(_RECORD_FIELDS):
+            raise FileFormatError(
+                f"{path}: line {lineno}: expected {len(_RECORD_FIELDS)} fields, got {len(parts)}"
             )
-        )
+        values = {
+            f.name: _parse_field(text, f.type, column, lineno, path)
+            for f, column, text in zip(_RECORD_FIELDS, CSV_HEADER.split(","), parts)
+        }
+        records.append(SweepRecord(**values))
     return records
 
 
 def _run_tasks(tasks, jobs):
-    """Run the task closures, preserving task order in the output."""
+    """Run zero-argument tasks that each return a list of records, and
+    join the lists in task order."""
     if jobs is None or jobs <= 1:
         batches = [task() for task in tasks]
     else:
@@ -337,20 +320,17 @@ def _run_tasks(tasks, jobs):
     return records
 
 
-def _guarded(stub, compute):
-    """Wrap a record-producing closure; exceptions become error rows."""
+def _task(stub, fn, *args):
+    """Run fn(stub, *args), which returns a list of records.
 
-    def task():
-        try:
-            return compute()
-        except Exception as exc:  # noqa: BLE001 - any task failure becomes a row
-            return [
-                SweepRecord(
-                    **{**stub, "value": math.nan, "flags": f"error={type(exc).__name__}"}
-                )
-            ]
-
-    return task
+    This is the one place a sweep catches errors: a package error, a
+    floating-point error or a linear-algebra failure becomes a single
+    row holding the stub's fields and error=<ExceptionName>.
+    """
+    try:
+        return fn(stub, *args)
+    except _TASK_ERRORS as exc:
+        return [SweepRecord(**stub, flags=f"error={type(exc).__name__}")]
 
 
 def has_errors(records):
@@ -412,34 +392,6 @@ def _weyl_direct_apply(symbol, f):
 
 # ----------------------------------------------------------------------
 # identity suite
-
-_IDENTITY_TOLERANCES = {
-    "ft-gaussian": 1e-10,
-    "ft-roundtrip": 1e-12,
-    "parseval": 1e-12,
-    "translate-covariance": 1e-12,
-    "bessel-roundtrip": 1e-12,
-    "stft-isometry": 1e-12,
-    "stft-gaussian-peak": 1e-10,
-    "stft-gaussian-law": 1e-6,
-    "modulation-2-2": 1e-4,
-    "amalgam-2-2": 1e-4,
-    "fourier-amalgam": 5e-2,
-    "sjostrand-constant": 1e-4,
-    "sjostrand-two-scale": 1e-2,
-    "kn-constant": 1e-12,
-    "kn-multiplication": 1e-12,
-    "kn-translation": 1e-10,
-    "kn-bessel": 1e-10,
-    "weyl-oracle": 1e-8,
-    "u-roundtrip": 1e-12,
-    "kernel-roundtrip": 1e-10,
-    "kernel-identity": 1e-10,
-    "weyl-adjoint": 1e-10,
-    "lift-composition": 1e-12,
-    "matrix-matvec": 1e-10,
-    "matrix-intertwine": 1e-10,
-}
 
 
 def _rel_max(actual, reference):
@@ -606,8 +558,6 @@ def _check_kernel_identity(grid, seed):
     probe = UniformGrid(1, min(grid.points_per_axis, 256), grid.extent)
     n = probe.points_per_axis
     eye = np.eye(n, dtype=complex) / probe.spacing
-    from .quantize import KernelRep
-
     sym = kernel_to_weyl(KernelRep(probe, eye))
     err1 = float(np.max(np.abs(sym.values - 1.0)))
     ones = PhaseSpaceSymbol(probe, np.ones((n, n)), WEYL)
@@ -645,33 +595,40 @@ def _check_matrix_intertwine(grid, seed):
     return _rel_max(a, b)
 
 
+# (name, check, tolerance): a check maps (grid, seed) to an error
+# measure, and passes when that is at most the tolerance
 _IDENTITY_CHECKS = [
-    ("ft-gaussian", _check_ft_gaussian),
-    ("ft-roundtrip", _check_ft_roundtrip),
-    ("parseval", _check_parseval),
-    ("translate-covariance", _check_translate_covariance),
-    ("bessel-roundtrip", _check_bessel_roundtrip),
-    ("stft-isometry", _check_stft_isometry),
-    ("stft-gaussian-peak", _check_stft_gaussian_peak),
-    ("stft-gaussian-law", _check_stft_gaussian_law),
-    ("modulation-2-2", _check_modulation_22),
-    ("amalgam-2-2", _check_amalgam_22),
-    ("fourier-amalgam", _check_fourier_amalgam),
-    ("sjostrand-constant", _check_sjostrand_constant),
-    ("sjostrand-two-scale", _check_sjostrand_two_scale),
-    ("kn-constant", _check_kn_constant),
-    ("kn-multiplication", _check_kn_multiplication),
-    ("kn-translation", _check_kn_translation),
-    ("kn-bessel", _check_kn_bessel),
-    ("weyl-oracle", _check_weyl_oracle),
-    ("u-roundtrip", _check_u_roundtrip),
-    ("kernel-roundtrip", _check_kernel_roundtrip),
-    ("kernel-identity", _check_kernel_identity),
-    ("weyl-adjoint", _check_weyl_adjoint),
-    ("lift-composition", _check_lift_composition),
-    ("matrix-matvec", _check_matrix_matvec),
-    ("matrix-intertwine", _check_matrix_intertwine),
+    ("ft-gaussian", _check_ft_gaussian, 1e-10),
+    ("ft-roundtrip", _check_ft_roundtrip, 1e-12),
+    ("parseval", _check_parseval, 1e-12),
+    ("translate-covariance", _check_translate_covariance, 1e-12),
+    ("bessel-roundtrip", _check_bessel_roundtrip, 1e-12),
+    ("stft-isometry", _check_stft_isometry, 1e-12),
+    ("stft-gaussian-peak", _check_stft_gaussian_peak, 1e-10),
+    ("stft-gaussian-law", _check_stft_gaussian_law, 1e-6),
+    ("modulation-2-2", _check_modulation_22, 1e-4),
+    ("amalgam-2-2", _check_amalgam_22, 1e-4),
+    ("fourier-amalgam", _check_fourier_amalgam, 5e-2),
+    ("sjostrand-constant", _check_sjostrand_constant, 1e-4),
+    ("sjostrand-two-scale", _check_sjostrand_two_scale, 1e-2),
+    ("kn-constant", _check_kn_constant, 1e-12),
+    ("kn-multiplication", _check_kn_multiplication, 1e-12),
+    ("kn-translation", _check_kn_translation, 1e-10),
+    ("kn-bessel", _check_kn_bessel, 1e-10),
+    ("weyl-oracle", _check_weyl_oracle, 1e-8),
+    ("u-roundtrip", _check_u_roundtrip, 1e-12),
+    ("kernel-roundtrip", _check_kernel_roundtrip, 1e-10),
+    ("kernel-identity", _check_kernel_identity, 1e-10),
+    ("weyl-adjoint", _check_weyl_adjoint, 1e-10),
+    ("lift-composition", _check_lift_composition, 1e-12),
+    ("matrix-matvec", _check_matrix_matvec, 1e-10),
+    ("matrix-intertwine", _check_matrix_intertwine, 1e-10),
 ]
+
+
+def _identity_record(stub, check, tol, grid, seed):
+    value = check(grid, derive_seed(seed, _FUNCTION_SALT))
+    return [SweepRecord(**stub, value=value, flags="pass" if value <= tol else "fail")]
 
 
 def run_identity_suite(config=None, jobs=1):
@@ -682,23 +639,16 @@ def run_identity_suite(config=None, jobs=1):
     documented grids; the rest use the configured (N, L).
     """
     cfg = config or default_config("identity")
-    sizes = cfg.N or [256]
     extent = cfg.L or 16.0
     seed = (cfg.seeds or [0])[0]
 
     tasks = []
-    for n in sizes:
+    for n in cfg.N or [256]:
         grid = UniformGrid(1, n, extent)
-        for name, fn in _IDENTITY_CHECKS:
-            tol = cfg.tolerances.get(name, _IDENTITY_TOLERANCES[name])
+        for name, check, tol in _IDENTITY_CHECKS:
             stub = dict(experiment="identity", n=1, N=n, seed=seed, method=name)
-
-            def compute(fn=fn, grid=grid, tol=tol, stub=stub, seed=seed):
-                value = fn(grid, derive_seed(seed, _FUNCTION_SALT))
-                verdict = "pass" if value <= tol else "fail"
-                return [SweepRecord(**{**stub, "value": value, "flags": verdict})]
-
-            tasks.append(_guarded(stub, compute))
+            tol = cfg.tolerances.get(name, tol)
+            tasks.append(partial(_task, stub, _identity_record, check, tol, grid, seed))
     return _run_tasks(tasks, jobs)
 
 
@@ -712,6 +662,10 @@ def _max_over_median(ratios):
     return float(np.max(ratios) / np.median(ratios))
 
 
+def _band_verdict(spread):
+    return "pass" if spread < _RATIO_BAND else "fail"
+
+
 def run_embedding_sweep(config=None, jobs=1):
     """Probe both embedding directions and operator boundedness on the
     amalgam scale over a suite of seeded band-limited functions.
@@ -723,29 +677,21 @@ def run_embedding_sweep(config=None, jobs=1):
     operator-norm ratio of each standard symbol.
     """
     cfg = config or default_config("embedding")
-    sizes = cfg.N or [256]
     extent = cfg.L or 16.0
-    seeds = cfg.seeds or [0]
     ps = cfg.p or [from_p(v) for v in _DEFAULT_EMBED_EXPONENTS]
     qs = cfg.q or [from_p(v) for v in _DEFAULT_EMBED_EXPONENTS]
     svals = cfg.s if cfg.s is not None else [0.0, 0.25, 0.5]
     functions = cfg.functions or 50
 
     tasks = []
-    for n in sizes:
-        for seed in seeds:
-            stub = dict(experiment="embedding", n=1, N=n, seed=seed)
-
-            def compute(n=n, seed=seed):
-                return _embedding_records(
-                    n, extent, seed, ps, qs, svals, functions
-                )
-
-            tasks.append(_guarded(stub, compute))
+    for n, seed in product(cfg.N or [256], cfg.seeds or [0]):
+        stub = dict(experiment="embedding", n=1, N=n, seed=seed)
+        args = (n, extent, seed, ps, qs, svals, functions)
+        tasks.append(partial(_task, stub, _embedding_records, *args))
     return _run_tasks(tasks, jobs)
 
 
-def _embedding_records(n, extent, seed, ps, qs, svals, functions):
+def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
     grid = UniformGrid(1, n, extent)
     window = default_window(grid)
     fs = [
@@ -770,31 +716,21 @@ def _embedding_records(n, extent, seed, ps, qs, svals, functions):
             for si, s in enumerate(svals):
                 amal = np.array([amalgam[i][qi][pi] for i in range(functions)])
                 sob = np.array([sobolev_cache[(i, pi, si)] for i in range(functions)])
-                common = dict(
-                    experiment="embedding", p=p.p, q=q.p, s=s, n=1, N=n, seed=seed
-                )
-
-                into_amalgam = embeds_sobolev_into_amalgam(p, q, s, 1)
-                spread = _max_over_median(amal / sob)
-                flags = f"predicate={'true' if into_amalgam else 'false'}"
-                if into_amalgam:
-                    flags += ";pass" if spread < _RATIO_BAND else ";fail"
-                records.append(
-                    SweepRecord(
-                        **common, value=spread, method="embed-sobolev-amalgam", flags=flags
+                # each direction's ratio, its CSV method and its predicate
+                for ratios, method, embeds in (
+                    (amal / sob, "embed-sobolev-amalgam", embeds_sobolev_into_amalgam),
+                    (sob / amal, "embed-amalgam-sobolev", embeds_amalgam_into_sobolev),
+                ):
+                    holds = embeds(p, q, s, 1)
+                    spread = _max_over_median(ratios)
+                    flags = f"predicate={'true' if holds else 'false'}"
+                    if holds:
+                        flags += f";{_band_verdict(spread)}"
+                    records.append(
+                        SweepRecord(
+                            **stub, p=p.p, q=q.p, s=s, value=spread, method=method, flags=flags
+                        )
                     )
-                )
-
-                into_sobolev = embeds_amalgam_into_sobolev(p, q, s, 1)
-                spread = _max_over_median(sob / amal)
-                flags = f"predicate={'true' if into_sobolev else 'false'}"
-                if into_sobolev:
-                    flags += ";pass" if spread < _RATIO_BAND else ";fail"
-                records.append(
-                    SweepRecord(
-                        **common, value=spread, method="embed-amalgam-sobolev", flags=flags
-                    )
-                )
 
     for name, symbol in standard_suite(grid, seed=derive_seed(seed, 0x5E)):
         out_mags = [
@@ -814,15 +750,12 @@ def _embedding_records(n, extent, seed, ps, qs, svals, functions):
                 spread = _max_over_median(ratios)
                 records.append(
                     SweepRecord(
-                        experiment="embedding",
+                        **stub,
                         p=p.p,
                         q=q.p,
-                        n=1,
-                        N=n,
-                        seed=seed,
                         value=spread,
                         method="bounded-amalgam",
-                        flags=f"symbol={name};" + ("pass" if spread < _RATIO_BAND else "fail"),
+                        flags=f"symbol={name};{_band_verdict(spread)}",
                     )
                 )
     return records
@@ -852,6 +785,18 @@ def _slope_fit(log_m, log_v):
     return float(coef[0]), stderr
 
 
+def _threshold_record(stub, p, s, n_modes, size, extent, seed):
+    grid = UniformGrid(1, size, extent)
+    symbol = random_phase_multiplier(grid, n_modes, seed)
+    est = sobolev_opnorm(symbol, p, s, seed=derive_seed(seed, _NORM_SALT))
+    marks = []
+    if est.lower_bound_only:
+        marks.append("lower-bound")
+    if est.method == "power_2" and est.lower_bound_only:
+        marks.append("no-convergence")
+    return [SweepRecord(**stub, value=est.value, method=est.method, flags=";".join(marks))]
+
+
 def run_threshold_sweep(config=None, jobs=1):
     """Estimate operator norms of random multiplier symbols against the
     mode count, then fit growth exponents.
@@ -875,71 +820,28 @@ def run_threshold_sweep(config=None, jobs=1):
         sizes = [_auto_size(extent, m) for m in modes]
 
     tasks = []
-    order = []
-    for p in ps:
-        for s in svals:
-            for m, n in zip(modes, sizes):
-                for seed in seeds:
-                    stub = dict(
-                        experiment="threshold",
-                        p=p.p,
-                        s=s,
-                        n=1,
-                        N=n,
-                        n_modes=m,
-                        seed=seed,
-                    )
-                    order.append((p, s, m, seed))
-
-                    def compute(p=p, s=s, m=m, n=n, seed=seed, stub=stub):
-                        grid = UniformGrid(1, n, extent)
-                        symbol = random_phase_multiplier(grid, m, seed)
-                        est = sobolev_opnorm(
-                            symbol, p, s, seed=derive_seed(seed, _NORM_SALT)
-                        )
-                        marks = []
-                        if est.lower_bound_only:
-                            marks.append("lower-bound")
-                        if est.method == "power_2" and est.lower_bound_only:
-                            marks.append("no-convergence")
-                        return [
-                            SweepRecord(
-                                **stub,
-                                value=est.value,
-                                method=est.method,
-                                flags=";".join(marks),
-                            )
-                        ]
-
-                    tasks.append(_guarded(stub, compute))
-
+    for p, s, (m, n), seed in product(ps, svals, zip(modes, sizes), seeds):
+        stub = dict(experiment="threshold", p=p.p, s=s, n=1, N=n, n_modes=m, seed=seed)
+        tasks.append(partial(_task, stub, _threshold_record, p, s, m, n, extent, seed))
     records = _run_tasks(tasks, jobs)
 
-    by_key = {}
-    for (p, s, m, seed), record in zip(order, records):
+    # (p, s) -> [(N_modes, norm)] over the rows that hold a value
+    points = {}
+    for record in records:
         if math.isfinite(record.value):
-            by_key.setdefault((p, s), []).append((m, record.value))
+            points.setdefault((record.p, record.s), []).append((record.n_modes, record.value))
 
-    for p in ps:
-        for s in svals:
-            points = by_key.get((p, s), [])
-            if len(points) < 2 or len({m for m, _ in points}) < 2:
-                continue
-            log_m = np.log([m for m, _ in points])
-            log_v = np.log([max(v, 1e-300) for _, v in points])
-            slope, stderr = _slope_fit(log_m, log_v)
-            flags = f"stderr={stderr:.6g}"
-            if p.u in (0.0, 1.0) and s == sharp_threshold(p, 1):
-                flags += ";endpoint-inconclusive"
-            records.append(
-                SweepRecord(
-                    experiment="threshold",
-                    p=p.p,
-                    s=s,
-                    n=1,
-                    value=slope,
-                    method="slope-fit",
-                    flags=flags,
-                )
-            )
+    for p, s in product(ps, svals):
+        group = points.get((p.p, s), [])
+        if len({m for m, _ in group}) < 2:
+            continue
+        log_m = np.log([m for m, _ in group])
+        log_v = np.log([max(v, 1e-300) for _, v in group])
+        slope, stderr = _slope_fit(log_m, log_v)
+        flags = f"stderr={stderr:.6g}"
+        if p.u in (0.0, 1.0) and s == sharp_threshold(p, 1):
+            flags += ";endpoint-inconclusive"
+        records.append(
+            SweepRecord("threshold", p=p.p, s=s, n=1, value=slope, method="slope-fit", flags=flags)
+        )
     return records

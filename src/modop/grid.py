@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionUnsupported, FileFormatError, GridMismatch, OffLattice
+from .errors import DimensionUnsupported, FileFormatError, GridMismatch, InvalidValue, OffLattice
 
 _LATTICE_RTOL = 1e-9
 
@@ -66,9 +66,9 @@ class UniformGrid:
         if self.dim != 1:
             raise DimensionUnsupported(f"only dimension 1 is supported, got {self.dim}")
         if self.points_per_axis < 2 or self.points_per_axis % 2 != 0:
-            raise ValueError(f"points_per_axis must be even and >= 2, got {self.points_per_axis}")
+            raise InvalidValue(f"points_per_axis must be even and >= 2, got {self.points_per_axis}")
         if not self.extent > 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+            raise InvalidValue(f"extent must be positive, got {self.extent}")
 
     @property
     def spacing(self):
@@ -126,7 +126,7 @@ class SampledFunction:
         if values.shape != grid.shape:
             raise GridMismatch(f"values shape {values.shape} does not match grid shape {grid.shape}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("sampled values must be finite")
+            raise InvalidValue("sampled values must be finite")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)

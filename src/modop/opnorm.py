@@ -22,6 +22,7 @@ import numpy as np
 from ._rng import bulk_rng, derive_seed
 from .errors import UnsupportedExponent
 from .exponents import from_p
+from .quantize import KOHN_NIRENBERG, as_matrix, lift_symbol, u_transform
 
 _POWER_CAP = 10**4
 _BOYD_CAP = 10**3
@@ -197,8 +198,6 @@ def sobolev_opnorm(symbol, p, s=0.0, tol=None, restarts=8, seed=0):
     (Weyl symbols are converted first), then estimates the L^p -> L^p
     norm of the dense matrix.
     """
-    from .quantize import KOHN_NIRENBERG, as_matrix, lift_symbol, u_transform
-
     if symbol.quantization != KOHN_NIRENBERG:
         symbol = u_transform(symbol, "to_KN")
     composed = as_matrix(lift_symbol(symbol, -s))

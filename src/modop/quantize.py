@@ -28,7 +28,7 @@ interpolation only for the half-step t/2, again done spectrally.
 
 import numpy as np
 
-from .errors import FileFormatError, GridMismatch, TooLarge, WrongQuantization
+from .errors import FileFormatError, GridMismatch, InvalidValue, TooLarge, WrongQuantization
 from .grid import (
     SampledFunction,
     _read_samples,
@@ -52,7 +52,7 @@ def _frozen(values, shape, what):
     if values.shape != shape:
         raise GridMismatch(f"{what} shape {values.shape}, expected {shape}")
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} values must be finite")
+        raise InvalidValue(f"{what} values must be finite")
     values = values.copy()
     values.setflags(write=False)
     return values
@@ -145,11 +145,11 @@ class OperatorMatrix:
     def __init__(self, entries, domain_measure, codomain_measure):
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"entries must be square, got shape {entries.shape}")
+            raise InvalidValue(f"entries must be square, got shape {entries.shape}")
         if not np.all(np.isfinite(entries)):
-            raise ValueError("matrix entries must be finite")
+            raise InvalidValue("matrix entries must be finite")
         if not (domain_measure > 0 and codomain_measure > 0):
-            raise ValueError("quadrature measures must be positive")
+            raise InvalidValue("quadrature measures must be positive")
         entries = entries.copy()
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -158,10 +158,6 @@ class OperatorMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
-
-    @property
-    def size(self):
-        return self.entries.shape[0]
 
 
 def _require_tag(symbol, tag):
@@ -225,7 +221,7 @@ def u_transform(symbol, direction):
         _require_tag(symbol, KOHN_NIRENBERG)
         sign, new_tag = -1.0, WEYL
     else:
-        raise ValueError(f"direction must be 'to_KN' or 'to_Weyl', got {direction!r}")
+        raise InvalidValue(f"direction must be 'to_KN' or 'to_Weyl', got {direction!r}")
     h = grid.spacing
     dual = grid.dual_spacing
     omega, u = _symbol_dual_mesh(grid)

@@ -22,7 +22,7 @@ two agree up to sign at rho = 0.
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedExponent
+from .errors import InvalidValue, UnsupportedExponent
 from .exponents import from_p
 
 _TIE_TOL = 1e-14
@@ -59,7 +59,7 @@ def _uv(p, q):
 
 def _check_dim(n):
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        raise InvalidValue(f"dimension must be a positive integer, got {n!r}")
     return n
 
 
@@ -176,7 +176,7 @@ def hormander_order(p, rho=0.0, n=1):
     """
     _check_dim(n)
     if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho!r}")
+        raise InvalidValue(f"rho must lie in [0, 1], got {rho!r}")
     u = from_p(p).u
     return -n * (1.0 - rho) * abs(u - 0.5)
 

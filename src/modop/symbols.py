@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import uniform_stream
-from .errors import OrderTooHigh, TooManyModes
+from .errors import InvalidValue, OrderTooHigh, TooManyModes
 from .grid import bessel_weights
 from .quantize import PhaseSpaceSymbol
 
@@ -44,7 +44,7 @@ def random_phase_multiplier(grid, n_modes, seed, radius=BUMP_RADIUS):
     """
     m = int(n_modes)
     if m < 0:
-        raise ValueError(f"n_modes must be >= 0, got {n_modes!r}")
+        raise InvalidValue(f"n_modes must be >= 0, got {n_modes!r}")
     half_window = grid.points_per_axis / (2.0 * grid.extent)
     if m + radius > half_window:
         raise TooManyModes(
@@ -70,7 +70,7 @@ def multiplication_symbol(grid, m_values):
     n = grid.points_per_axis
     col = np.asarray(m_values, dtype=complex).ravel()
     if col.shape != (n,):
-        raise ValueError(f"m must have {n} samples, got {col.shape}")
+        raise InvalidValue(f"m must have {n} samples, got {col.shape}")
     return PhaseSpaceSymbol.product(grid, col, np.ones(n))
 
 
@@ -143,7 +143,7 @@ def s_seminorms(symbol, m=0.0, rho=1.0, delta=0.0, max_order=2):
     if max_order > _SEMINORM_MAX_ORDER:
         raise OrderTooHigh(f"max_order is capped at {_SEMINORM_MAX_ORDER}, got {max_order}")
     if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order!r}")
+        raise InvalidValue(f"max_order must be >= 0, got {max_order!r}")
     grid = symbol.grid
     xi = grid.axis_frequencies()[None, :]
     orders = []

@@ -165,6 +165,47 @@ def test_bad_config_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+def test_threshold_modes_past_the_box_give_error_rows(tmp_path):
+    # 8 modes plus the bump radius 0.45 pass N / (2 L) = 8, so only the 4-mode tasks fit
+    cfg = tmp_path / "threshold.json"
+    cfg.write_text(json.dumps({
+        "experiment": "threshold",
+        "L": 8,
+        "N": [128, 128],
+        "n_modes": [4, 8],
+        "p": ["2"],
+        "s": [0.25],
+        "seeds": [0, 1],
+    }))
+    out = tmp_path / "rows.csv"
+    proc = run_cli("threshold", "--config", cfg, "--out", out)
+    assert proc.returncode == 1
+    records = read_records(out)
+    assert [(r.n_modes, r.flags) for r in records] == [
+        (4, ""), (4, ""), (8, "error=TooManyModes"), (8, "error=TooManyModes")
+    ]
+    assert all(math.isnan(r.value) for r in records[2:])
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--kind", "bump", "--n", "7", "--extent", "8"),
+    ("gen", "--kind", "bump", "--n", "8", "--extent", "-1"),
+    ("gen", "--kind", "phases", "--n", "64", "--extent", "8", "--n-modes", "-1"),
+    ("regions", "--p", "2", "--q", "2", "--n", "0"),
+    ("classify", "--max-order", "-1"),
+])
+def test_bad_values_exit_2(tmp_path, argv):
+    if argv[0] == "gen":
+        argv += ("--out", tmp_path / "x.pss")
+    if argv[0] == "classify":
+        symbol = tmp_path / "bessel.pss"
+        write_pss(bessel_symbol(UniformGrid(1, 8, 4.0), 1.0), symbol)
+        argv += ("--symbol", symbol)
+    proc = run_cli(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
 def test_gen_too_many_modes_exits_2(tmp_path):
     proc = run_cli("gen", "--kind", "phases", "--n", "64", "--extent", "8",
                    "--n-modes", "16", "--out", tmp_path / "x.pss")

@@ -8,7 +8,9 @@ import pytest
 from modop import (
     ConfigError,
     FileFormatError,
+    SweepConfig,
     SweepRecord,
+    TooLarge,
     default_config,
     emit_csv,
     load_config,
@@ -17,6 +19,7 @@ from modop import (
     run_identity_suite,
     run_threshold_sweep,
 )
+from modop import experiments
 from modop.experiments import CSV_HEADER, has_errors
 from modop.exponents import from_p
 
@@ -72,6 +75,37 @@ def test_config_validates_lists(tmp_path):
     path = write_config(tmp_path, {"experiment": "threshold", "s": [-0.5]})
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_config_rejects_non_finite_numbers(tmp_path):
+    for text in (
+        '{"experiment": "threshold", "s": [NaN]}',
+        '{"experiment": "identity", "L": Infinity}',
+        '{"experiment": "identity", "L": -Infinity}',
+        '{"experiment": "identity", "L": 1e999}',
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert "finite" in str(info.value)
+
+
+def test_config_checks_tolerances(tmp_path):
+    path = write_config(tmp_path, {"experiment": "identity", "tolerances": {"ft-gausian": 1e-30}})
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert "ft-gausian" in str(info.value)
+    for experiment in ("embedding", "threshold"):
+        path = write_config(tmp_path, {"experiment": experiment, "tolerances": {}})
+        with pytest.raises(ConfigError):
+            load_config(path)
+    # a valid override tightens one check past its measured error
+    path = write_config(tmp_path, {"experiment": "identity", "N": [64], "L": 8.0,
+                                   "tolerances": {"ft-gaussian": 1e-30}})
+    flags = {r.method: r.flags for r in run_identity_suite(load_config(path))}
+    assert flags.pop("ft-gaussian") == "fail"
+    assert set(flags.values()) == {"pass"}
 
 
 def test_config_rejects_broken_json(tmp_path):
@@ -154,6 +188,31 @@ def test_identity_suite_deterministic_across_jobs():
     emit_csv(run_identity_suite(cfg, jobs=1), a)
     emit_csv(run_identity_suite(cfg, jobs=4), b)
     assert a.getvalue() == b.getvalue()
+
+
+def _raises(exc):
+    def check(grid, seed):
+        raise exc("injected")
+
+    return check
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_task_error_rows_only_for_package_errors(monkeypatch, jobs):
+    cfg = SweepConfig("identity", N=[64, 128], L=8.0)
+    errors = [("ft-gaussian", np.linalg.LinAlgError), ("parseval", FloatingPointError),
+              ("kn-bessel", TooLarge)]
+    table = [(name, _raises(exc), 1e-10) for name, exc in errors]
+    monkeypatch.setattr(experiments, "_IDENTITY_CHECKS", table)
+    records = run_identity_suite(cfg, jobs=jobs)
+    assert [(r.N, r.method, r.flags) for r in records] == [
+        (n, name, f"error={exc.__name__}") for n in (64, 128) for name, exc in errors
+    ]
+    assert all(math.isnan(r.value) for r in records)
+    # anything else is a bug in the package and must not become a row
+    table.append(("ft-roundtrip", _raises(TypeError), 1e-10))
+    with pytest.raises(TypeError):
+        run_identity_suite(cfg, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
