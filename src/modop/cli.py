@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .exponents import from_p
 from .grid import UniformGrid
-from .opnorm import sobolev_opnorm
+from .opnorm import METHODS, sobolev_opnorm
 from .quantize import read_pss, write_pss
 from .regions import (
     embeds_amalgam_into_sobolev,
@@ -106,17 +106,19 @@ def _run_regions(args):
     n = args.n
     star = region_star(p, q)
     plain = region(p, q)
-    print(
-        "p,q,s,n,tau1,tau2,region_star,region,"
-        "embeds_sobolev_into_amalgam,embeds_amalgam_into_sobolev,sharp_threshold"
-    )
-    print(
+    # the predicates validate s and n, so the row is built before anything prints
+    row = (
         f"{p},{q},{s:.17g},{n},{tau1(p, q):.17g},{tau2(p, q):.17g},"
         f"{star.name},{plain.name},"
         f"{str(embeds_sobolev_into_amalgam(p, q, s, n)).lower()},"
         f"{str(embeds_amalgam_into_sobolev(p, q, s, n)).lower()},"
         f"{sharp_threshold(p, n):.17g}"
     )
+    print(
+        "p,q,s,n,tau1,tau2,region_star,region,"
+        "embeds_sobolev_into_amalgam,embeds_amalgam_into_sobolev,sharp_threshold"
+    )
+    print(row)
     return 0
 
 
@@ -196,7 +198,7 @@ def build_parser():
     opnorm.add_argument("--s", type=float, default=0.0)
     opnorm.add_argument(
         "--method",
-        choices=["auto", "exact_1", "exact_inf", "power_2", "boyd_p"],
+        choices=["auto", *METHODS],
         default="auto",
         help="require a specific estimator (auto dispatches on p)",
     )

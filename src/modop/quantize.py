@@ -233,6 +233,8 @@ def u_transform(symbol, direction):
 
 def lift_symbol(symbol, s):
     """Multiply the symbol by the Bessel weight <xi>^s (tag preserved)."""
+    if not np.isfinite(s):
+        raise InvalidValue(f"lift order s must be finite, got {s!r}")
     if s == 0:
         return symbol
     weights = bessel_weights(symbol.grid, s)

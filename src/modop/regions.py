@@ -20,6 +20,7 @@ borderline operator order on the classical smooth-symbol scale; the
 two agree up to sign at rho = 0.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidValue, UnsupportedExponent
@@ -61,6 +62,13 @@ def _check_dim(n):
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidValue(f"dimension must be a positive integer, got {n!r}")
     return n
+
+
+def _check_order(s):
+    s = float(s)
+    if not math.isfinite(s):
+        raise InvalidValue(f"regularity s must be finite, got {s!r}")
+    return s
 
 
 def _star_branches(u, v):
@@ -127,7 +135,7 @@ def embeds_sobolev_into_amalgam(p, q, s, n=1):
     """
     _check_dim(n)
     u, v = _uv(p, q)
-    s = float(s)
+    s = _check_order(s)
     threshold = n * tau1(p, q)
     if u == 1.0:
         if v == 0.0:
@@ -147,7 +155,7 @@ def embeds_amalgam_into_sobolev(p, q, s, n=1):
     """
     _check_dim(n)
     u, v = _uv(p, q)
-    s = float(s)
+    s = _check_order(s)
     threshold = n * tau2(p, q)
     if u == 0.0:
         if v == 1.0:

@@ -7,6 +7,7 @@ Identical (grid, n_modes, seed) triples reproduce the symbol bit for
 bit on every platform.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,12 +139,18 @@ def s_seminorms(symbol, m=0.0, rho=1.0, delta=0.0, max_order=2):
     Derivatives up to total order max_order (at most 4; higher orders
     amplify roundoff past usefulness at these grid sizes) are taken
     with wraparound differences, so symbols should decay or be periodic
-    across the box edges for the estimates to mean anything.
+    across the box edges for the estimates to mean anything.  The
+    order m must be finite and rho, delta must lie in [0, 1].
     """
     if max_order > _SEMINORM_MAX_ORDER:
         raise OrderTooHigh(f"max_order is capped at {_SEMINORM_MAX_ORDER}, got {max_order}")
     if max_order < 0:
         raise InvalidValue(f"max_order must be >= 0, got {max_order!r}")
+    if not math.isfinite(m):
+        raise InvalidValue(f"order m must be finite, got {m!r}")
+    for name, value in (("rho", rho), ("delta", delta)):
+        if not 0.0 <= value <= 1.0:
+            raise InvalidValue(f"{name} must lie in [0, 1], got {value!r}")
     grid = symbol.grid
     xi = grid.axis_frequencies()[None, :]
     orders = []

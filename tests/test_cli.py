@@ -187,17 +187,54 @@ def test_threshold_modes_past_the_box_give_error_rows(tmp_path):
     assert all(math.isnan(r.value) for r in records[2:])
 
 
+def test_threshold_modes_past_the_matrix_limit(tmp_path):
+    # 64 modes need N = 2048, past as_matrix's 1024; multipliers take no matrix
+    cfg = tmp_path / "threshold.json"
+    cfg.write_text(json.dumps({
+        "experiment": "threshold",
+        "n_modes": [32, 64],
+        "p": ["1", "inf"],
+        "s": [0],
+        "seeds": [0, 1],
+    }))
+    out = tmp_path / "rows.csv"
+    proc = run_cli("threshold", "--config", cfg, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    records = read_records(out)
+    assert not any(r.flags.startswith("error=") for r in records)
+    raw = {(r.n_modes, r.N) for r in records if r.method != "slope-fit"}
+    assert sorted(raw) == [(32, 1024), (64, 2048)]
+    slopes = [r.p for r in records if r.method == "slope-fit"]
+    assert slopes == [1.0, math.inf]
+
+
+def test_opnorm_method_names(tmp_path):
+    out = tmp_path / "phases.pss"
+    assert run_cli("gen", "--kind", "phases", "--n", "128", "--extent", "8",
+                   "--out", out).returncode == 0
+    proc = run_cli("opnorm", "--symbol", out, "--p", "2", "--method", "exact_2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split(",")[1] == "exact_2"
+    proc = run_cli("opnorm", "--symbol", out, "--p", "2", "--method", "power_2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "--kind", "bump", "--n", "7", "--extent", "8"),
     ("gen", "--kind", "bump", "--n", "8", "--extent", "-1"),
     ("gen", "--kind", "phases", "--n", "64", "--extent", "8", "--n-modes", "-1"),
     ("regions", "--p", "2", "--q", "2", "--n", "0"),
     ("classify", "--max-order", "-1"),
+    ("regions", "--p", "2", "--q", "2", "--s", "nan"),
+    ("classify", "--rho", "2", "--delta", "-1"),
+    ("classify", "--m", "nan"),
+    ("opnorm", "--p", "2", "--s", "inf"),
 ])
 def test_bad_values_exit_2(tmp_path, argv):
     if argv[0] == "gen":
         argv += ("--out", tmp_path / "x.pss")
-    if argv[0] == "classify":
+    if argv[0] in ("classify", "opnorm"):
         symbol = tmp_path / "bessel.pss"
         write_pss(bessel_symbol(UniformGrid(1, 8, 4.0), 1.0), symbol)
         argv += ("--symbol", symbol)

@@ -271,7 +271,8 @@ def test_threshold_sweep_small():
     assert len(raw) == 8
     assert len(slopes) == 2
     for rec in raw:
-        assert rec.method == "power_2"
+        assert rec.method == "exact_2"
+        assert abs(rec.value - 1.0) <= 1e-12
         assert rec.n_modes in (4, 8)
     for rec in slopes:
         assert "stderr=" in rec.flags

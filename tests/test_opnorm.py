@@ -3,9 +3,13 @@ import pytest
 
 from modop import (
     OperatorMatrix,
+    PhaseSpaceSymbol,
+    TooLarge,
     UniformGrid,
     UnsupportedExponent,
+    as_matrix,
     constant_symbol,
+    lift_symbol,
     estimate_norm,
     exact_norm,
     multiplication_symbol,
@@ -14,6 +18,7 @@ from modop import (
     sobolev_opnorm,
 )
 from modop.exponents import from_p
+from modop.symbols import standard_suite
 
 import oracles
 
@@ -243,3 +248,59 @@ def test_sobolev_opnorm_accepts_weyl_symbols():
     # and the tag matters: the same values read as KN give a different norm
     c = sobolev_opnorm(kn, from_p(2), 0.3)
     assert abs(a.value - c.value) > 1e-4 * c.value
+
+
+# ---------------------------------------------------------------------------
+# rank-one symbols: the matrix-free path against the dense path
+
+
+def test_rank_one_path_matches_dense_twin():
+    # the dense twin has the same values but no factors, so it takes as_matrix
+    grid = UniformGrid(1, 128, 8.0)
+    for name, sym in standard_suite(grid):
+        twin = sym.with_values(sym.values)
+        for p in ("1", "4/3", "2", "4", "inf"):
+            for s in (0.0, 0.5):
+                fast = sobolev_opnorm(sym, from_p(p), s)
+                dense = sobolev_opnorm(twin, from_p(p), s)
+                case = (name, p, s, fast.method, dense.method)
+                if fast.method == "exact_2":
+                    entries = as_matrix(lift_symbol(twin, -s)).entries
+                    assert abs(fast.value - np.linalg.norm(entries, 2)) <= 1e-10, case
+                    # power iteration certifies a lower bound only
+                    assert fast.value >= dense.value, case
+                    assert fast.lower_bound_only is False
+                    continue
+                assert fast.method == dense.method, case
+                tol = 1e-12 if fast.method in ("exact_1", "exact_inf") else 1e-8
+                assert abs(fast.value - dense.value) <= tol * dense.value, case
+
+
+def test_exact_2_matches_jacobi_oracle():
+    # |a| or |b <xi>^-s| constant makes max|a| max|b <xi>^-s| the exact value;
+    # the pure-python Jacobi oracle takes about 50 s at N = 128, so N = 64 here
+    grid = UniformGrid(1, 64, 4.0)
+    exact = []
+    for name, sym in standard_suite(grid):
+        for s in (0.0, 0.5):
+            est = sobolev_opnorm(sym, from_p(2), s)
+            if est.method != "exact_2":
+                continue
+            exact.append((name, s))
+            entries = as_matrix(lift_symbol(sym.with_values(sym.values), -s)).entries
+            assert abs(est.value - oracles.jacobi_spectral_norm(entries)) <= 1e-10, (name, s)
+    assert exact == [
+        ("constant", 0.0), ("constant", 0.5), ("multiplication", 0.0),
+        ("translation", 0.0), ("translation", 0.5), ("bessel", 0.0), ("bessel", 0.5),
+        ("phases-4", 0.0), ("phases-4", 0.5),
+    ]
+
+
+def test_rank_one_path_has_no_matrix_limit():
+    grid = UniformGrid(1, 2048, 16.0)
+    for p in ("1", "2", "inf"):
+        est = sobolev_opnorm(constant_symbol(grid), from_p(p), 0.0)
+        assert abs(est.value - 1.0) <= 1e-12
+    dense = PhaseSpaceSymbol(grid, np.ones((2048, 2048)), "kn")
+    with pytest.raises(TooLarge):
+        sobolev_opnorm(dense, from_p(2), 0.0)
