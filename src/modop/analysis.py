@@ -221,6 +221,8 @@ def sjostrand_norm(symbol, s=0.0, window=None):
     symbol, and any explicit window, takes the dense O(N^4 log N) path,
     limited to N <= 256; it agrees with the factored one to roundoff.
     """
+    if not np.isfinite(s):
+        raise InvalidValue(f"weight order s must be finite, got {s!r}")
     grid = symbol.grid
     n = grid.points_per_axis
     # dual cells: axis-0 dual steps 1/L, axis-1 dual steps L/N = h; the

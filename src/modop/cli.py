@@ -12,12 +12,11 @@ Subcommands:
 
 Experiment subcommands read an optional strict-JSON config, honor
 --seed (replaces the config's seed list) and --jobs (worker threads,
-default MODOP_JOBS or 1), and write CSV to --out or stdout.  Exit
-status is 0 only when no task errored.
+default 1), and write CSV to --out or stdout.  Exit status is 0 only
+when no task errored.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -63,20 +62,12 @@ _RUNNERS = {
 }
 
 
-def _default_jobs():
-    raw = os.environ.get("MODOP_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _add_experiment_parser(sub, name):
     p = sub.add_parser(name, help=f"run the {name} experiment")
     p.add_argument("--config", help="strict JSON sweep configuration")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--seed", type=int, help="replace the config seed list with this seed")
-    p.add_argument("--jobs", type=int, default=None, help="worker threads (default MODOP_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
     return p
 
 
@@ -89,8 +80,9 @@ def _run_experiment(args):
         if args.seed < 0 or args.seed > 0xFFFFFFFFFFFFFFFF:
             raise ModopError("--seed must be an unsigned 64-bit integer")
         cfg.seeds = [args.seed]
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    records = _RUNNERS[args.command](cfg, jobs=jobs)
+    if args.jobs < 1:
+        raise ModopError(f"--jobs must be at least 1, got {args.jobs}")
+    records = _RUNNERS[args.command](cfg, jobs=args.jobs)
     destination = args.out or cfg.out
     if destination:
         emit_csv(records, destination)
@@ -165,13 +157,13 @@ def _run_classify(args):
     report = s_seminorms(
         symbol, m=args.m, rho=args.rho, delta=args.delta, max_order=args.max_order
     )
+    sjo = sjostrand_norm(symbol, s=args.s)
     print("record,alpha,beta,m,rho,delta,s,value")
     for (alpha, beta), value in zip(report.orders, report.values):
         print(
             f"seminorm,{alpha},{beta},{report.m:.17g},{report.rho:.17g},"
             f"{report.delta:.17g},,{value:.17g}"
         )
-    sjo = sjostrand_norm(symbol, s=args.s)
     print(f"sjostrand,,,,,,{args.s:.17g},{sjo:.17g}")
     return 0
 
@@ -193,7 +185,7 @@ def build_parser():
     regions.add_argument("--n", type=int, default=1)
 
     opnorm = sub.add_parser("opnorm", help="operator norm of a stored symbol")
-    opnorm.add_argument("--symbol", required=True, help="PSS v1 symbol file")
+    opnorm.add_argument("--symbol", required=True, help="PSS symbol file")
     opnorm.add_argument("--p", required=True)
     opnorm.add_argument("--s", type=float, default=0.0)
     opnorm.add_argument(
@@ -219,7 +211,7 @@ def build_parser():
     gen.add_argument("--out", required=True)
 
     classify = sub.add_parser("classify", help="smoothness diagnostics for a symbol")
-    classify.add_argument("--symbol", required=True, help="PSS v1 symbol file")
+    classify.add_argument("--symbol", required=True, help="PSS symbol file")
     classify.add_argument("--m", type=float, default=0.0)
     classify.add_argument("--rho", type=float, default=1.0)
     classify.add_argument("--delta", type=float, default=0.0)

@@ -309,7 +309,7 @@ def read_records(path):
 def _run_tasks(tasks, jobs):
     """Run zero-argument tasks that each return a list of records, and
     join the lists in task order."""
-    if jobs is None or jobs <= 1:
+    if jobs <= 1:
         batches = [task() for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -240,12 +240,14 @@ def _parse_header(line, expected_keys, path):
     return out
 
 
-def _read_samples(path, magic, extra_keys, rank):
+def _read_samples(path, magic, extra_keys, shape):
     """Read a file written by _write_samples.
 
-    Returns (header fields, grid, values) with values shaped (N,)*rank.
-    A header with dim other than 1 raises DimensionUnsupported; every
-    other departure from the format raises FileFormatError.
+    shape(header, grid) gives the shape of the sample block; it runs
+    before any sample line is read, so it may also reject the header.
+    Returns (header fields, grid, values).  A header with dim other
+    than 1 raises DimensionUnsupported; every other departure from the
+    format raises FileFormatError.
     """
     with open(path, "r", encoding="ascii") as fh:
         line = fh.readline().strip()
@@ -256,7 +258,8 @@ def _read_samples(path, magic, extra_keys, rank):
             grid = UniformGrid(int(header["dim"]), int(header["n"]), float(header["extent"]))
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad header values: {exc}") from exc
-        count = grid.points_per_axis**rank
+        block = shape(header, grid)
+        count = int(np.prod(block))
         values = np.empty(count, dtype=complex)
         for i in range(count):
             line = fh.readline()
@@ -271,20 +274,16 @@ def _read_samples(path, magic, extra_keys, rank):
                 raise FileFormatError(f"{path}: bad number on line {i + 3}: {line!r}") from exc
         if fh.readline().strip():
             raise FileFormatError(f"{path}: trailing content after {count} samples")
-    return header, grid, values.reshape(grid.shape * rank)
+    return header, grid, values.reshape(block)
 
 
 def write_sfn(f, path):
-    """Write a SampledFunction as an SFN v1 text file.
-
-    Line 1: ``SFN 1``.  Line 2: ``dim=1 n=<N> extent=<L>``.  Then one
-    ``re im`` pair per sample, printed with 17 significant digits so the
-    round trip is bit-exact.
-    """
+    """Write a SampledFunction as an SFN v1 text file: magic line
+    ``SFN 1`` and no header fields after extent."""
     _write_samples(path, "SFN 1", f.grid, "", f.values)
 
 
 def read_sfn(path):
     """Read an SFN v1 file back into a SampledFunction."""
-    _, grid, values = _read_samples(path, "SFN 1", [], 1)
+    _, grid, values = _read_samples(path, "SFN 1", [], lambda header, grid: grid.shape)
     return SampledFunction(grid, values)

@@ -315,25 +315,29 @@ def as_matrix(symbol):
 
 
 def write_pss(symbol, path):
-    """Write a PhaseSpaceSymbol as a PSS v1 text file (x-major order)."""
-    _write_samples(path, "PSS 1", symbol.grid, f" quant={symbol.quantization}", symbol.values)
+    """Write a PhaseSpaceSymbol as a PSS v2 text file: magic line
+    ``PSS 2``, header fields ``quant=<kn|weyl> factors=<0|1>`` after
+    extent, then for factors (a, b) 2N sample lines, a then b, and for
+    any other symbol its N^2 values in x-major order."""
+    factored = symbol.factors is not None
+    values = np.concatenate(symbol.factors) if factored else symbol.values
+    extra = f" quant={symbol.quantization} factors={int(factored)}"
+    _write_samples(path, "PSS 2", symbol.grid, extra, values)
 
 
 def read_pss(path):
-    """Read a PSS v1 file back into a PhaseSpaceSymbol.
+    """Read a PSS v2 file back into a PhaseSpaceSymbol: a factors=1
+    file as PhaseSpaceSymbol.product(a, b), a factors=0 file dense."""
 
-    The file does not record how the symbol was built, so this is the
-    one place that inspects values: when every row is bitwise identical
-    the symbol loads as the product (ones, row), when every column is,
-    as (column, ones); anything else loads dense.
-    """
-    header, grid, values = _read_samples(path, "PSS 1", ["quant"], 2)
-    if header["quant"] not in (KOHN_NIRENBERG, WEYL):
-        raise FileFormatError(f"{path}: quant must be 'kn' or 'weyl', got {header['quant']!r}")
-    bits = values.view(np.uint64).reshape(values.shape + (2,))
-    ones = np.ones(grid.points_per_axis, dtype=complex)
-    if np.all(bits == bits[:1]):
-        return PhaseSpaceSymbol.product(grid, ones, values[0], header["quant"])
-    if np.all(bits == bits[:, :1]):
-        return PhaseSpaceSymbol.product(grid, values[:, 0], ones, header["quant"])
+    def shape(header, grid):
+        if header["quant"] not in (KOHN_NIRENBERG, WEYL):
+            raise FileFormatError(f"{path}: quant must be 'kn' or 'weyl', got {header['quant']!r}")
+        if header["factors"] not in ("0", "1"):
+            raise FileFormatError(f"{path}: factors must be 0 or 1, got {header['factors']!r}")
+        n = grid.points_per_axis
+        return (2, n) if header["factors"] == "1" else (n, n)
+
+    header, grid, values = _read_samples(path, "PSS 2", ["quant", "factors"], shape)
+    if header["factors"] == "1":
+        return PhaseSpaceSymbol.product(grid, values[0], values[1], header["quant"])
     return PhaseSpaceSymbol(grid, values, header["quant"])

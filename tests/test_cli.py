@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from modop import read_pss, read_records, sobolev_opnorm, write_pss
+from modop import read_pss, read_records, sjostrand_norm, sobolev_opnorm, write_pss
 from modop.experiments import CSV_HEADER
 from modop.exponents import from_p
 from modop.grid import UniformGrid
-from modop.symbols import bessel_symbol
+from modop.symbols import bessel_symbol, gaussian_bump_symbol
 
 
 def run_cli(*argv, timeout=600):
@@ -139,9 +139,8 @@ def test_classify_rows(tmp_path):
 
 
 def test_classify_large_phases_file_loads_factored(tmp_path):
-    # every row of a generated multiplier file is identical, so read_pss
-    # loads it as a product and classify takes the factored Sjostrand path;
-    # a dense symbol at N=512 would be refused as too large
+    # a generated multiplier file records its factors, so classify takes the
+    # factored Sjostrand path; a dense symbol at N=512 would be refused as too large
     out = tmp_path / "phases.pss"
     assert run_cli("gen", "--kind", "phases", "--n", "512", "--extent", "16",
                    "--out", out).returncode == 0
@@ -150,6 +149,18 @@ def test_classify_large_phases_file_loads_factored(tmp_path):
     assert proc.returncode == 0, proc.stderr
     sjostrand = [l.split(",") for l in proc.stdout.splitlines() if l.startswith("sjostrand,")]
     assert len(sjostrand) == 1 and math.isfinite(float(sjostrand[0][7]))
+
+
+def test_classify_large_bump_file_matches_memory(tmp_path):
+    # the bump's rows and columns both vary; its file still loads factored
+    out = tmp_path / "bump.pss"
+    assert run_cli("gen", "--kind", "bump", "--n", "512", "--extent", "16",
+                   "--out", out).returncode == 0
+    assert len(out.read_text().splitlines()) == 2 + 2 * 512
+    proc = run_cli("classify", "--symbol", out)
+    assert proc.returncode == 0, proc.stderr
+    expected = sjostrand_norm(gaussian_bump_symbol(UniformGrid(1, 512, 16.0)))
+    assert proc.stdout.splitlines()[-1] == f"sjostrand,,,,,,0,{expected:.17g}"
 
 
 def test_bad_config_exits_2(tmp_path):
@@ -230,6 +241,9 @@ def test_opnorm_method_names(tmp_path):
     ("classify", "--rho", "2", "--delta", "-1"),
     ("classify", "--m", "nan"),
     ("opnorm", "--p", "2", "--s", "inf"),
+    ("classify", "--s", "nan"),
+    ("classify", "--s", "inf"),
+    ("threshold", "--jobs", "0"),
 ])
 def test_bad_values_exit_2(tmp_path, argv):
     if argv[0] == "gen":
@@ -241,6 +255,7 @@ def test_bad_values_exit_2(tmp_path, argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
 
 
 def test_gen_too_many_modes_exits_2(tmp_path):

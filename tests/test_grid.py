@@ -174,7 +174,9 @@ def test_sfn_header_is_validated(tmp_path):
 # reader, magic line, header fields after extent, sample lines at n=2
 _SAMPLE_FORMATS = {
     "sfn": (read_sfn, "SFN 1", "", 2),
-    "pss": (read_pss, "PSS 1", " quant=kn", 4),
+    "pss": (read_pss, "PSS 2", " quant=kn factors=0", 4),
+    # at n=2 the 2N factor samples happen to number N^2 as well
+    "pss-factors": (read_pss, "PSS 2", " quant=kn factors=1", 4),
 }
 
 

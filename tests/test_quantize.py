@@ -338,33 +338,57 @@ def test_pss_roundtrip(tmp_path, tiny_grid):
     assert np.array_equal(back.values, sigma.values)
 
 
-def test_pss_load_rule(tmp_path, tiny_grid):
-    x = tiny_grid.axis_points()
-    cases = {
-        "bessel": (bessel_symbol(tiny_grid, -1.0), "row"),
-        "multiplication": (multiplication_symbol(tiny_grid, 1.0 + np.exp(-x**2)), "column"),
-        "random": (random_symbol(tiny_grid, seed=98), None),
-    }
-    for name, (sigma, shape) in cases.items():
+def test_pss_header_rule(tmp_path, tiny_grid):
+    # the factors field, not the sample values, decides how a file loads
+    n = tiny_grid.points_per_axis
+    rng = np.random.default_rng(97)
+    a, b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    cases = dict(standard_suite(tiny_grid))
+    cases["weyl-product"] = PhaseSpaceSymbol.product(tiny_grid, a, b, "weyl")
+    for name, sigma in cases.items():
         path = tmp_path / f"{name}.pss"
         write_pss(sigma, path)
+        lines = path.read_text().splitlines()
+        assert lines[1].endswith(f"quant={sigma.quantization} factors=1"), name
+        assert len(lines) == 2 + 2 * n, name
         back = read_pss(path)
-        assert np.array_equal(back.values, sigma.values), name
-        if shape is None:
-            assert back.factors is None, name
-            continue
-        a, b = back.factors
-        ones = a if shape == "row" else b
-        assert np.array_equal(ones, np.ones(tiny_grid.points_per_axis)), name
+        assert back.quantization == sigma.quantization, name
+        for got, want in zip(back.factors, sigma.factors):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    # rows all equal, but built from values: it stays dense
+    row = bessel_symbol(tiny_grid, -1.0).factors[1]
+    dense = PhaseSpaceSymbol(tiny_grid, np.outer(np.ones(n), row), "kn")
+    path = tmp_path / "dense.pss"
+    write_pss(dense, path)
+    assert path.read_text().splitlines()[1].endswith("factors=0")
+    back = read_pss(path)
+    assert back.factors is None
+    assert np.array_equal(back.values.view(np.uint64), dense.values.view(np.uint64))
 
 
 def test_pss_header_validation(tmp_path):
     from modop import FileFormatError
 
     path = tmp_path / "bad.pss"
-    path.write_text("PSS 1\ndim=1 n=2 extent=2 quant=sideways\n" + "0 0\n" * 4)
+    path.write_text("PSS 2\ndim=1 n=2 extent=2 quant=sideways factors=0\n" + "0 0\n" * 4)
     with pytest.raises(FileFormatError):
         read_pss(path)
-    path.write_text("PSS 1\ndim=1 n=2 extent=2 quant=kn\n0 0\n0 0\n0 0\n")
+    path.write_text("PSS 2\ndim=1 n=2 extent=2 quant=kn factors=0\n0 0\n0 0\n0 0\n")
     with pytest.raises(FileFormatError):
+        read_pss(path)
+    # the header is checked before any sample line is read
+    for fields, message in [
+        ("quant=sideways factors=0", "quant must be"),
+        ("quant=kn factors=2", "factors must be"),
+    ]:
+        path.write_text(f"PSS 2\ndim=1 n=4 extent=2 {fields}\n")
+        with pytest.raises(FileFormatError, match=message):
+            read_pss(path)
+    # a PSS 1 file has no reader
+    path.write_text("PSS 1\ndim=1 n=4 extent=2 quant=kn\n" + "0 0\n" * 16)
+    with pytest.raises(FileFormatError, match="bad magic line"):
+        read_pss(path)
+    # a factored file holds 2N sample lines, not N^2
+    path.write_text("PSS 2\ndim=1 n=4 extent=2 quant=kn factors=1\n" + "0 0\n" * 16)
+    with pytest.raises(FileFormatError, match="trailing content"):
         read_pss(path)
