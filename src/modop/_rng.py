@@ -1,6 +1,6 @@
 """Deterministic seeding utilities.
 
-Reproducibility across platforms and job counts rests on a single
+Reproducibility across platforms and runs rests on a single
 counter-based generator: splitmix64.  Its update function is
 
     state <- (state + 0x9E3779B97F4A7C15) mod 2^64
@@ -14,7 +14,7 @@ splitmix64 stream (scalar draws such as bump phases) or from
 numpy's default generator seeded with a splitmix64-derived value (bulk
 arrays).  Task-level seeds are derived from a master seed and integer
 indices with ``derive_seed``, so results never depend on execution
-order or on how work is split across threads.
+order.
 """
 
 import numpy as np

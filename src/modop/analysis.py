@@ -80,16 +80,8 @@ class TimeFrequencyArray:
         raise AttributeError("TimeFrequencyArray is immutable")
 
     @property
-    def x_cell(self):
-        return self.x_step
-
-    @property
-    def xi_cell(self):
-        return self.xi_step
-
-    @property
     def cell(self):
-        return self.x_cell * self.xi_cell
+        return self.x_step * self.xi_step
 
 
 def default_window(grid):
@@ -144,7 +136,7 @@ def stft(f, g, stride=1):
 
 def lp_norm(f, p):
     """Riemann-sum L^p norm: (h sum |f|^p)^(1/p), max |f| for p=inf."""
-    return float(power_mean(np.abs(f.values), p, f.grid.cell))
+    return float(power_mean(np.abs(f.values), p, f.grid.spacing))
 
 
 def sobolev_norm(f, p, s):
@@ -177,7 +169,7 @@ def modulation_norm(f, p, q, weight=None, window=None, stride=1):
     mags = np.abs(tfa.values)
     if weight is not None and (weight.s1 != 0.0 or weight.s2 != 0.0):
         mags = mags * weight.on_array(tfa, f.grid)
-    return _mixed_norms(mags, p, tfa.x_cell, 0, [q], tfa.xi_cell)[0]
+    return _mixed_norms(mags, p, tfa.x_step, 0, [q], tfa.xi_step)[0]
 
 
 def amalgam_norm(f, p, q, s=0.0, window=None, stride=1):
@@ -190,7 +182,7 @@ def amalgam_norm(f, p, q, s=0.0, window=None, stride=1):
     mags = np.abs(tfa.values)
     if s != 0.0:
         mags = mags * bessel_weights(grid, s)[None, :]
-    return _mixed_norms(mags, q, tfa.xi_cell, 1, [p], tfa.x_cell)[0]
+    return _mixed_norms(mags, q, tfa.xi_step, 1, [p], tfa.x_step)[0]
 
 
 def phase_space_window(grid):

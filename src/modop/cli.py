@@ -11,9 +11,9 @@ Subcommands:
   classify    print seminorm and Sjostrand-norm diagnostics for a symbol
 
 Experiment subcommands read an optional strict-JSON config, honor
---seed (replaces the config's seed list) and --jobs (worker threads,
-default 1), and write CSV to --out or stdout.  Exit status is 0 only
-when no task errored.
+--seed (replaces the config's seed list), run their tasks in order, and
+write CSV to --out or stdout.  Exit status is 0 only when no task
+errored.
 """
 
 import argparse
@@ -67,7 +67,6 @@ def _add_experiment_parser(sub, name):
     p.add_argument("--config", help="strict JSON sweep configuration")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--seed", type=int, help="replace the config seed list with this seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
     return p
 
 
@@ -80,9 +79,7 @@ def _run_experiment(args):
         if args.seed < 0 or args.seed > 0xFFFFFFFFFFFFFFFF:
             raise ModopError("--seed must be an unsigned 64-bit integer")
         cfg.seeds = [args.seed]
-    if args.jobs < 1:
-        raise ModopError(f"--jobs must be at least 1, got {args.jobs}")
-    records = _RUNNERS[args.command](cfg, jobs=args.jobs)
+    records = _RUNNERS[args.command](cfg)
     destination = args.out or cfg.out
     if destination:
         emit_csv(records, destination)

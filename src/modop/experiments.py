@@ -4,7 +4,7 @@ threshold sweep, with a shared CSV record format.
 Every run is deterministic: task lists are built in a fixed order, each
 task derives its own random stream from the configured seeds, and
 results are joined in task order, so the emitted CSV is byte for byte
-identical whatever the worker count.
+identical from run to run.
 
 Records use one flat schema (see CSV_HEADER).  Fields that do not apply
 to a row are left empty; `flags` carries semicolon-separated markers
@@ -12,12 +12,12 @@ such as pass / fail, lower-bound notices, predicate verdicts, and
 error=<ExceptionName> for tasks that raised a package error.
 
 Each runner builds a table of tasks, `partial(_task, stub, fn, *args)`
-over module-level functions, and hands it to one executor.
+over module-level functions, and hands it to one executor that runs the
+tasks in order in the calling thread.
 """
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import product
@@ -307,16 +307,18 @@ def read_records(path):
 
 
 def _run_tasks(tasks, jobs):
-    """Run zero-argument tasks that each return a list of records, and
-    join the lists in task order."""
-    if jobs <= 1:
-        batches = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(lambda task: task(), tasks))
+    """Run zero-argument tasks that each return a list of records, in
+    order in the calling thread, and join the lists in task order.
+
+    `jobs` is ignored; the runners keep the parameter so that callers
+    passing it still work.  A thread pool made the threshold sweep
+    slower (its tasks take well under a millisecond each) and cannot
+    split the embedding sweep's one task per (N, seed), so there is one
+    serial path.
+    """
     records = []
-    for batch in batches:
-        records.extend(batch)
+    for task in tasks:
+        records.extend(task())
     return records
 
 
@@ -402,7 +404,7 @@ def _rel_max(actual, reference):
 
 
 def _check_ft_gaussian(grid, seed):
-    f = SampledFunction.from_callable(grid, lambda x: np.exp(-np.pi * x**2))
+    f = SampledFunction(grid, np.exp(-np.pi * grid.axis_points() ** 2))
     expected = np.exp(-np.pi * grid.axis_frequencies() ** 2)
     return _rel_max(forward_ft(f).values, expected)
 
@@ -414,8 +416,8 @@ def _check_ft_roundtrip(grid, seed):
 
 def _check_parseval(grid, seed):
     f = _test_function(grid, seed)
-    space = grid.cell * np.sum(np.abs(f.values) ** 2)
-    freq = grid.dual_cell * np.sum(np.abs(forward_ft(f).values) ** 2)
+    space = grid.spacing * np.sum(np.abs(f.values) ** 2)
+    freq = grid.dual_spacing * np.sum(np.abs(forward_ft(f).values) ** 2)
     return abs(space - freq) / space
 
 
@@ -488,8 +490,8 @@ def _check_fourier_amalgam(grid, seed):
         modulation_mags = np.abs(tfa.values)
         amalgam_mags = np.abs(_windowed_spectra(f, window, 1, conjugate_window=False)[1])
         for p in _FOURIER_AMALGAM_EXPONENTS:
-            lhs = _mixed_norms(modulation_mags, p, tfa.x_cell, 0, _FOURIER_AMALGAM_EXPONENTS, tfa.xi_cell)
-            rhs = _mixed_norms(amalgam_mags, p, tfa.xi_cell, 1, _FOURIER_AMALGAM_EXPONENTS, tfa.x_cell)
+            lhs = _mixed_norms(modulation_mags, p, tfa.x_step, 0, _FOURIER_AMALGAM_EXPONENTS, tfa.xi_step)
+            rhs = _mixed_norms(amalgam_mags, p, tfa.xi_step, 1, _FOURIER_AMALGAM_EXPONENTS, tfa.x_step)
             for left, right in zip(lhs, rhs):
                 worst = max(worst, abs(left / right - 1.0))
     return worst
@@ -632,7 +634,7 @@ def _identity_record(stub, check, tol, grid, seed):
 
 
 def run_identity_suite(config=None, jobs=1):
-    """Run every calculus identity check; one record per (N, check).
+    """Run every calculus identity check; one record per (N, seed, check).
 
     Checks that need a particular geometry (the Weyl quadrature oracle,
     the Sjostrand values, the Fourier-amalgam identity) run on their own
@@ -640,10 +642,9 @@ def run_identity_suite(config=None, jobs=1):
     """
     cfg = config or default_config("identity")
     extent = cfg.L or 16.0
-    seed = (cfg.seeds or [0])[0]
 
     tasks = []
-    for n in cfg.N or [256]:
+    for n, seed in product(cfg.N or [256], cfg.seeds or [0]):
         grid = UniformGrid(1, n, extent)
         for name, check, tol in _IDENTITY_CHECKS:
             stub = dict(experiment="identity", n=1, N=n, seed=seed, method=name)
@@ -702,7 +703,7 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
         np.abs(_windowed_spectra(f, window, 1, conjugate_window=False)[1]) for f in fs
     ]
     # amalgam[i][qi][pi]: function i, inner exponent q, outer exponent p
-    amalgam = [[_mixed_norms(m, q, grid.dual_cell, 1, ps, grid.cell) for q in qs] for m in mags]
+    amalgam = [[_mixed_norms(m, q, grid.dual_spacing, 1, ps, grid.spacing) for q in qs] for m in mags]
     sobolev_cache = {}
     for i, f in enumerate(fs):
         for si, s in enumerate(svals):
@@ -740,7 +741,7 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
             for f in fs
         ]
         out_amalgam = [
-            [_mixed_norms(m, q, grid.dual_cell, 1, ps, grid.cell) for q in qs] for m in out_mags
+            [_mixed_norms(m, q, grid.dual_spacing, 1, ps, grid.spacing) for q in qs] for m in out_mags
         ]
         for pi, p in enumerate(ps):
             for qi, q in enumerate(qs):

@@ -27,6 +27,7 @@ non-issue (the experiment defaults L=16, N=256 keep Gaussian tails
 below 1e-12 at the boundary).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class UniformGrid:
     points_per_axis : int
         N, even and at least 2.  Powers of two give the fastest FFTs.
     extent : float
-        Side length L > 0 of the periodic box.
+        Side length L > 0 of the periodic box, finite.
 
     The dual (frequency) lattice is {k/L : k = -N/2 .. N/2-1}, with cell
     measure 1/L; the spatial cell measure is h = L/N.
@@ -67,12 +68,12 @@ class UniformGrid:
             raise DimensionUnsupported(f"only dimension 1 is supported, got {self.dim}")
         if self.points_per_axis < 2 or self.points_per_axis % 2 != 0:
             raise InvalidValue(f"points_per_axis must be even and >= 2, got {self.points_per_axis}")
-        if not self.extent > 0:
-            raise InvalidValue(f"extent must be positive, got {self.extent}")
+        if not (math.isfinite(self.extent) and self.extent > 0):
+            raise InvalidValue(f"extent must be finite and positive, got {self.extent}")
 
     @property
     def spacing(self):
-        """Grid step h = L/N."""
+        """Grid step h = L/N, the spatial quadrature cell measure."""
         return self.extent / self.points_per_axis
 
     @property
@@ -80,17 +81,8 @@ class UniformGrid:
         return (self.points_per_axis,)
 
     @property
-    def cell(self):
-        """Spatial quadrature cell measure h."""
-        return self.spacing
-
-    @property
-    def dual_cell(self):
-        """Frequency quadrature cell measure 1/L."""
-        return self.extent**-1
-
-    @property
     def dual_spacing(self):
+        """Dual lattice step 1/L, the frequency quadrature cell measure."""
         return 1.0 / self.extent
 
     def axis_points(self):
@@ -134,11 +126,6 @@ class SampledFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("SampledFunction is immutable")
-
-    @classmethod
-    def from_callable(cls, grid, fn):
-        """Sample fn(x) on the grid."""
-        return cls(grid, np.asarray(fn(grid.axis_points()), dtype=complex))
 
     def __repr__(self):
         return f"SampledFunction(grid={self.grid!r})"

@@ -36,27 +36,33 @@ def bump_profile(t, radius=BUMP_RADIUS):
     return out
 
 
-def random_phase_multiplier(grid, n_modes, seed, radius=BUMP_RADIUS):
+def random_phase_multiplier(grid, n_modes, seed):
     """Fourier multiplier sum_{|k| <= n_modes} e^{i theta_k} eta(xi - k).
 
-    The bumps must fit inside the frequency window, so n_modes + radius
-    cannot exceed N / (2 L); otherwise TooManyModes is raised.  Phases
-    are uniform on [0, 2 pi), one stream per (seed), ordered k = -M..M.
+    The bumps must fit inside the frequency window, so n_modes +
+    BUMP_RADIUS cannot exceed N / (2 L); otherwise TooManyModes is
+    raised.  Phases are uniform on [0, 2 pi), one stream per (seed),
+    ordered k = -M..M.  BUMP_RADIUS < 1/2, so each frequency lies in at
+    most one bump, the one at the nearest integer, and the build is O(N).
     """
     m = int(n_modes)
     if m < 0:
         raise InvalidValue(f"n_modes must be >= 0, got {n_modes!r}")
     half_window = grid.points_per_axis / (2.0 * grid.extent)
-    if m + radius > half_window:
+    if m + BUMP_RADIUS > half_window:
         raise TooManyModes(
             f"n_modes={m} puts bump support past the frequency window "
-            f"(need n_modes + {radius:g} <= N/(2L) = {half_window:g})"
+            f"(need n_modes + {BUMP_RADIUS:g} <= N/(2L) = {half_window:g})"
         )
     phases = 2.0 * np.pi * uniform_stream(seed, 2 * m + 1)
     xi = grid.axis_frequencies()
+    k = np.rint(xi)
+    inside = np.abs(k) <= m
+    mode = k[inside]
+    term = np.exp(1j * phases[mode.astype(int) + m]) * bump_profile(xi[inside] - mode)
+    # adding into zeros gives +0, never -0, where the bump vanishes
     row = np.zeros(grid.points_per_axis, dtype=complex)
-    for j, k in enumerate(range(-m, m + 1)):
-        row += np.exp(1j * phases[j]) * bump_profile(xi - k, radius)
+    row[inside] += term
     return PhaseSpaceSymbol.product(grid, np.ones(grid.points_per_axis), row)
 
 

@@ -49,6 +49,20 @@ def gauss_stft_magnitude(x, xi):
 
 
 # ---------------------------------------------------------------------------
+# symbol assembly
+
+
+def summed_phase_bumps(xi, phases, bump):
+    """sum_{k=-M..M} e^{i phases[k+M]} bump(xi - k), one bump at a time
+    over every frequency: O(MN), with no use of the bumps' disjointness."""
+    m = (len(phases) - 1) // 2
+    row = np.zeros(len(xi), dtype=complex)
+    for j, k in enumerate(range(-m, m + 1)):
+        row += np.exp(1j * phases[j]) * bump(xi - k)
+    return row
+
+
+# ---------------------------------------------------------------------------
 # direct quantization quadratures
 
 

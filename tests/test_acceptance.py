@@ -132,7 +132,7 @@ def test_acceptance_3_kernel_correspondence(weyl_grid):
     kernel = weyl_to_kernel(symbol)
     f = make_bandlimited(grid, 19, modes=4)
     g = make_bandlimited(grid, 23, modes=4)
-    lhs = grid.cell * np.sum(weyl_apply(symbol, f).values * np.conj(g.values))
+    lhs = grid.spacing * np.sum(weyl_apply(symbol, f).values * np.conj(g.values))
     rhs = oracles.rank_one_pairing(kernel.values, f.values, g.values, grid)
     pairing = abs(lhs - rhs) / abs(rhs)
     report(3, "kernel-correspondence", round_trip <= 1e-10 and pairing <= 1e-8)

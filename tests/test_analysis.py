@@ -130,8 +130,8 @@ def test_modulation_norm_weight_is_bracket_product(tiny_grid):
     x = v.x_axis_points[:, None]
     xi = v.xi_axis_points[None, :]
     weighted = np.abs(v.values) * (1 + x**2) ** 0.25 * (1 + xi**2) ** -0.5
-    inner = (v.x_cell * (weighted**4).sum(axis=0)) ** 0.25
-    want = v.xi_cell * inner.sum()
+    inner = (v.x_step * (weighted**4).sum(axis=0)) ** 0.25
+    want = v.xi_step * inner.sum()
     got = modulation_norm(f, 4, 1, weight=Weight(0.5, -1.0), stride=2)
     assert abs(got - want) <= 1e-12 * want
 

@@ -110,13 +110,10 @@ def test_threshold_cli_deterministic_across_jobs(tmp_path):
         "n_modes": [4, 8],
         "seeds": [0, 1],
     }))
-    one = run_cli("threshold", "--config", cfg, "--jobs", "1", "--seed", "5")
-    four = run_cli("threshold", "--config", cfg, "--jobs", "4", "--seed", "5")
-    assert one.returncode == 0 and four.returncode == 0
-    assert one.stdout == four.stdout
+    one = run_cli("threshold", "--config", cfg, "--seed", "5")
+    assert one.returncode == 0
     out = tmp_path / "rows.csv"
-    direct = run_cli("threshold", "--config", cfg, "--jobs", "4", "--seed", "5",
-                     "--out", out)
+    direct = run_cli("threshold", "--config", cfg, "--seed", "5", "--out", out)
     assert direct.returncode == 0
     assert direct.stdout == ""
     assert out.read_text() == one.stdout
@@ -243,7 +240,7 @@ def test_opnorm_method_names(tmp_path):
     ("opnorm", "--p", "2", "--s", "inf"),
     ("classify", "--s", "nan"),
     ("classify", "--s", "inf"),
-    ("threshold", "--jobs", "0"),
+    ("gen", "--kind", "constant", "--n", "8", "--extent", "inf"),
 ])
 def test_bad_values_exit_2(tmp_path, argv):
     if argv[0] == "gen":
@@ -255,6 +252,13 @@ def test_bad_values_exit_2(tmp_path, argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
+def test_jobs_option_is_gone():
+    proc = run_cli("threshold", "--jobs", "2")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -188,6 +189,28 @@ def test_identity_suite_deterministic_across_jobs():
     emit_csv(run_identity_suite(cfg, jobs=1), a)
     emit_csv(run_identity_suite(cfg, jobs=4), b)
     assert a.getvalue() == b.getvalue()
+
+
+def test_identity_suite_runs_every_seed():
+    cfg = SweepConfig("identity", N=[64], L=8.0, seeds=[1, 2])
+    records = run_identity_suite(cfg)
+    checks = len(experiments._IDENTITY_CHECKS)
+    assert len(records) == 2 * checks
+    assert {r.seed for r in records} == {1, 2}
+    assert [r.seed for r in records] == [1] * checks + [2] * checks
+
+
+def test_sweep_tasks_run_on_the_calling_thread(monkeypatch):
+    threads = []
+
+    def check(grid, seed):
+        threads.append(threading.get_ident())
+        return 0.0
+
+    monkeypatch.setattr(experiments, "_IDENTITY_CHECKS", [("probe", check, 1.0)] * 8)
+    records = run_identity_suite(SweepConfig("identity", N=[64, 128], L=8.0), jobs=4)
+    assert len(records) == 16
+    assert threads == [threading.get_ident()] * 16
 
 
 def _raises(exc):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,9 @@ def test_grid_rejects_bad_sizes():
         UniformGrid(1, 0, 4.0)
     with pytest.raises(ValueError):
         UniformGrid(1, 8, -1.0)
+    for extent in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            UniformGrid(1, 8, extent)
 
 
 def test_gaussian_is_ft_fixed_point(default_grid):
@@ -82,8 +87,8 @@ def test_parseval(default_grid):
     for seed in range(5):
         f = make_bandlimited(default_grid, seed)
         spec = forward_ft(f)
-        lhs = default_grid.cell * np.abs(f.values**2).sum()
-        rhs = default_grid.dual_cell * np.abs(spec.values**2).sum()
+        lhs = default_grid.spacing * np.abs(f.values**2).sum()
+        rhs = default_grid.dual_spacing * np.abs(spec.values**2).sum()
         assert abs(lhs - rhs) <= 1e-12 * lhs
 
 
@@ -191,7 +196,8 @@ def test_sample_file_with_dim_2_header_is_unsupported(tmp_path, fmt):
 
 
 @pytest.mark.parametrize(
-    "defect", ["header key", "odd n", "three fields", "bad number", "trailing content"]
+    "defect",
+    ["header key", "odd n", "inf extent", "three fields", "bad number", "trailing content"],
 )
 @pytest.mark.parametrize("fmt", sorted(_SAMPLE_FORMATS))
 def test_malformed_sample_file_is_rejected(tmp_path, fmt, defect):
@@ -205,6 +211,7 @@ def test_malformed_sample_file_is_rejected(tmp_path, fmt, defect):
         {
             "header key": f"{magic}\ndim=1 size=2 extent=2{extra}\n" + samples,
             "odd n": f"{magic}\ndim=1 n=3 extent=2{extra}\n" + samples,
+            "inf extent": f"{magic}\ndim=1 n=2 extent=inf{extra}\n" + samples,
             "three fields": head + "0 0 0\n" + samples[4:],
             "bad number": head + "0 zero\n" + samples[4:],
             "trailing content": head + samples + "0 0\n",

@@ -111,7 +111,7 @@ def test_norm_2_diagonal_and_unitary():
     grid = UniformGrid(1, 16, 4.0)
     f = oracles.dft_matrix(grid)
     # forward_ft maps l2(h) isometrically onto l2(1/L)
-    m = OperatorMatrix(f, grid.cell, grid.dual_cell)
+    m = OperatorMatrix(f, grid.spacing, grid.dual_spacing)
     assert abs(norm_2(m).value - 1.0) <= 1e-8
 
 

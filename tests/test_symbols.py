@@ -19,7 +19,9 @@ from modop import (
     translation_symbol,
     uniform_stream,
 )
+from modop.symbols import BUMP_RADIUS
 
+import oracles
 from conftest import make_bandlimited, rel_err
 
 THRESHOLD_SIZES = {4: 128, 8: 256, 16: 512, 32: 1024}
@@ -42,6 +44,19 @@ def test_single_mode_is_one_phased_bump():
     want = np.exp(1j * theta) * bump_profile(xi)
     assert rel_err(sym.values[0], want) <= 1e-13
     assert np.all(sym.values == sym.values[:1, :])
+
+
+@pytest.mark.parametrize("extent", [2.0, 4.0, 8.0, 16.0])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_phase_multiplier_matches_summed_bumps_bitwise(n, extent):
+    grid = UniformGrid(1, n, extent)
+    cap = int(n / (2.0 * extent) - BUMP_RADIUS)
+    for modes in sorted({m for m in (0, 1, 4, 8, 16, 32) if m <= cap} | {cap}):
+        row = random_phase_multiplier(grid, modes, seed=modes + n).factors[1]
+        phases = 2.0 * np.pi * uniform_stream(modes + n, 2 * modes + 1)
+        want = oracles.summed_phase_bumps(grid.axis_frequencies(), phases, bump_profile)
+        # as uint64 views, so +0 and -0 differ
+        assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), (n, extent, modes)
 
 
 def test_phase_multiplier_determinism():
