@@ -65,3 +65,8 @@ def uniform_stream(seed, count):
 def bulk_rng(seed):
     """A numpy Generator for bulk array draws, seeded deterministically."""
     return np.random.default_rng(seed & _MASK)
+
+
+def is_seed(value):
+    """Whether an integer is a seed: unsigned 64-bit, 0 to 2^64 - 1."""
+    return 0 <= value <= _MASK

@@ -199,19 +199,19 @@ def _sup_stft(values, window, spacing, weight):
     return (np.abs(spectra) * weight[:, None]).max(axis=0)
 
 
-def sjostrand_norm(symbol, s=0.0, window=None):
+def sjostrand_norm(symbol, s=0.0):
     """The (weighted) Sjostrand-class norm of a phase-space symbol.
 
     Computes the phase-space STFT V_Phi(sigma) over all lattice
     translates z, takes sup_z of |V| <z_xi>^s for each dual point zeta,
     and integrates the result over zeta (L^1, cell measure 1/N).
 
-    For a symbol built from factors, sigma = a (x) b, under the default
-    window Phi = phi1 (x) phi2 the transform factors too,
-    V_Phi(sigma) = V_phi1(a) (x) V_phi2(b), and the norm is the product
-    of two one-dimensional sums of sup-STFTs, O(N^2 log N).  Every other
-    symbol, and any explicit window, takes the dense O(N^4 log N) path,
-    limited to N <= 256; it agrees with the factored one to roundoff.
+    The window is the phase-space Gaussian Phi = phi1 (x) phi2.  For a
+    symbol built from factors, sigma = a (x) b, the transform factors
+    too, V_Phi(sigma) = V_phi1(a) (x) V_phi2(b), and the norm is the
+    product of two one-dimensional sums of sup-STFTs, O(N^2 log N).
+    Every other symbol takes the dense O(N^4 log N) path, limited to
+    N <= 256; it agrees with the factored one to roundoff.
     """
     if not np.isfinite(s):
         raise InvalidValue(f"weight order s must be finite, got {s!r}")
@@ -223,7 +223,7 @@ def sjostrand_norm(symbol, s=0.0, window=None):
 
     zweight2 = bessel_weights(grid, s)  # <z_xi>^s on the z lattice, axis 1
 
-    if window is None and symbol.factors is not None:
+    if symbol.factors is not None:
         a, b = symbol.factors
         x = grid.axis_points()
         xi = grid.axis_frequencies()
@@ -234,15 +234,10 @@ def sjostrand_norm(symbol, s=0.0, window=None):
     if n > _SJOSTRAND_DENSE_LIMIT:
         raise TooLarge(
             f"dense sjostrand_norm is limited to N <= {_SJOSTRAND_DENSE_LIMIT}; "
-            "symbols built from factors (PhaseSpaceSymbol.product) with the "
-            "default window use the factored path"
+            "symbols built from factors (PhaseSpaceSymbol.product) use the "
+            "factored path"
         )
-    phi = phase_space_window(grid) if window is None else np.asarray(window, dtype=complex)
-    if phi.shape != (n, n):
-        raise InvalidValue(f"window shape {phi.shape}, expected {(n, n)}")
-    if not np.any(phi):
-        raise ZeroWindow("phase-space window is identically zero")
-
+    phi = phase_space_window(grid)
     sigma = symbol.values
     gather = _translate_gather(n)
     best = np.zeros((n, n))

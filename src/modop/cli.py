@@ -21,8 +21,9 @@ import sys
 
 import numpy as np
 
+from ._rng import is_seed
 from .analysis import sjostrand_norm
-from .errors import ModopError
+from .errors import InvalidValue, ModopError
 from .experiments import (
     default_config,
     emit_csv,
@@ -76,8 +77,6 @@ def _run_experiment(args):
     else:
         cfg = default_config(args.command)
     if args.seed is not None:
-        if args.seed < 0 or args.seed > 0xFFFFFFFFFFFFFFFF:
-            raise ModopError("--seed must be an unsigned 64-bit integer")
         cfg.seeds = [args.seed]
     records = _RUNNERS[args.command](cfg)
     destination = args.out or cfg.out
@@ -222,6 +221,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        seed = getattr(args, "seed", None)  # experiments, opnorm and gen
+        if seed is not None and not is_seed(seed):
+            raise InvalidValue(f"--seed must be an unsigned 64-bit integer, got {seed}")
         if args.command in _RUNNERS:
             return _run_experiment(args)
         if args.command == "regions":

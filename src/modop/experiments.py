@@ -19,12 +19,12 @@ tasks in order in the calling thread.
 import json
 import math
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 import numpy as np
 
-from ._rng import bulk_rng, derive_seed
+from ._rng import bulk_rng, derive_seed, is_seed
 from .analysis import (
     _mixed_norms,
     _windowed_spectra,
@@ -79,7 +79,14 @@ from .symbols import (
 
 CSV_HEADER = "experiment,p,q,s,n,N,N_modes,seed,value,method,flags"
 
-_EXPERIMENTS = ("identity", "embedding", "threshold")
+# the config keys each experiment reads; all three also take
+# `experiment` and `out`
+_CONFIG_KEYS = {
+    "identity": ("N", "L", "seeds", "tolerances"),
+    "embedding": ("N", "L", "p", "q", "s", "seeds", "functions"),
+    "threshold": ("N", "L", "p", "s", "n_modes", "seeds"),
+}
+_EXPERIMENTS = tuple(_CONFIG_KEYS)
 
 _FUNCTION_SALT = 0xF0
 _NORM_SALT = 0x6E6F726D
@@ -120,7 +127,6 @@ class SweepRecord:
     flags: str = ""
 
 
-_CONFIG_KEYS = {f.name for f in fields(SweepConfig)}
 _RECORD_FIELDS = fields(SweepRecord)
 
 # a task turns these into an error row; any other exception is a bug
@@ -165,9 +171,9 @@ def _exponent_list(value, key):
 def load_config(path, experiment=None):
     """Read a strict-JSON sweep configuration.
 
-    Unknown keys, unknown `tolerances` names and non-finite numbers are
-    rejected rather than ignored, so typos fail loudly.  `tolerances`
-    applies to the identity suite only.  When `experiment` is given, a
+    Keys the named experiment does not read (see _CONFIG_KEYS), unknown
+    `tolerances` names and non-finite numbers are rejected rather than
+    ignored, so typos fail loudly.  When `experiment` is given, a
     mismatching experiment field in the file is an error.
     """
     try:
@@ -177,20 +183,20 @@ def load_config(path, experiment=None):
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-
-    named = raw.get("experiment")
-    if named is not None:
-        if named not in _EXPERIMENTS:
-            raise ConfigError(f"{path}: experiment must be one of {_EXPERIMENTS}, got {named!r}")
-        if experiment is not None and named != experiment:
-            raise ConfigError(f"{path}: config is for {named!r}, not {experiment!r}")
-    if named is None and experiment is None:
+    named = experiment if raw.get("experiment") is None else raw["experiment"]
+    if named is None:
         raise ConfigError(f"{path}: no experiment named in the file or on the command line")
+    if named not in _EXPERIMENTS:
+        raise ConfigError(f"{path}: experiment must be one of {_EXPERIMENTS}, got {named!r}")
+    if experiment is not None and named != experiment:
+        raise ConfigError(f"{path}: config is for {named!r}, not {experiment!r}")
+    unknown = sorted(set(raw) - {"experiment", "out", *_CONFIG_KEYS[named]})
+    if unknown:
+        raise ConfigError(
+            f"{path}: config keys the {named} experiment does not read: {', '.join(unknown)}"
+        )
 
-    cfg = SweepConfig(experiment=named or experiment)
+    cfg = SweepConfig(experiment=named)
     if "N" in raw:
         cfg.N = _number_list(raw["N"], "N", int)
         if any(n < 2 or n & (n - 1) for n in cfg.N):
@@ -213,7 +219,7 @@ def load_config(path, experiment=None):
             raise ConfigError("config key 'n_modes' entries must be >= 0")
     if "seeds" in raw:
         cfg.seeds = _number_list(raw["seeds"], "seeds", int)
-        if any(s < 0 or s > 0xFFFFFFFFFFFFFFFF for s in cfg.seeds):
+        if not all(is_seed(s) for s in cfg.seeds):
             raise ConfigError("config key 'seeds' entries must be unsigned 64-bit")
     if "functions" in raw:
         count = raw["functions"]
@@ -222,8 +228,6 @@ def load_config(path, experiment=None):
         cfg.functions = count
     if "tolerances" in raw:
         tols = raw["tolerances"]
-        if cfg.experiment != "identity":
-            raise ConfigError("config key 'tolerances' applies to the identity experiment only")
         if not isinstance(tols, dict):
             raise ConfigError("config key 'tolerances' must be an object")
         checks = {name for name, _, _ in _IDENTITY_CHECKS}
@@ -786,9 +790,8 @@ def _slope_fit(log_m, log_v):
     return float(coef[0]), stderr
 
 
-def _threshold_record(stub, p, s, n_modes, size, extent, seed):
-    grid = UniformGrid(1, size, extent)
-    symbol = random_phase_multiplier(grid, n_modes, seed)
+def _threshold_record(stub, build, p, s, n_modes, size, seed):
+    symbol = build(size, n_modes, seed)
     est = sobolev_opnorm(symbol, p, s, seed=derive_seed(seed, _NORM_SALT))
     marks = []
     if est.lower_bound_only:
@@ -820,10 +823,16 @@ def run_threshold_sweep(config=None, jobs=1):
     else:
         sizes = [_auto_size(extent, m) for m in modes]
 
+    # one symbol serves every (p, s) pair; a build that raises is not
+    # cached, so each of its tasks still gets its own error row
+    @cache
+    def build(size, n_modes, seed):
+        return random_phase_multiplier(UniformGrid(1, size, extent), n_modes, seed)
+
     tasks = []
     for p, s, (m, n), seed in product(ps, svals, zip(modes, sizes), seeds):
         stub = dict(experiment="threshold", p=p.p, s=s, n=1, N=n, n_modes=m, seed=seed)
-        tasks.append(partial(_task, stub, _threshold_record, p, s, m, n, extent, seed))
+        tasks.append(partial(_task, stub, _threshold_record, build, p, s, m, n, seed))
     records = _run_tasks(tasks, jobs)
 
     # (p, s) -> [(N_modes, norm)] over the rows that hold a value

@@ -1,38 +1,38 @@
 """Operator norm computation for discretized operators.
 
-Norms are taken between discrete L^p spaces whose norms carry the
-quadrature cells of the two grids,
+Norms are L^p(h) -> L^p(h): both sides carry the grid cell h, which
+cancels from every norm ratio, so each estimator computes the plain
+ell^p -> ell^p norm of the operator on raw samples.
 
-    ||x||_{L^p(mu)} = (mu * sum |x_i|^p)^(1/p),
+p = 1 and p = infinity have closed forms (max column and row sums of
+|A|).  p = 2 uses power iteration on A*A, or the closed form exact_2
+when it applies.  Other p use Boyd's nonlinear power method, which
+climbs the Rayleigh-like quotient ||Ax||_p / ||x||_p and converges to
+a critical point; since the iteration can stall below the supremum,
+results for p not in {1, 2, inf} are always flagged lower_bound_only
+and the driver runs a bundle of deterministic and seeded random
+starts, keeping the best.
 
-so every estimator reduces to the plain ell^p -> ell^p matrix norm
-times the scale factor (codomain_measure / domain_measure)^(1/p).
-
-p = 1 and p = infinity have closed forms (max weighted column and row
-sums).  p = 2 uses power iteration on A*A.  Other p use Boyd's
-nonlinear power method, which climbs the Rayleigh-like quotient
-||Ax||_p / ||x||_p and converges to a critical point; since the
-iteration can stall below the supremum, results for p not in
-{1, 2, inf} are always flagged lower_bound_only and the driver runs a
-bundle of deterministic and seeded random starts, keeping the best.
-
-Each algorithm is written once, against apply and adjoint callables.
-The public estimators pass products with a dense OperatorMatrix.
-sobolev_opnorm passes FFT products when the lifted symbol is rank one,
-sigma = a(x) b(xi): its matrix is then A = diag(a) C with C the
-circulant whose eigenvalues are b in FFT order, so no N x N matrix is
-formed.  Column sums of |A| are a circular correlation of |a| with |c|
-(c = ifft of those eigenvalues), row sums are |a| sum|c|, and since
-C's singular values are |b|, max|a| max|b| bounds the spectral norm
-and equals it when |a| or |b| is constant.
+One dispatch on p, _estimate, reaches every estimator, given the
+operator's size, apply and adjoint callables, and column and row sums
+of |A|.  _dense takes these from an OperatorMatrix, _rank_one from the
+factors of a rank-one symbol sigma = a(x) b(xi), whose operator
+A = diag(a) C (C the circulant whose eigenvalues are b in FFT order)
+is applied by FFT, so no N x N matrix is formed.  Column sums of |A|
+are a circular correlation of |a| with |c| (c = ifft of those
+eigenvalues), row sums are |a| sum|c|, and since C's singular values
+are |b|, max|a| max|b| bounds the spectral norm and equals it when
+|a| or |b| is constant.
 """
+
+import functools
 
 import numpy as np
 
 from ._rng import bulk_rng, derive_seed
 from .errors import UnsupportedExponent
-from .exponents import from_p
-from .quantize import KOHN_NIRENBERG, as_matrix, lift_symbol, u_transform
+from .exponents import from_p, power_mean
+from .quantize import KOHN_NIRENBERG, _rank_one_products, as_matrix, lift_symbol, u_transform
 
 METHODS = ("exact_1", "exact_inf", "exact_2", "power_2", "boyd_p")
 
@@ -40,6 +40,7 @@ _POWER_CAP = 10**4
 _BOYD_CAP = 10**3
 _TOL_2 = 1e-10
 _TOL_P = 1e-8
+_RESTARTS = 8
 _NORM2_SALT = 0x70326E6F
 _BOYD_SALT = 0x62647970
 
@@ -78,16 +79,45 @@ class NormEstimate:
         )
 
 
-def _scale(matrix, u):
-    return (matrix.codomain_measure / matrix.domain_measure) ** u
+def _dense(matrix):
+    """The operator of an OperatorMatrix, as _estimate takes it."""
+    a = matrix.entries
+    # the conjugate is formed on the first adjoint call, once per operator
+    a_star = functools.cache(lambda: a.conj().T)
+    return (
+        a.shape[0],
+        lambda x: a @ x,
+        lambda z: a_star() @ z,
+        lambda: np.abs(a).sum(axis=0),
+        lambda: np.abs(a).sum(axis=1),
+    )
 
 
-def _exact(u, column_sums, row_sums, scale):
-    """The p = 1 (u = 1) or p = inf (u = 0) norm from the column or row
-    sums of |A|, given as callables so only the one needed is computed."""
-    if u == 1.0:
-        return NormEstimate(scale * column_sums().max(), "exact_1", 0, 0.0, 0, False)
-    return NormEstimate(row_sums().max(), "exact_inf", 0, 0.0, 0, False)
+def _rank_one(a, b):
+    """The KN operator of the symbol a(x) b(xi), diag(a) C, as _estimate
+    takes it."""
+    apply, adjoint = _rank_one_products(a, b)
+    abs_a = np.abs(a)
+    abs_c = np.abs(np.fft.ifft(np.fft.ifftshift(b)))
+
+    def column_sums():
+        # sum_j |a_j| |c_{j - j'}|, a circular correlation of |a| with |c|
+        return np.fft.irfft(np.fft.rfft(abs_a) * np.fft.rfft(abs_c).conj(), len(a))
+
+    return len(a), apply, adjoint, column_sums, lambda: abs_a * abs_c.sum()
+
+
+def _estimate(e, seed, n, apply, adjoint, column_sums, row_sums):
+    """The estimator for the exponent e, on an operator given as its size,
+    apply and adjoint callables, and column and row sums of |A|; the sums
+    are callables so that only what the estimator needs is computed."""
+    if e.u == 1.0:
+        return NormEstimate(column_sums().max(), "exact_1", 0, 0.0, 0, False)
+    if e.u == 0.0:
+        return NormEstimate(row_sums().max(), "exact_inf", 0, 0.0, 0, False)
+    if e.u == 0.5:
+        return _power_2(apply, adjoint, n, seed)
+    return _boyd(apply, adjoint, column_sums(), e, seed)
 
 
 def exact_norm(matrix, p):
@@ -95,11 +125,10 @@ def exact_norm(matrix, p):
     e = from_p(p)
     if e.u not in (0.0, 1.0):
         raise UnsupportedExponent(f"exact_norm handles p in {{1, inf}}, got p={e}")
-    a = np.abs(matrix.entries)
-    return _exact(e.u, lambda: a.sum(axis=0), lambda: a.sum(axis=1), _scale(matrix, 1.0))
+    return _estimate(e, 0, *_dense(matrix))
 
 
-def _power_2(apply, adjoint, n, scale, tol, seed):
+def _power_2(apply, adjoint, n, seed):
     rng = bulk_rng(derive_seed(seed, _NORM2_SALT))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -114,24 +143,20 @@ def _power_2(apply, adjoint, n, scale, tol, seed):
         v = adjoint(w)
         v /= np.linalg.norm(v)
         residual = abs(sigma - previous)
-        if residual < tol:
-            return NormEstimate(scale * sigma, "power_2", it, residual, 0, False)
+        if residual < _TOL_2:
+            return NormEstimate(sigma, "power_2", it, residual, 0, False)
         previous = sigma
-    return NormEstimate(scale * sigma, "power_2", _POWER_CAP, residual, 0, True)
+    return NormEstimate(sigma, "power_2", _POWER_CAP, residual, 0, True)
 
 
-def norm_2(matrix, tol=_TOL_2, seed=0):
+def norm_2(matrix, seed=0):
     """Spectral norm by power iteration on A*A.
 
     Stops when successive singular-value estimates differ by less than
-    tol; if the cap of 10^4 iterations is reached first the best
+    1e-10; if the cap of 10^4 iterations is reached first the best
     estimate is returned flagged lower_bound_only.
     """
-    a = matrix.entries
-    a_star = a.conj().T
-    return _power_2(
-        lambda v: a @ v, lambda w: a_star @ w, a.shape[0], _scale(matrix, 0.5), tol, seed
-    )
+    return _estimate(from_p(2), seed, *_dense(matrix))
 
 
 def _psi(values, p):
@@ -141,11 +166,7 @@ def _psi(values, p):
     return mags ** (p - 1.0) * phases
 
 
-def _lp(columns, p):
-    return (np.abs(columns) ** p).sum(axis=0) ** (1.0 / p)
-
-
-def _boyd(apply, adjoint, column_sums, e, scale, tol, restarts, seed):
+def _boyd(apply, adjoint, column_sums, e, seed):
     """Boyd's iteration on the (N, starts) block of start vectors; the
     coordinate start sits at the largest of column_sums."""
     pval = e.p
@@ -155,120 +176,79 @@ def _boyd(apply, adjoint, column_sums, e, scale, tol, restarts, seed):
     coord = np.zeros(n, dtype=complex)
     coord[int(np.argmax(column_sums))] = 1.0
     starts.append(coord)
-    for r in range(restarts):
+    for r in range(_RESTARTS):
         rng = bulk_rng(derive_seed(seed, _BOYD_SALT, r))
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     x = np.stack(starts, axis=1)
-    x /= _lp(x, pval)[None, :]
+    x /= power_mean(np.abs(x), e, 1.0, axis=0)[None, :]
     best = 0.0
     iterations = 0
     residual = np.inf
     for it in range(1, _BOYD_CAP + 1):
         y = apply(x)
-        gamma = _lp(y, pval)
+        gamma = power_mean(np.abs(y), e, 1.0, axis=0)
         top = gamma.max()
         residual = top - best
         iterations = it
         if top > best:
             best = top
-        if residual < tol and it > 1:
+        if residual < _TOL_P and it > 1:
             break
         z = adjoint(_psi(y, pval))
         x = _psi(z, pconj)
-        norms = _lp(x, pval)
+        norms = power_mean(np.abs(x), e, 1.0, axis=0)
         dead = norms == 0.0
         if np.any(dead):
             x[:, dead] = 1.0
-            norms = _lp(x, pval)
+            norms = power_mean(np.abs(x), e, 1.0, axis=0)
         x /= norms[None, :]
     # at p = 2 the iteration is the classical power method on A*A and the
     # limit is the true norm; for every other p the value is a lower bound
-    return NormEstimate(scale * best, "boyd_p", iterations, residual, restarts, e.u != 0.5)
+    return NormEstimate(best, "boyd_p", iterations, residual, _RESTARTS, e.u != 0.5)
 
 
-def norm_p(matrix, p, tol=_TOL_P, restarts=8, seed=0):
+def norm_p(matrix, p, seed=0):
     """Boyd's nonlinear power method for the ell^p operator norm.
 
     Runs a deterministic all-ones start, a coordinate start at the
-    heaviest column, and `restarts` seeded random starts, all iterated
-    in one batch; keeps the largest quotient reached.  The quotient is
+    heaviest column, and 8 seeded random starts, all iterated in one
+    batch; keeps the largest quotient reached.  The quotient is
     nondecreasing along the iteration, so the result is always a valid
     lower bound and is flagged as such.
     """
     e = from_p(p)
     if e.u in (0.0, 1.0):
         raise UnsupportedExponent("norm_p needs finite p > 1; use exact_norm")
-    a = matrix.entries
-    a_star = a.conj().T
-    return _boyd(
-        lambda x: a @ x,
-        lambda z: a_star @ z,
-        np.abs(a).sum(axis=0),
-        e,
-        _scale(matrix, e.u),
-        tol,
-        restarts,
-        seed,
-    )
+    _, apply, adjoint, column_sums, _ = _dense(matrix)
+    return _boyd(apply, adjoint, column_sums(), e, seed)
 
 
-def estimate_norm(matrix, p, tol=None, restarts=8, seed=0):
+def estimate_norm(matrix, p, seed=0):
     """Dispatch to the right estimator for the exponent."""
-    e = from_p(p)
-    if e.u in (0.0, 1.0):
-        return exact_norm(matrix, e)
-    if e.u == 0.5:
-        return norm_2(matrix, tol=_TOL_2 if tol is None else tol, seed=seed)
-    return norm_p(matrix, e, tol=_TOL_P if tol is None else tol, restarts=restarts, seed=seed)
+    return _estimate(from_p(p), seed, *_dense(matrix))
 
 
-def _rank_one_norm(a, b, e, tol, restarts, seed):
-    """The L^p(h) -> L^p(h) norm of the KN operator of a(x) b(xi), which
-    is diag(a) C; both measures are h, so the scale is 1 at every p."""
-    eig = np.fft.ifftshift(b)
-    abs_a = np.abs(a)
-    abs_c = np.abs(np.fft.ifft(eig))
-
-    def column_sums():
-        # sum_j |a_j| |c_{j - j'}|, a circular correlation of |a| with |c|
-        return np.fft.irfft(np.fft.rfft(abs_a) * np.fft.rfft(abs_c).conj(), len(a))
-
-    if e.u in (0.0, 1.0):
-        return _exact(e.u, column_sums, lambda: abs_a * abs_c.sum(), 1.0)
-
-    eig_conj = eig.conj()
-    a_conj = a.conj()
-
-    # the start vectors of _boyd are the columns of x, so transform x.T,
-    # which batches them along axis 0; on a vector .T does nothing
-    def apply(x):
-        return (a * np.fft.ifft(eig * np.fft.fft(x.T))).T
-
-    def adjoint(y):
-        return np.fft.ifft(eig_conj * np.fft.fft(a_conj * y.T)).T
-
-    if e.u != 0.5:
-        tol = _TOL_P if tol is None else tol
-        return _boyd(apply, adjoint, column_sums(), e, 1.0, tol, restarts, seed)
-    abs_b = np.abs(b)
-    if np.all(abs_a == abs_a[0]) or np.all(abs_b == abs_b[0]):
-        return NormEstimate(abs_a.max() * abs_b.max(), "exact_2", 0, 0.0, 0, False)
-    return _power_2(apply, adjoint, len(a), 1.0, _TOL_2 if tol is None else tol, seed)
-
-
-def sobolev_opnorm(symbol, p, s=0.0, tol=None, restarts=8, seed=0):
+def sobolev_opnorm(symbol, p, s=0.0, seed=0):
     """Estimate the symbol's operator norm from the Sobolev space of
     order s to L^p.
 
     Composes the operator with the order -s Bessel lift on the symbol
     side, which is exact on the lattice in the Kohn-Nirenberg calculus
     (Weyl symbols are converted first).  A lifted symbol with factors
-    takes the matrix-free rank-one path at any N; any other symbol is
-    estimated on its dense matrix, limited to N <= 1024.
+    (a, b) is estimated matrix-free at any N, by the closed form exact_2
+    at p = 2 when |a| or |b| is constant; any other symbol is estimated
+    on its dense matrix, limited to N <= 1024.
     """
     if symbol.quantization != KOHN_NIRENBERG:
         symbol = u_transform(symbol, "to_KN")
     lifted = lift_symbol(symbol, -s)
-    if lifted.factors is not None:
-        return _rank_one_norm(*lifted.factors, from_p(p), tol, restarts, seed)
-    return estimate_norm(as_matrix(lifted), p, tol=tol, restarts=restarts, seed=seed)
+    e = from_p(p)
+    if lifted.factors is None:
+        return _estimate(e, seed, *_dense(as_matrix(lifted)))
+    a, b = lifted.factors
+    if e.u == 0.5:
+        abs_a = np.abs(a)
+        abs_b = np.abs(b)
+        if np.all(abs_a == abs_a[0]) or np.all(abs_b == abs_b[0]):
+            return NormEstimate(abs_a.max() * abs_b.max(), "exact_2", 0, 0.0, 0, False)
+    return _estimate(e, seed, *_rank_one(a, b))

@@ -133,28 +133,19 @@ class KernelRep:
 
 
 class OperatorMatrix:
-    """Dense discretized operator with quadrature cell weights.
+    """Dense discretized operator; entries maps raw samples to raw samples."""
 
-    entries maps raw samples to raw samples; domain_measure and
-    codomain_measure are the L^p quadrature cells of the two sides
-    (both h for operators produced by as_matrix).
-    """
+    __slots__ = ("entries",)
 
-    __slots__ = ("entries", "domain_measure", "codomain_measure")
-
-    def __init__(self, entries, domain_measure, codomain_measure):
+    def __init__(self, entries):
         entries = np.asarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise InvalidValue(f"entries must be square, got shape {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise InvalidValue("matrix entries must be finite")
-        if not (domain_measure > 0 and codomain_measure > 0):
-            raise InvalidValue("quadrature measures must be positive")
         entries = entries.copy()
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "domain_measure", float(domain_measure))
-        object.__setattr__(self, "codomain_measure", float(codomain_measure))
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
@@ -163,6 +154,25 @@ class OperatorMatrix:
 def _require_tag(symbol, tag):
     if symbol.quantization != tag:
         raise WrongQuantization(f"expected a {tag!r} symbol, got {symbol.quantization!r}")
+
+
+def _rank_one_products(a, b):
+    """apply and adjoint of the KN operator of a(x) b(xi), diag(a) C with
+    C the circulant whose eigenvalues are b in FFT order (the centering
+    shifts and cell measures of forward_ft and inverse_ft cancel around
+    a Fourier multiplier).  Both take a vector or an (N, k) block."""
+    eig = np.fft.ifftshift(b)
+    eig_conj = eig.conj()
+    a_conj = a.conj()
+
+    # x.T batches a block's columns along axis 0; a vector is unchanged
+    def apply(x):
+        return (a * np.fft.ifft(eig * np.fft.fft(x.T))).T
+
+    def adjoint(y):
+        return np.fft.ifft(eig_conj * np.fft.fft(a_conj * y.T)).T
+
+    return apply, adjoint
 
 
 def kn_apply(symbol, f):
@@ -177,12 +187,8 @@ def kn_apply(symbol, f):
     if grid != f.grid:
         raise GridMismatch("symbol and function live on different grids")
     if symbol.factors is not None:
-        a, b = symbol.factors
-        # inverse_ft(b * forward_ft(f)): a Fourier multiplier commutes with
-        # translation, so the centering shifts of the two transforms (and
-        # their cell measures) cancel; only b goes to FFT frequency order
-        out = np.fft.ifft(np.fft.ifftshift(b) * np.fft.fft(f.values))
-        return SampledFunction(grid, a * out)
+        apply, _ = _rank_one_products(*symbol.factors)
+        return SampledFunction(grid, apply(f.values))
     n = grid.points_per_axis
     if n > _APPLY_LIMIT:
         raise TooLarge(f"dense apply is limited to {_APPLY_LIMIT} grid points, got {n}")
@@ -293,10 +299,10 @@ def kernel_to_weyl(kernel):
 
 
 def as_matrix(symbol):
-    """Dense matrix of the quantized operator, with quadrature weights.
+    """Dense matrix of the quantized operator, N <= 1024.
 
-    N <= 1024.  The matrix acts on raw samples; both measures are the
-    grid cell h, so OperatorMatrix norms are L^p(h) -> L^p(h).
+    The matrix acts on raw samples.  Domain and codomain both carry the
+    grid cell h, which cancels from every L^p(h) -> L^p(h) norm ratio.
     """
     grid = symbol.grid
     n = grid.points_per_axis
@@ -311,7 +317,7 @@ def as_matrix(symbol):
     diff_table = (h / grid.extent) * n * np.fft.ifft(symbol.values, axis=1) * signs[None, :]
     j = np.arange(n)
     entries = diff_table[j[:, None], (j[:, None] - j[None, :]) % n]
-    return OperatorMatrix(entries, h, h)
+    return OperatorMatrix(entries)
 
 
 def write_pss(symbol, path):

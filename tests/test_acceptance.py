@@ -261,7 +261,7 @@ def test_acceptance_7_threshold_experiment():
 
 def test_acceptance_8_norm_estimators():
     raw = np.random.default_rng(20260816).uniform(0.0, 1.0, (8, 8))
-    entries = OperatorMatrix(raw.astype(complex), 1.0, 1.0)
+    entries = OperatorMatrix(raw.astype(complex))
     ok = (
         abs(exact_norm(entries, 1).value - oracles.brute_force_norm_1(raw)) <= 1e-13
     )

@@ -241,6 +241,8 @@ def test_opnorm_method_names(tmp_path):
     ("classify", "--s", "nan"),
     ("classify", "--s", "inf"),
     ("gen", "--kind", "constant", "--n", "8", "--extent", "inf"),
+    ("gen", "--kind", "phases", "--n", "64", "--extent", "4", "--seed", "-1"),
+    ("opnorm", "--p", "4", "--seed", "-7"),
 ])
 def test_bad_values_exit_2(tmp_path, argv):
     if argv[0] == "gen":

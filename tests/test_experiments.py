@@ -109,6 +109,18 @@ def test_config_checks_tolerances(tmp_path):
     assert set(flags.values()) == {"pass"}
 
 
+@pytest.mark.parametrize("experiment, key, value", [
+    ("identity", "q", [1]),
+    ("embedding", "n_modes", [4]),
+    ("threshold", "functions", 3),
+])
+def test_config_rejects_keys_the_experiment_does_not_read(tmp_path, experiment, key, value):
+    path = write_config(tmp_path, {"experiment": experiment, key: value})
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert key in str(info.value) and experiment in str(info.value)
+
+
 def test_config_rejects_broken_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -300,6 +312,21 @@ def test_threshold_sweep_small():
     for rec in slopes:
         assert "stderr=" in rec.flags
         assert abs(rec.value) <= 0.05
+
+
+def test_threshold_sweep_builds_each_symbol_once(monkeypatch):
+    calls = []
+    build = experiments.random_phase_multiplier
+
+    def counted(grid, n_modes, seed):
+        calls.append((grid.points_per_axis, n_modes, seed))
+        return build(grid, n_modes, seed)
+
+    monkeypatch.setattr(experiments, "random_phase_multiplier", counted)
+    records = run_threshold_sweep()
+    # 3 p x 9 s x 4 mode counts x 3 seeds tasks share 12 symbols
+    assert len([r for r in records if r.method != "slope-fit"]) == 324
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 12
 
 
 def test_threshold_endpoint_flagged():
