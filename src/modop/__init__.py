@@ -12,11 +12,12 @@ and the command line.
 from ._rng import derive_seed, splitmix64_next, uniform_stream
 from .analysis import (
     TimeFrequencyArray,
-    Weight,
     amalgam_norm,
+    amalgam_norms,
     default_window,
     lp_norm,
     modulation_norm,
+    modulation_norms,
     sjostrand_norm,
     sobolev_norm,
     stft,

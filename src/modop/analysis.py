@@ -4,9 +4,9 @@ The discrete STFT of f against a window g, both sampled on one grid, is
 
     V_g f(x_i, xi_k) = forward_ft( f . conj(translate(g, x_i)) )(xi_k)
 
-evaluated for every lattice translate x_i (optionally strided) and
-every dual-lattice frequency xi_k.  On the full lattice this map is a
-tight frame: with quadrature measures h (space) and 1/L (frequency),
+evaluated for every lattice translate x_i and every dual-lattice
+frequency xi_k.  The map is a tight frame: with quadrature measures h
+(space) and 1/L (frequency),
 
     h (1/L) sum |V_g f|^2  =  ||f||_2^2 ||g||_2^2
 
@@ -14,14 +14,16 @@ holds exactly, which is what makes the p=q=2 modulation and amalgam
 norms collapse to the L^2 norm for a unit-norm window.
 
 Norms implemented here: lp_norm, sobolev_norm (Bessel multiplier then
-lp_norm), modulation_norm (inner exponent p over x, outer q over xi,
-weight <x>^s1 <xi>^s2), amalgam_norm (inner exponent q over omega with
-weight <omega>^s, outer p over y), and sjostrand_norm (the M^{infty,1}
-norm of a phase-space symbol: sup over phase-space translates, L^1 over
-the dual variable).
+lp_norm), modulation_norm (inner exponent p over x, outer q over xi),
+amalgam_norm (inner exponent q over omega with weight <omega>^s, outer
+p over y), and sjostrand_norm (the M^{infty,1} norm of a phase-space
+symbol: sup over phase-space translates, L^1 over the dual variable).
+The modulation and amalgam norms use the default Gaussian window and
+the cells h and 1/L.  modulation_norms and amalgam_norms tabulate them
+over lists of exponents from one |V_g f| array, with one inner
+reduction per inner exponent; the single-pair functions are one-entry
+tables.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,28 +40,11 @@ from .grid import (
 _SJOSTRAND_DENSE_LIMIT = 256
 
 
-@dataclass(frozen=True, eq=False)
-class Weight:
-    """The polynomial weight nu_{s1,s2}(x, xi) = <x>^s1 <xi>^s2."""
-
-    s1: float = 0.0
-    s2: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "s1", float(self.s1))
-        object.__setattr__(self, "s2", float(self.s2))
-
-    def on_array(self, tfa, grid):
-        """Evaluate on the (x, xi) lattice of a TimeFrequencyArray on grid."""
-        wx = (1.0 + np.square(tfa.x_axis_points)) ** (self.s1 / 2.0)
-        return wx[:, None] * bessel_weights(grid, self.s2)[None, :]
-
-
 class TimeFrequencyArray:
     """STFT values on an (x, xi) product lattice with quadrature data.
 
-    values has shape (x points, N); the x lattice has step h*stride and
-    the xi lattice is the grid's dual lattice.
+    values has shape (N, N); the x lattice is the grid's lattice (step h)
+    and the xi lattice is its dual lattice (step 1/L).
     """
 
     __slots__ = ("x_axis_points", "xi_axis_points", "x_step", "xi_step", "values")
@@ -84,54 +69,46 @@ class TimeFrequencyArray:
         return self.x_step * self.xi_step
 
 
+def _gaussian(t):
+    """The L^2-normalized Gaussian 2^(1/4) exp(-pi t^2) at the points t."""
+    return 2.0**0.25 * np.exp(-np.pi * t**2)
+
+
 def default_window(grid):
     """The L^2-normalized Gaussian 2^(1/4) exp(-pi t^2) on the grid."""
-    return SampledFunction(grid, 2.0**0.25 * np.exp(-np.pi * grid.axis_points() ** 2))
+    return SampledFunction(grid, _gaussian(grid.axis_points()))
 
 
-def _check_window(g):
-    if not np.any(g.values):
-        raise ZeroWindow("window is identically zero")
-
-
-def _translate_gather(n, stride=1):
+def _translate_gather(n):
     """Index table of the lattice translates of an N-point periodic axis.
 
     Row i maps sample j to (j - m_i) % N for the translation offsets
-    m_i = i * stride - N/2, so window[table] stacks every translate.
+    m_i = i - N/2, so window[table] stacks every translate.
     """
-    offsets = np.arange(n // stride) * stride - n // 2
+    offsets = np.arange(n) - n // 2
     return (np.arange(n)[None, :] - offsets[:, None]) % n
 
 
-def _translate_spectra(values, window, spacing, stride=1):
-    """Forward transforms along one periodic axis of values times every
-    stride-th lattice translate of window, stacked along axis 0."""
-    stack = values[None, :] * window[_translate_gather(len(values), stride)]
+def _translate_spectra(values, window, spacing):
+    """Forward transforms along one periodic axis of values times the
+    conjugate of every lattice translate of window, stacked along axis 0."""
+    stack = values[None, :] * np.conj(window)[_translate_gather(len(values))]
     return ft_along(stack, 1, spacing)
 
 
-def _windowed_spectra(f, g, stride, conjugate_window):
-    """Stack of forward transforms of f times (conjugated) window translates.
-
-    Returns (x_axis_points, array) with the array shaped (x count, N)
-    over the strided translation lattice.
-    """
+def _windowed_spectra(f, g):
+    """V_g f as (x_axis_points, array), the array shaped (N, N) with
+    axes (x, xi)."""
     grid = require_same_grid(f, g)
-    _check_window(g)
-    stride = int(stride)
-    n = grid.points_per_axis
-    if stride < 1 or n % stride != 0:
-        raise InvalidValue(f"stride must be a positive divisor of {n}, got {stride}")
-    window = np.conj(g.values) if conjugate_window else g.values
-    return grid.axis_points()[::stride], _translate_spectra(f.values, window, grid.spacing, stride)
+    if not np.any(g.values):
+        raise ZeroWindow("window is identically zero")
+    return grid.axis_points(), _translate_spectra(f.values, g.values, grid.spacing)
 
 
-def stft(f, g, stride=1):
-    """Short-time Fourier transform V_g f on the (strided) lattice."""
-    grid = require_same_grid(f, g)
-    x_axis, spectra = _windowed_spectra(f, g, stride, conjugate_window=True)
-    return TimeFrequencyArray(x_axis, grid.axis_frequencies(), spectra)
+def stft(f, g):
+    """Short-time Fourier transform V_g f on the full lattice."""
+    x_axis, spectra = _windowed_spectra(f, g)
+    return TimeFrequencyArray(x_axis, f.grid.axis_frequencies(), spectra)
 
 
 def lp_norm(f, p):
@@ -148,41 +125,50 @@ def sobolev_norm(f, p, s):
     return lp_norm(bessel_potential(f, s), p)
 
 
-def _mixed_norms(mags, inner, inner_cell, inner_axis, outers, outer_cell):
-    """For each exponent in outers, the L^outer norm over the other axis
-    of the L^inner norms over inner_axis: the reduction half of
-    modulation_norm and amalgam_norm, for callers that reuse one |STFT|
-    array across exponent pairs.  The inner reduction is done once."""
-    inner_norms = power_mean(mags, inner, inner_cell, axis=inner_axis)
-    return [float(power_mean(inner_norms, outer, outer_cell)) for outer in outers]
+def _stft_magnitudes(f):
+    """|V_g f| against the default window g, axes (x, xi)."""
+    return np.abs(_windowed_spectra(f, default_window(f.grid))[1])
 
 
-def modulation_norm(f, p, q, weight=None, window=None, stride=1):
-    """Modulation norm: L^p over x inside, L^q over xi outside.
-
-    weight defaults to nu_{0,0}; window defaults to the normalized
-    Gaussian.  Reported values depend on the window, as they must.
-    """
-    if window is None:
-        window = default_window(f.grid)
-    tfa = stft(f, window, stride)
-    mags = np.abs(tfa.values)
-    if weight is not None and (weight.s1 != 0.0 or weight.s2 != 0.0):
-        mags = mags * weight.on_array(tfa, f.grid)
-    return _mixed_norms(mags, p, tfa.x_step, 0, [q], tfa.xi_step)[0]
+def _mixed_norms(mags, inners, inner_cell, inner_axis, outers, outer_cell):
+    """Entry [i][j]: the L^outers[j] norm over the other axis of the
+    L^inners[i] norms over inner_axis.  Each inner reduction is done
+    once, for all outer exponents."""
+    table = []
+    for inner in inners:
+        inner_norms = power_mean(mags, inner, inner_cell, axis=inner_axis)
+        table.append([float(power_mean(inner_norms, outer, outer_cell)) for outer in outers])
+    return table
 
 
-def amalgam_norm(f, p, q, s=0.0, window=None, stride=1):
-    """Wiener amalgam norm: weighted L^q over omega inside, L^p over y outside."""
-    if window is None:
-        window = default_window(f.grid)
-    grid = require_same_grid(f, window)
-    x_axis, spectra = _windowed_spectra(f, window, stride, conjugate_window=False)
-    tfa = TimeFrequencyArray(x_axis, grid.axis_frequencies(), spectra)
-    mags = np.abs(tfa.values)
+def modulation_norms(f, ps, qs):
+    """Modulation norms for every exponent pair: entry [i][j] is
+    modulation_norm(f, ps[i], qs[j]), all from one |STFT| array."""
+    grid = f.grid
+    return _mixed_norms(_stft_magnitudes(f), ps, grid.spacing, 0, qs, grid.dual_spacing)
+
+
+def amalgam_norms(f, ps, qs, s=0.0):
+    """Amalgam norms for every exponent pair: entry [i][j] is
+    amalgam_norm(f, ps[i], qs[j], s), all from one |STFT| array."""
+    grid = f.grid
+    mags = _stft_magnitudes(f)
     if s != 0.0:
         mags = mags * bessel_weights(grid, s)[None, :]
-    return _mixed_norms(mags, q, tfa.xi_step, 1, [p], tfa.x_step)[0]
+    by_q = _mixed_norms(mags, qs, grid.dual_spacing, 1, ps, grid.spacing)
+    return [list(row) for row in zip(*by_q)]
+
+
+def modulation_norm(f, p, q):
+    """Modulation norm: L^p over x inside, L^q over xi outside, against
+    the default window.  Reported values depend on the window, as they
+    must."""
+    return modulation_norms(f, [p], [q])[0][0]
+
+
+def amalgam_norm(f, p, q, s=0.0):
+    """Wiener amalgam norm: weighted L^q over omega inside, L^p over y outside."""
+    return amalgam_norms(f, [p], [q], s)[0][0]
 
 
 def phase_space_window(grid):
@@ -195,7 +181,7 @@ def phase_space_window(grid):
 def _sup_stft(values, window, spacing, weight):
     """max over lattice translates z of |V_window values(z, zeta)| weight(z),
     for every dual point zeta, on one periodic axis with the given step."""
-    spectra = _translate_spectra(values, np.conj(window), spacing)
+    spectra = _translate_spectra(values, window, spacing)
     return (np.abs(spectra) * weight[:, None]).max(axis=0)
 
 
@@ -225,10 +211,8 @@ def sjostrand_norm(symbol, s=0.0):
 
     if symbol.factors is not None:
         a, b = symbol.factors
-        x = grid.axis_points()
-        xi = grid.axis_frequencies()
-        first = _sup_stft(a, 2.0**0.25 * np.exp(-np.pi * x**2), grid.spacing, np.ones(n))
-        second = _sup_stft(b, 2.0**0.25 * np.exp(-np.pi * xi**2), grid.dual_spacing, zweight2)
+        first = _sup_stft(a, _gaussian(grid.axis_points()), grid.spacing, np.ones(n))
+        second = _sup_stft(b, _gaussian(grid.axis_frequencies()), grid.dual_spacing, zweight2)
         return float(zeta_cell * first.sum() * second.sum())
 
     if n > _SJOSTRAND_DENSE_LIMIT:

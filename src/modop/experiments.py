@@ -26,14 +26,13 @@ import numpy as np
 
 from ._rng import bulk_rng, derive_seed, is_seed
 from .analysis import (
-    _mixed_norms,
-    _windowed_spectra,
     amalgam_norm,
+    amalgam_norms,
     default_window,
     lp_norm,
     modulation_norm,
+    modulation_norms,
     sjostrand_norm,
-    sobolev_norm,
     stft,
 )
 from .errors import ConfigError, FileFormatError, ModopError
@@ -155,10 +154,14 @@ def _finite_number(text):
 
 
 def _exponent_list(value, key):
+    """An exponent or non-empty list of exponents (numbers or strings such
+    as "4/3" and "inf"); JSON booleans are rejected, not read as 0 or 1."""
     if not isinstance(value, list):
         value = [value]
     out = []
     for entry in value:
+        if isinstance(entry, bool):
+            raise ConfigError(f"config key {key!r}: bad exponent {entry!r}")
         try:
             out.append(from_p(entry))
         except Exception as exc:
@@ -483,20 +486,17 @@ _FOURIER_AMALGAM_EXPONENTS = ("1", "4/3", "2", "4", "inf")
 def _check_fourier_amalgam(grid, seed):
     # the transform of a sampled function lives on the same lattice only
     # when h = 1/L, so this check runs on the self-dual companion grid.
-    # modulation_norm(fhat, p, q) against amalgam_norm(f, q, p), with each
-    # function's two |STFT| arrays computed once for all exponent pairs
+    # modulation_norm(fhat, p, q) against amalgam_norm(f, q, p): entry
+    # [i][j] of one table against entry [j][i] of the other
     self_dual = UniformGrid(1, grid.points_per_axis, math.sqrt(grid.points_per_axis))
-    window = default_window(self_dual)
+    exponents = _FOURIER_AMALGAM_EXPONENTS
     worst = 0.0
     for i in range(20):
         f = _test_function(self_dual, derive_seed(seed, 0xFA, i), modes=4)
-        tfa = stft(forward_ft(f), window)
-        modulation_mags = np.abs(tfa.values)
-        amalgam_mags = np.abs(_windowed_spectra(f, window, 1, conjugate_window=False)[1])
-        for p in _FOURIER_AMALGAM_EXPONENTS:
-            lhs = _mixed_norms(modulation_mags, p, tfa.x_step, 0, _FOURIER_AMALGAM_EXPONENTS, tfa.xi_step)
-            rhs = _mixed_norms(amalgam_mags, p, tfa.xi_step, 1, _FOURIER_AMALGAM_EXPONENTS, tfa.x_step)
-            for left, right in zip(lhs, rhs):
+        lhs = modulation_norms(forward_ft(f), exponents, exponents)
+        rhs = amalgam_norms(f, exponents, exponents)
+        for lhs_row, rhs_column in zip(lhs, zip(*rhs)):
+            for left, right in zip(lhs_row, rhs_column):
                 worst = max(worst, abs(left / right - 1.0))
     return worst
 
@@ -698,16 +698,12 @@ def run_embedding_sweep(config=None, jobs=1):
 
 def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
     grid = UniformGrid(1, n, extent)
-    window = default_window(grid)
     fs = [
         _test_function(grid, derive_seed(seed, _FUNCTION_SALT, i))
         for i in range(functions)
     ]
-    mags = [
-        np.abs(_windowed_spectra(f, window, 1, conjugate_window=False)[1]) for f in fs
-    ]
-    # amalgam[i][qi][pi]: function i, inner exponent q, outer exponent p
-    amalgam = [[_mixed_norms(m, q, grid.dual_spacing, 1, ps, grid.spacing) for q in qs] for m in mags]
+    # amalgam[i][pi][qi]: function i, outer exponent p, inner exponent q
+    amalgam = [amalgam_norms(f, ps, qs) for f in fs]
     sobolev_cache = {}
     for i, f in enumerate(fs):
         for si, s in enumerate(svals):
@@ -719,7 +715,7 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
     for pi, p in enumerate(ps):
         for qi, q in enumerate(qs):
             for si, s in enumerate(svals):
-                amal = np.array([amalgam[i][qi][pi] for i in range(functions)])
+                amal = np.array([amalgam[i][pi][qi] for i in range(functions)])
                 sob = np.array([sobolev_cache[(i, pi, si)] for i in range(functions)])
                 # each direction's ratio, its CSV method and its predicate
                 for ratios, method, embeds in (
@@ -738,19 +734,11 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
                     )
 
     for name, symbol in standard_suite(grid, seed=derive_seed(seed, 0x5E)):
-        out_mags = [
-            np.abs(
-                _windowed_spectra(kn_apply(symbol, f), window, 1, conjugate_window=False)[1]
-            )
-            for f in fs
-        ]
-        out_amalgam = [
-            [_mixed_norms(m, q, grid.dual_spacing, 1, ps, grid.spacing) for q in qs] for m in out_mags
-        ]
+        out_amalgam = [amalgam_norms(kn_apply(symbol, f), ps, qs) for f in fs]
         for pi, p in enumerate(ps):
             for qi, q in enumerate(qs):
                 ratios = np.array(
-                    [out_amalgam[i][qi][pi] / amalgam[i][qi][pi] for i in range(functions)]
+                    [out_amalgam[i][pi][qi] / amalgam[i][pi][qi] for i in range(functions)]
                 )
                 spread = _max_over_median(ratios)
                 records.append(
@@ -793,12 +781,8 @@ def _slope_fit(log_m, log_v):
 def _threshold_record(stub, build, p, s, n_modes, size, seed):
     symbol = build(size, n_modes, seed)
     est = sobolev_opnorm(symbol, p, s, seed=derive_seed(seed, _NORM_SALT))
-    marks = []
-    if est.lower_bound_only:
-        marks.append("lower-bound")
-    if est.method == "power_2" and est.lower_bound_only:
-        marks.append("no-convergence")
-    return [SweepRecord(**stub, value=est.value, method=est.method, flags=";".join(marks))]
+    flags = "lower-bound" if est.lower_bound_only else ""
+    return [SweepRecord(**stub, value=est.value, method=est.method, flags=flags)]
 
 
 def run_threshold_sweep(config=None, jobs=1):

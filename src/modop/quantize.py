@@ -238,7 +238,11 @@ def u_transform(symbol, direction):
 
 
 def lift_symbol(symbol, s):
-    """Multiply the symbol by the Bessel weight <xi>^s (tag preserved)."""
+    """Multiply a Kohn-Nirenberg symbol by the Bessel weight <xi>^s, so
+    that its operator is composed with <D>^s on the right.  A Weyl symbol
+    raises WrongQuantization: the product is not that composition there,
+    so convert it with u_transform first."""
+    _require_tag(symbol, KOHN_NIRENBERG)
     if not np.isfinite(s):
         raise InvalidValue(f"lift order s must be finite, got {s!r}")
     if s == 0:

@@ -31,13 +31,11 @@ def direct_inverse_ft(spec_values, grid):
     return back @ spec_values
 
 
-def direct_stft(f_values, g_values, grid, stride=1):
+def direct_stft(f_values, g_values, grid):
     """Triple-loop STFT oracle: V[i, k] = h * sum_y f(y) conj(g(y - x_i)) e^{-2pi i y xi_k}."""
     n = grid.points_per_axis
-    x = grid.axis_points()
-    xi = grid.axis_frequencies()
     rows = []
-    for i in range(0, n, stride):
+    for i in range(n):
         shifted = np.roll(g_values, i - n // 2)
         rows.append(direct_forward_ft(f_values * np.conj(shifted), grid))
     return np.array(rows)

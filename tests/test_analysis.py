@@ -7,9 +7,9 @@ from modop import (
     SampledFunction,
     TooLarge,
     UniformGrid,
-    Weight,
     ZeroWindow,
     amalgam_norm,
+    amalgam_norms,
     bessel_potential,
     constant_symbol,
     default_window,
@@ -17,6 +17,7 @@ from modop import (
     gaussian_bump_symbol,
     lp_norm,
     modulation_norm,
+    modulation_norms,
     multiplication_symbol,
     random_phase_multiplier,
     sjostrand_norm,
@@ -116,23 +117,32 @@ def test_sobolev_monotone_in_s_at_p2(default_grid):
         assert all(a <= b * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
 
 
-def test_modulation_norm_unweighted_matches_default(default_grid):
-    f = make_bandlimited(default_grid, seed=3)
-    a = modulation_norm(f, TWO, TWO)
-    b = modulation_norm(f, TWO, TWO, weight=Weight(0.0, 0.0))
-    assert abs(a - b) <= 1e-12 * a
+EXPONENTS = (("1", 1.0), ("4/3", 4.0 / 3.0), ("2", 2.0), ("4", 4.0), ("inf", np.inf))
 
 
-def test_modulation_norm_weight_is_bracket_product(tiny_grid):
+def _oracle_lp(mags, p, cell, axis=None):
+    if p == np.inf:
+        return mags.max(axis=axis)
+    return (cell * (mags**p).sum(axis=axis)) ** (1.0 / p)
+
+
+def test_norm_tables_match_direct_stft(tiny_grid):
     f = make_bandlimited(tiny_grid, seed=5, modes=3)
-    v = stft(f, default_window(tiny_grid), stride=2)
-    x = v.x_axis_points[:, None]
-    xi = v.xi_axis_points[None, :]
-    weighted = np.abs(v.values) * (1 + x**2) ** 0.25 * (1 + xi**2) ** -0.5
-    inner = (v.x_step * (weighted**4).sum(axis=0)) ** 0.25
-    want = v.xi_step * inner.sum()
-    got = modulation_norm(f, 4, 1, weight=Weight(0.5, -1.0), stride=2)
-    assert abs(got - want) <= 1e-12 * want
+    mags = np.abs(oracles.direct_stft(f.values, unit_gaussian(tiny_grid).values, tiny_grid))
+    h, dual = tiny_grid.spacing, 1.0 / tiny_grid.extent
+    s = 0.5
+    weighted = mags * (1.0 + tiny_grid.axis_frequencies() ** 2)[None, :] ** (s / 2.0)
+    names = [name for name, _ in EXPONENTS]
+    modulation = modulation_norms(f, names, names)
+    amalgam = amalgam_norms(f, names, names, s=s)
+    for i, (p_name, p) in enumerate(EXPONENTS):
+        for j, (q_name, q) in enumerate(EXPONENTS):
+            want = _oracle_lp(_oracle_lp(mags, p, h, axis=0), q, dual)
+            assert abs(modulation[i][j] - want) <= 1e-12 * want, (p_name, q_name)
+            assert modulation[i][j] == modulation_norm(f, p_name, q_name)
+            want = _oracle_lp(_oracle_lp(weighted, q, dual, axis=1), p, h)
+            assert abs(amalgam[i][j] - want) <= 1e-12 * want, (p_name, q_name)
+            assert amalgam[i][j] == amalgam_norm(f, p_name, q_name, s)
 
 
 def test_modulation_isometry(bandlimited_suite):

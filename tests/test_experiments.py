@@ -76,6 +76,12 @@ def test_config_validates_lists(tmp_path):
     path = write_config(tmp_path, {"experiment": "threshold", "s": [-0.5]})
     with pytest.raises(ConfigError):
         load_config(path)
+    path = write_config(tmp_path, {"experiment": "threshold", "p": [True]})
+    with pytest.raises(ConfigError):
+        load_config(path)
+    path = write_config(tmp_path, {"experiment": "embedding", "q": True})
+    with pytest.raises(ConfigError):
+        load_config(path)
 
 
 def test_config_rejects_non_finite_numbers(tmp_path):

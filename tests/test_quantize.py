@@ -126,6 +126,9 @@ def test_kn_guards(default_grid, tiny_grid):
         kn_apply(weyl, make_bandlimited(tiny_grid, seed=0))
     with pytest.raises(WrongQuantization):
         weyl_apply(constant_symbol(tiny_grid), make_bandlimited(tiny_grid, seed=0))
+    # <xi>^s times a Weyl symbol is not its operator composed with <D>^s
+    with pytest.raises(WrongQuantization):
+        lift_symbol(weyl, 0.7)
 
 
 # ---------------------------------------------------------------------------
