@@ -23,9 +23,18 @@ the cells h and 1/L.  modulation_norms and amalgam_norms tabulate them
 over lists of exponents from one |V_g f| array, with one inner
 reduction per inner exponent; the single-pair functions are one-entry
 tables.
+
+Every transform goes through one kernel, _translate_spectra.  It reads
+the window translates as a strided view of a wrapped copy of the window
+(_translates), folds the FFT's index shifts into that view and into the
+output, and runs the FFT in place, so one |V_g f| costs one complex and
+one real N x N array.  Its values are bit-identical to stacking the
+translates with an index table and transforming with ft_along
+(tests/oracles.py keeps that form as the reference).
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidValue, TooLarge, ZeroWindow
 from .exponents import power_mean
@@ -79,26 +88,42 @@ def default_window(grid):
     return SampledFunction(grid, _gaussian(grid.axis_points()))
 
 
-def _translate_gather(n):
-    """Index table of the lattice translates of an N-point periodic axis.
+def _translates(window, shift):
+    """Every lattice translate of window, as a strided view.
 
-    Row i maps sample j to (j - m_i) % N for the translation offsets
-    m_i = i - N/2, so window[table] stacks every translate.
+    Entry [i..., j...] (one i and one j per axis) is
+    window[(j - i + shift) % N, ...].  The view reads a wrapped copy of
+    window twice its size along each axis, so no index table or stack of
+    translates is ever built.
     """
-    offsets = np.arange(n) - n // 2
-    return (np.arange(n)[None, :] - offsets[:, None]) % n
+    n = len(window)
+    before = -shift % n
+    doubled = np.pad(window, (before, n - before), mode="wrap")
+    return sliding_window_view(doubled, window.shape)[(slice(n, 0, -1),) * window.ndim]
 
 
 def _translate_spectra(values, window, spacing):
     """Forward transforms along one periodic axis of values times the
-    conjugate of every lattice translate of window, stacked along axis 0."""
-    stack = values[None, :] * np.conj(window)[_translate_gather(len(values))]
-    return ft_along(stack, 1, spacing)
+    conjugate of every lattice translate of window, stacked along axis 0.
+
+    Row i is the transform against the translate by i - N/2 lattice
+    steps, the same values as ft_along of the stacked products, except
+    that the frequency axis is left in FFT order (frequency 0 first).
+    """
+    # ft_along's ifftshift of each row, folded into the operands (N is
+    # even): row i holds conj(window)[(k - i) % N] * ifftshift(values)[k],
+    # the products the shifted stack holds, in the same places
+    spectra = np.empty((len(values), len(values)), dtype=complex)
+    np.multiply(_translates(np.conj(window), 0), np.fft.ifftshift(values), out=spectra)
+    np.fft.fft(spectra, axis=1, out=spectra)
+    spectra *= spacing
+    return spectra
 
 
 def _windowed_spectra(f, g):
-    """V_g f as (x_axis_points, array), the array shaped (N, N) with
-    axes (x, xi)."""
+    """V_g f as (x_axis_points, array), the complex array shaped (N, N)
+    with axes (x, xi) and the xi axis in FFT order (frequency 0 first;
+    np.fft.fftshift along axis 1 puts it in ascending order)."""
     grid = require_same_grid(f, g)
     if not np.any(g.values):
         raise ZeroWindow("window is identically zero")
@@ -108,7 +133,7 @@ def _windowed_spectra(f, g):
 def stft(f, g):
     """Short-time Fourier transform V_g f on the full lattice."""
     x_axis, spectra = _windowed_spectra(f, g)
-    return TimeFrequencyArray(x_axis, f.grid.axis_frequencies(), spectra)
+    return TimeFrequencyArray(x_axis, f.grid.axis_frequencies(), np.fft.fftshift(spectra, axes=1))
 
 
 def lp_norm(f, p):
@@ -126,8 +151,14 @@ def sobolev_norm(f, p, s):
 
 
 def _stft_magnitudes(f):
-    """|V_g f| against the default window g, axes (x, xi)."""
-    return np.abs(_windowed_spectra(f, default_window(f.grid))[1])
+    """|V_g f| against the default window g, axes (x, xi), xi ascending."""
+    spectra = _windowed_spectra(f, default_window(f.grid))[1]
+    half = spectra.shape[1] // 2
+    # np.fft.fftshift along xi, folded into np.abs: the halves swap places
+    mags = np.empty(spectra.shape)
+    np.abs(spectra[:, half:], out=mags[:, :half])
+    np.abs(spectra[:, :half], out=mags[:, half:])
+    return mags
 
 
 def _mixed_norms(mags, inners, inner_cell, inner_axis, outers, outer_cell):
@@ -151,10 +182,12 @@ def modulation_norms(f, ps, qs):
 def amalgam_norms(f, ps, qs, s=0.0):
     """Amalgam norms for every exponent pair: entry [i][j] is
     amalgam_norm(f, ps[i], qs[j], s), all from one |STFT| array."""
+    if not np.isfinite(s):
+        raise InvalidValue(f"weight order s must be finite, got {s!r}")
     grid = f.grid
     mags = _stft_magnitudes(f)
     if s != 0.0:
-        mags = mags * bessel_weights(grid, s)[None, :]
+        mags *= bessel_weights(grid, s)[None, :]
     by_q = _mixed_norms(mags, qs, grid.dual_spacing, 1, ps, grid.spacing)
     return [list(row) for row in zip(*by_q)]
 
@@ -180,9 +213,11 @@ def phase_space_window(grid):
 
 def _sup_stft(values, window, spacing, weight):
     """max over lattice translates z of |V_window values(z, zeta)| weight(z),
-    for every dual point zeta, on one periodic axis with the given step."""
-    spectra = _translate_spectra(values, window, spacing)
-    return (np.abs(spectra) * weight[:, None]).max(axis=0)
+    for every dual point zeta (ascending), on one periodic axis with the
+    given step."""
+    mags = np.abs(_translate_spectra(values, window, spacing))
+    mags *= weight[:, None]
+    return np.fft.fftshift(mags.max(axis=0))
 
 
 def sjostrand_norm(symbol, s=0.0):
@@ -221,14 +256,13 @@ def sjostrand_norm(symbol, s=0.0):
             "symbols built from factors (PhaseSpaceSymbol.product) use the "
             "factored path"
         )
-    phi = phase_space_window(grid)
     sigma = symbol.values
-    gather = _translate_gather(n)
+    # translates[i1, i2] is conj(Phi) shifted by (z1, z2) = (i1 - N/2, i2 - N/2) steps
+    translates = _translates(np.conj(phase_space_window(grid)), n // 2)
     best = np.zeros((n, n))
     for i1 in range(n):
-        rolled1 = phi[gather[i1], :]  # window shifted by z1 along axis 0
-        # all axis-1 shifts at once: stack[i2, a, b] = rolled1[a, (b - m2) % n]
-        stack = np.conj(rolled1[:, gather].transpose(1, 0, 2)) * sigma[None, :, :]
+        # all axis-1 shifts at once: stack[i2, a, b] = conj(Phi)[a - z1, b - z2] sigma[a, b]
+        stack = translates[i1] * sigma[None, :, :]
         spec = ft_along(ft_along(stack, 1, grid.spacing), 2, grid.dual_spacing)
         weighted = np.abs(spec) * zweight2[:, None, None]
         np.maximum(best, weighted.max(axis=0), out=best)

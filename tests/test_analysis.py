@@ -4,6 +4,7 @@ import pytest
 from modop import (
     DimensionUnsupported,
     GridMismatch,
+    InvalidValue,
     SampledFunction,
     TooLarge,
     UniformGrid,
@@ -26,6 +27,7 @@ from modop import (
     translate,
     translation_symbol,
 )
+from modop import analysis
 from modop.exponents import from_p
 
 import oracles
@@ -40,6 +42,64 @@ def test_stft_matches_direct_quadrature(tiny_grid):
     got = stft(f, g)
     want = oracles.direct_stft(f.values, g.values, tiny_grid)
     assert rel_err(got.values, want) <= 1e-12
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("n, extent", [(8, 4.0), (64, 7.3), (256, 16.0), (128, 12.345)])
+def test_strided_kernel_matches_gather_oracle_bitwise(monkeypatch, n, extent):
+    grid = UniformGrid(1, n, extent)
+    f = make_bandlimited(grid, seed=7, modes=min(3, n // 4))
+    g = default_window(grid)
+    got = stft(f, g).values
+    assert np.array_equal(_bits(got), _bits(oracles.gather_stft(f.values, g.values, grid.spacing)))
+
+    names = [name for name, _ in EXPONENTS]
+    n_modes = int(n / (2 * extent) - 0.45)  # the most modes the grid's band holds
+    symbols = [gaussian_bump_symbol(grid), random_phase_multiplier(grid, n_modes, seed=3)]
+
+    def tables():
+        norms = [modulation_norms(f, names, names)]
+        for s in (0.0, 0.5):
+            norms.append(amalgam_norms(f, names, names, s))
+            norms.append([[sjostrand_norm(sigma, s) for sigma in symbols]])
+        return norms
+
+    fast = tables()
+    # the same tables with the gather oracle as the kernel, its xi axis
+    # put back in the FFT order the kernel returns
+    monkeypatch.setattr(
+        analysis,
+        "_translate_spectra",
+        lambda v, w, sp: np.fft.ifftshift(oracles.gather_stft(v, w, sp), axes=1),
+    )
+    for got, want in zip(fast, tables()):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_transforms_go_through_windowed_spectra_once(monkeypatch, tiny_grid):
+    n = tiny_grid.points_per_axis
+    f = make_bandlimited(tiny_grid, seed=2, modes=3)
+    inner = analysis._windowed_spectra
+    arrays = []
+
+    def counted(f, g):
+        result = inner(f, g)
+        arrays.append(result[1])
+        return result
+
+    monkeypatch.setattr(analysis, "_windowed_spectra", counted)
+    for call in (
+        lambda: stft(f, default_window(tiny_grid)),
+        lambda: modulation_norms(f, ["1", "2"], ["2", "inf"]),
+        lambda: amalgam_norms(f, ["1", "2"], ["2", "inf"], 0.5),
+    ):
+        arrays.clear()
+        call()
+        assert len(arrays) == 1
+        assert arrays[0].shape == (n, n) and arrays[0].dtype == np.complex128
 
 
 def test_stft_at_origin_is_window_energy(default_grid):
@@ -287,6 +347,20 @@ def test_sjostrand_dense_agrees_with_factored():
                 # the dense twin has no factors, so it takes the dense path
                 dense = sjostrand_norm(sigma.with_values(sigma.values), s)
                 assert abs(fast - dense) <= 1e-10 * dense, (n, name, s)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+def test_weight_order_must_be_finite(monkeypatch, tiny_grid, s):
+    # rejected before any transform is made
+    monkeypatch.setattr(analysis, "_windowed_spectra", None)
+    monkeypatch.setattr(analysis, "_translate_spectra", None)
+    f = make_bandlimited(tiny_grid, seed=1, modes=3)
+    with pytest.raises(InvalidValue):
+        amalgam_norm(f, "2", "2", s)
+    with pytest.raises(InvalidValue):
+        amalgam_norms(f, ["1", "2"], ["2"], s)
+    with pytest.raises(InvalidValue):
+        sjostrand_norm(gaussian_bump_symbol(tiny_grid), s)
 
 
 def test_sjostrand_factored_path_scales_past_dense_limit():
