@@ -24,13 +24,13 @@ over lists of exponents from one |V_g f| array, with one inner
 reduction per inner exponent; the single-pair functions are one-entry
 tables.
 
-Every transform goes through one kernel, _translate_spectra.  It reads
-the window translates as a strided view of a wrapped copy of the window
-(_translates), folds the FFT's index shifts into that view and into the
-output, and runs the FFT in place, so one |V_g f| costs one complex and
-one real N x N array.  Its values are bit-identical to stacking the
-translates with an index table and transforming with ft_along
-(tests/oracles.py keeps that form as the reference).
+stft, the modulation and amalgam norm tables and the factored
+sjostrand_norm path share one kernel, _translate_spectra: it multiplies
+f by a strided view of every window translate (_translates, a view of a
+wrapped copy of the window, so no index table or stack of translates is
+built) and transforms the products with grid.ft_along.  Its values are
+bit-identical to the index-table form kept in tests/oracles.py.  The
+dense sjostrand_norm path shares only _translates.
 """
 
 import numpy as np
@@ -104,26 +104,14 @@ def _translates(window, shift):
 
 def _translate_spectra(values, window, spacing):
     """Forward transforms along one periodic axis of values times the
-    conjugate of every lattice translate of window, stacked along axis 0.
-
-    Row i is the transform against the translate by i - N/2 lattice
-    steps, the same values as ft_along of the stacked products, except
-    that the frequency axis is left in FFT order (frequency 0 first).
-    """
-    # ft_along's ifftshift of each row, folded into the operands (N is
-    # even): row i holds conj(window)[(k - i) % N] * ifftshift(values)[k],
-    # the products the shifted stack holds, in the same places
-    spectra = np.empty((len(values), len(values)), dtype=complex)
-    np.multiply(_translates(np.conj(window), 0), np.fft.ifftshift(values), out=spectra)
-    np.fft.fft(spectra, axis=1, out=spectra)
-    spectra *= spacing
-    return spectra
+    conjugate of every lattice translate of window, stacked along axis 0:
+    row i is the transform against the translate by i - N/2 steps."""
+    return ft_along(_translates(np.conj(window), len(values) // 2) * values, 1, spacing)
 
 
 def _windowed_spectra(f, g):
     """V_g f as (x_axis_points, array), the complex array shaped (N, N)
-    with axes (x, xi) and the xi axis in FFT order (frequency 0 first;
-    np.fft.fftshift along axis 1 puts it in ascending order)."""
+    with axes (x, xi)."""
     grid = require_same_grid(f, g)
     if not np.any(g.values):
         raise ZeroWindow("window is identically zero")
@@ -133,7 +121,7 @@ def _windowed_spectra(f, g):
 def stft(f, g):
     """Short-time Fourier transform V_g f on the full lattice."""
     x_axis, spectra = _windowed_spectra(f, g)
-    return TimeFrequencyArray(x_axis, f.grid.axis_frequencies(), np.fft.fftshift(spectra, axes=1))
+    return TimeFrequencyArray(x_axis, f.grid.axis_frequencies(), spectra)
 
 
 def lp_norm(f, p):
@@ -151,14 +139,8 @@ def sobolev_norm(f, p, s):
 
 
 def _stft_magnitudes(f):
-    """|V_g f| against the default window g, axes (x, xi), xi ascending."""
-    spectra = _windowed_spectra(f, default_window(f.grid))[1]
-    half = spectra.shape[1] // 2
-    # np.fft.fftshift along xi, folded into np.abs: the halves swap places
-    mags = np.empty(spectra.shape)
-    np.abs(spectra[:, half:], out=mags[:, :half])
-    np.abs(spectra[:, :half], out=mags[:, half:])
-    return mags
+    """|V_g f| against the default window g, axes (x, xi)."""
+    return np.abs(_windowed_spectra(f, default_window(f.grid))[1])
 
 
 def _mixed_norms(mags, inners, inner_cell, inner_axis, outers, outer_cell):
@@ -213,11 +195,10 @@ def phase_space_window(grid):
 
 def _sup_stft(values, window, spacing, weight):
     """max over lattice translates z of |V_window values(z, zeta)| weight(z),
-    for every dual point zeta (ascending), on one periodic axis with the
-    given step."""
+    for every dual point zeta, on one periodic axis with the given step."""
     mags = np.abs(_translate_spectra(values, window, spacing))
     mags *= weight[:, None]
-    return np.fft.fftshift(mags.max(axis=0))
+    return mags.max(axis=0)
 
 
 def sjostrand_norm(symbol, s=0.0):

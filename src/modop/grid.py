@@ -138,16 +138,19 @@ def ft_along(values, axis, spacing):
     result is indexed by the centered dual lattice of that axis and
     carries the quadrature measure `spacing`.
     """
-    shifted = np.fft.ifftshift(values, axes=axis)
-    out = np.fft.fft(shifted, axis=axis)
-    return spacing * np.fft.fftshift(out, axes=axis)
+    # the FFT and the scaling run in place on the one shifted copy
+    spectrum = np.fft.ifftshift(values, axes=axis).astype(complex, copy=False)
+    np.fft.fft(spectrum, axis=axis, out=spectrum)
+    spectrum *= spacing
+    return np.fft.fftshift(spectrum, axes=axis)
 
 
 def ift_along(values, axis, spacing):
     """Inverse of ft_along (same `spacing` as the forward call)."""
-    shifted = np.fft.ifftshift(values, axes=axis)
-    out = np.fft.ifft(shifted, axis=axis)
-    return np.fft.fftshift(out, axes=axis) / spacing
+    samples = np.fft.ifftshift(values, axes=axis).astype(complex, copy=False)
+    np.fft.ifft(samples, axis=axis, out=samples)
+    samples /= spacing
+    return np.fft.fftshift(samples, axes=axis)
 
 
 def forward_ft(f):
