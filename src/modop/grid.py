@@ -138,7 +138,6 @@ def ft_along(values, axis, spacing):
     result is indexed by the centered dual lattice of that axis and
     carries the quadrature measure `spacing`.
     """
-    # the FFT and the scaling run in place on the one shifted copy
     spectrum = np.fft.ifftshift(values, axes=axis).astype(complex, copy=False)
     np.fft.fft(spectrum, axis=axis, out=spectrum)
     spectrum *= spacing
