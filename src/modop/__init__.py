@@ -11,7 +11,6 @@ and the command line.
 
 from ._rng import derive_seed, splitmix64_next, uniform_stream
 from .analysis import (
-    TimeFrequencyArray,
     amalgam_norm,
     amalgam_norms,
     default_window,

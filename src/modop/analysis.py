@@ -11,7 +11,10 @@ frequency xi_k.  The map is a tight frame: with quadrature measures h
     h (1/L) sum |V_g f|^2  =  ||f||_2^2 ||g||_2^2
 
 holds exactly, which is what makes the p=q=2 modulation and amalgam
-norms collapse to the L^2 norm for a unit-norm window.
+norms collapse to the L^2 norm for a unit-norm window.  stft returns
+V_g f as a plain complex (N, N) array with axes (x, xi); its lattices
+and cells are the grid's own (axis_points and axis_frequencies, h and
+1/L).
 
 Norms implemented here: lp_norm, sobolev_norm (Bessel multiplier then
 lp_norm), modulation_norm (inner exponent p over x, outer q over xi),
@@ -47,35 +50,6 @@ from .grid import (
 )
 
 _SJOSTRAND_DENSE_LIMIT = 256
-
-
-class TimeFrequencyArray:
-    """STFT values on an (x, xi) product lattice with quadrature data.
-
-    values has shape (N, N); the x lattice is the grid's lattice (step h)
-    and the xi lattice is its dual lattice (step 1/L).
-    """
-
-    __slots__ = ("x_axis_points", "xi_axis_points", "x_step", "xi_step", "values")
-
-    def __init__(self, x_axis_points, xi_axis_points, values):
-        if not np.all(np.isfinite(values)):
-            raise InvalidValue("time-frequency values must be finite")
-        expected = (len(x_axis_points), len(xi_axis_points))
-        if values.shape != expected:
-            raise InvalidValue(f"values shape {values.shape}, expected {expected}")
-        object.__setattr__(self, "x_axis_points", np.asarray(x_axis_points, dtype=float))
-        object.__setattr__(self, "xi_axis_points", np.asarray(xi_axis_points, dtype=float))
-        object.__setattr__(self, "x_step", float(x_axis_points[1] - x_axis_points[0]))
-        object.__setattr__(self, "xi_step", float(xi_axis_points[1] - xi_axis_points[0]))
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TimeFrequencyArray is immutable")
-
-    @property
-    def cell(self):
-        return self.x_step * self.xi_step
 
 
 def _gaussian(t):
@@ -119,9 +93,10 @@ def _windowed_spectra(f, g):
 
 
 def stft(f, g):
-    """Short-time Fourier transform V_g f on the full lattice."""
-    x_axis, spectra = _windowed_spectra(f, g)
-    return TimeFrequencyArray(x_axis, f.grid.axis_frequencies(), spectra)
+    """Short-time Fourier transform V_g f on the full lattice: a complex
+    (N, N) array with axes (x, xi), entry [i, k] at (axis_points()[i],
+    axis_frequencies()[k]); its quadrature cells are h and 1/L."""
+    return _windowed_spectra(f, g)[1]
 
 
 def lp_norm(f, p):

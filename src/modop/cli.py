@@ -10,10 +10,11 @@ Subcommands:
   gen         generate a named symbol and write it as a PSS file
   classify    print seminorm and Sjostrand-norm diagnostics for a symbol
 
-Experiment subcommands read an optional strict-JSON config, honor
---seed (replaces the config's seed list), run their tasks in order, and
-write CSV to --out or stdout.  Exit status is 0 only when no task
-errored.
+Experiment subcommands read an optional strict-JSON config (a key it
+leaves out takes the experiment's default), honor --seed (replaces the
+config's seed list), run their tasks in order, and write CSV to --out
+or stdout.  Exit status is 0 only when no task errored.  opnorm picks
+its estimator from p alone and prints the method it used.
 """
 
 import argparse
@@ -35,7 +36,7 @@ from .experiments import (
 )
 from .exponents import from_p
 from .grid import UniformGrid
-from .opnorm import METHODS, sobolev_opnorm
+from .opnorm import sobolev_opnorm
 from .quantize import read_pss, write_pss
 from .regions import (
     embeds_amalgam_into_sobolev,
@@ -79,11 +80,7 @@ def _run_experiment(args):
     if args.seed is not None:
         cfg.seeds = [args.seed]
     records = _RUNNERS[args.command](cfg)
-    destination = args.out or cfg.out
-    if destination:
-        emit_csv(records, destination)
-    else:
-        emit_csv(records, sys.stdout)
+    emit_csv(records, args.out or sys.stdout)
     return 1 if has_errors(records) else 0
 
 
@@ -112,13 +109,7 @@ def _run_regions(args):
 
 def _run_opnorm(args):
     symbol = read_pss(args.symbol)
-    method = args.method
     est = sobolev_opnorm(symbol, from_p(args.p), args.s, seed=args.seed)
-    if method != "auto" and est.method != method:
-        raise ModopError(
-            f"exponent p={args.p} dispatches to {est.method}, not {method}; "
-            "use --method auto"
-        )
     print("value,method,iterations,residual,restarts,lower_bound_only")
     print(
         f"{est.value:.17g},{est.method},{est.iterations},{est.residual:.17g},"
@@ -184,12 +175,6 @@ def build_parser():
     opnorm.add_argument("--symbol", required=True, help="PSS symbol file")
     opnorm.add_argument("--p", required=True)
     opnorm.add_argument("--s", type=float, default=0.0)
-    opnorm.add_argument(
-        "--method",
-        choices=["auto", *METHODS],
-        default="auto",
-        help="require a specific estimator (auto dispatches on p)",
-    )
     opnorm.add_argument("--seed", type=int, default=0)
 
     gen = sub.add_parser("gen", help="generate a symbol file")

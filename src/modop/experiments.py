@@ -11,6 +11,11 @@ to a row are left empty; `flags` carries semicolon-separated markers
 such as pass / fail, lower-bound notices, predicate verdicts, and
 error=<ExceptionName> for tasks that raised a package error.
 
+Each experiment's config keys and their defaults are one table,
+_DEFAULTS: load_config accepts exactly those keys, and SweepConfig fills
+every key left out.  An identity row's verdict comes from the tolerance
+in _IDENTITY_CHECKS, which no config can change.
+
 Each runner builds a table of tasks, `partial(_task, stub, fn, *args)`
 over module-level functions, and hands it to one executor that runs the
 tasks in order in the calling thread.
@@ -18,7 +23,8 @@ tasks in order in the calling thread.
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from copy import copy
+from dataclasses import dataclass, fields
 from functools import cache, partial
 from itertools import product
 
@@ -78,14 +84,29 @@ from .symbols import (
 
 CSV_HEADER = "experiment,p,q,s,n,N,N_modes,seed,value,method,flags"
 
-# the config keys each experiment reads; all three also take
-# `experiment` and `out`
-_CONFIG_KEYS = {
-    "identity": ("N", "L", "seeds", "tolerances"),
-    "embedding": ("N", "L", "p", "q", "s", "seeds", "functions"),
-    "threshold": ("N", "L", "p", "s", "n_modes", "seeds"),
+# each experiment's config keys and their defaults; the threshold
+# sweep's N None sizes each grid from its mode count (_auto_size)
+_DEFAULTS = {
+    "identity": {"N": [256], "L": 16.0, "seeds": [0]},
+    "embedding": {
+        "N": [256],
+        "L": 16.0,
+        "p": [from_p(v) for v in ("1", "4/3", "2", "4", "inf")],
+        "q": [from_p(v) for v in ("1", "4/3", "2", "4", "inf")],
+        "s": [0.0, 0.25, 0.5],
+        "seeds": [0],
+        "functions": 50,
+    },
+    "threshold": {
+        "N": None,
+        "L": 8.0,
+        "p": [from_p(v) for v in ("1", "2", "inf")],
+        "s": [k * 0.125 for k in range(9)],
+        "n_modes": [4, 8, 16, 32],
+        "seeds": [0, 1, 2],
+    },
 }
-_EXPERIMENTS = tuple(_CONFIG_KEYS)
+_EXPERIMENTS = tuple(_DEFAULTS)
 
 _FUNCTION_SALT = 0xF0
 _NORM_SALT = 0x6E6F726D
@@ -94,7 +115,9 @@ _RATIO_BAND = 10.0
 
 @dataclass
 class SweepConfig:
-    """Parsed experiment configuration; None means use the default."""
+    """An experiment's configuration.  A field left None takes the
+    experiment's default from _DEFAULTS; the fields the experiment does
+    not read stay None."""
 
     experiment: str
     N: list = None
@@ -105,8 +128,13 @@ class SweepConfig:
     n_modes: list = None
     seeds: list = None
     functions: int = None
-    tolerances: dict = field(default_factory=dict)
-    out: str = None
+
+    def __post_init__(self):
+        if self.experiment not in _DEFAULTS:
+            raise ConfigError(f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}")
+        for key, default in _DEFAULTS[self.experiment].items():
+            if getattr(self, key) is None:
+                setattr(self, key, copy(default))
 
 
 @dataclass(frozen=True)
@@ -174,10 +202,11 @@ def _exponent_list(value, key):
 def load_config(path, experiment=None):
     """Read a strict-JSON sweep configuration.
 
-    Keys the named experiment does not read (see _CONFIG_KEYS), unknown
-    `tolerances` names and non-finite numbers are rejected rather than
-    ignored, so typos fail loudly.  When `experiment` is given, a
-    mismatching experiment field in the file is an error.
+    Keys the named experiment does not read (see _DEFAULTS) and
+    non-finite numbers are rejected rather than ignored, so typos fail
+    loudly; keys the file leaves out take their defaults.  When
+    `experiment` is given, a mismatching experiment field in the file
+    is an error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -193,7 +222,7 @@ def load_config(path, experiment=None):
         raise ConfigError(f"{path}: experiment must be one of {_EXPERIMENTS}, got {named!r}")
     if experiment is not None and named != experiment:
         raise ConfigError(f"{path}: config is for {named!r}, not {experiment!r}")
-    unknown = sorted(set(raw) - {"experiment", "out", *_CONFIG_KEYS[named]})
+    unknown = sorted(set(raw) - {"experiment", *_DEFAULTS[named]})
     if unknown:
         raise ConfigError(
             f"{path}: config keys the {named} experiment does not read: {', '.join(unknown)}"
@@ -229,29 +258,22 @@ def load_config(path, experiment=None):
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ConfigError("config key 'functions' must be a positive integer")
         cfg.functions = count
-    if "tolerances" in raw:
-        tols = raw["tolerances"]
-        if not isinstance(tols, dict):
-            raise ConfigError("config key 'tolerances' must be an object")
-        checks = {name for name, _, _ in _IDENTITY_CHECKS}
-        unknown = sorted(set(tols) - checks)
-        if unknown:
-            raise ConfigError(f"unknown identity checks in 'tolerances': {', '.join(unknown)}")
-        for key, val in tols.items():
-            if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
-                raise ConfigError(f"tolerance {key!r} must be a positive number")
-        cfg.tolerances = {k: float(v) for k, v in tols.items()}
-    if "out" in raw:
-        if not isinstance(raw["out"], str):
-            raise ConfigError("config key 'out' must be a string path")
-        cfg.out = raw["out"]
     return cfg
 
 
 def default_config(experiment):
-    if experiment not in _EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {_EXPERIMENTS}, got {experiment!r}")
-    return SweepConfig(experiment=experiment)
+    """The experiment's configuration with every key at its default."""
+    return SweepConfig(experiment)
+
+
+def _config_for(experiment, config):
+    """config, or the experiment's defaults for None; a config for
+    another experiment is rejected, not read as this one's."""
+    if config is None:
+        return SweepConfig(experiment)
+    if config.experiment != experiment:
+        raise ConfigError(f"config is for {config.experiment!r}, not {experiment!r}")
+    return config
 
 
 def _fmt(value):
@@ -446,7 +468,7 @@ def _check_stft_isometry(grid, seed):
     f = _test_function(grid, seed)
     g = default_window(grid)
     v = stft(f, g)
-    lhs = math.sqrt(v.cell * np.sum(np.abs(v.values) ** 2))
+    lhs = math.sqrt(grid.spacing * grid.dual_spacing * np.sum(np.abs(v) ** 2))
     rhs = lp_norm(f, 2) * lp_norm(g, 2)
     return abs(lhs / rhs - 1.0)
 
@@ -455,18 +477,18 @@ def _check_stft_gaussian_peak(grid, seed):
     g = default_window(grid)
     v = stft(g, g)
     center = grid.points_per_axis // 2
-    return abs(v.values[center, center] - 1.0)
+    return abs(v[center, center] - 1.0)
 
 
 def _check_stft_gaussian_law(grid, seed):
     g = default_window(grid)
     v = stft(g, g)
-    x = v.x_axis_points[:, None]
-    xi = v.xi_axis_points[None, :]
-    reach = min(3.0, -v.x_axis_points[0] - v.x_step, v.xi_axis_points[-1])
+    x = grid.axis_points()[:, None]
+    xi = grid.axis_frequencies()[None, :]
+    reach = min(3.0, -x[0, 0] - grid.spacing, xi[0, -1])
     mask = (np.abs(x) <= reach) & (np.abs(xi) <= reach)
     law = np.exp(-np.pi * (x**2 + xi**2) / 2.0)
-    ratio = np.abs(np.abs(v.values[mask]) - law[mask]) / law[mask]
+    ratio = np.abs(np.abs(v[mask]) - law[mask]) / law[mask]
     return float(ratio.max())
 
 
@@ -594,11 +616,12 @@ def _check_matrix_matvec(grid, seed):
 
 
 def _check_matrix_intertwine(grid, seed):
+    # as_matrix reaches a Weyl symbol through u_transform; the kernel's
+    # shear route does not, so the two sides are independent
     probe = UniformGrid(1, min(grid.points_per_axis, 256), grid.extent)
     symbol = _weyl_test_symbol(probe)
-    a = as_matrix(symbol).entries
-    b = as_matrix(u_transform(symbol, "to_KN")).entries
-    return _rel_max(a, b)
+    kernel = weyl_to_kernel(symbol).values
+    return _rel_max(as_matrix(symbol).entries, probe.spacing * kernel)
 
 
 # (name, check, tolerance): a check maps (grid, seed) to an error
@@ -644,23 +667,18 @@ def run_identity_suite(config=None, jobs=1):
     the Sjostrand values, the Fourier-amalgam identity) run on their own
     documented grids; the rest use the configured (N, L).
     """
-    cfg = config or default_config("identity")
-    extent = cfg.L or 16.0
-
+    cfg = _config_for("identity", config)
     tasks = []
-    for n, seed in product(cfg.N or [256], cfg.seeds or [0]):
-        grid = UniformGrid(1, n, extent)
+    for n, seed in product(cfg.N, cfg.seeds):
+        grid = UniformGrid(1, n, cfg.L)
         for name, check, tol in _IDENTITY_CHECKS:
             stub = dict(experiment="identity", n=1, N=n, seed=seed, method=name)
-            tol = cfg.tolerances.get(name, tol)
             tasks.append(partial(_task, stub, _identity_record, check, tol, grid, seed))
     return _run_tasks(tasks, jobs)
 
 
 # ----------------------------------------------------------------------
 # embedding sweep
-
-_DEFAULT_EMBED_EXPONENTS = ("1", "4/3", "2", "4", "inf")
 
 
 def _max_over_median(ratios):
@@ -681,17 +699,11 @@ def run_embedding_sweep(config=None, jobs=1):
     the predicate holds.  Operator rows do the same for the amalgam
     operator-norm ratio of each standard symbol.
     """
-    cfg = config or default_config("embedding")
-    extent = cfg.L or 16.0
-    ps = cfg.p or [from_p(v) for v in _DEFAULT_EMBED_EXPONENTS]
-    qs = cfg.q or [from_p(v) for v in _DEFAULT_EMBED_EXPONENTS]
-    svals = cfg.s if cfg.s is not None else [0.0, 0.25, 0.5]
-    functions = cfg.functions or 50
-
+    cfg = _config_for("embedding", config)
     tasks = []
-    for n, seed in product(cfg.N or [256], cfg.seeds or [0]):
+    for n, seed in product(cfg.N, cfg.seeds):
         stub = dict(experiment="embedding", n=1, N=n, seed=seed)
-        args = (n, extent, seed, ps, qs, svals, functions)
+        args = (n, cfg.L, seed, cfg.p, cfg.q, cfg.s, cfg.functions)
         tasks.append(partial(_task, stub, _embedding_records, *args))
     return _run_tasks(tasks, jobs)
 
@@ -794,27 +806,22 @@ def run_threshold_sweep(config=None, jobs=1):
     critical regularity s = |1/p - 1/2| the endpoint flag marks slopes
     that finite resolution cannot settle.
     """
-    cfg = config or default_config("threshold")
-    extent = cfg.L or 8.0
-    ps = cfg.p or [from_p(v) for v in ("1", "2", "inf")]
-    svals = cfg.s if cfg.s is not None else [k * 0.125 for k in range(9)]
-    modes = cfg.n_modes or [4, 8, 16, 32]
-    seeds = cfg.seeds or [0, 1, 2]
+    cfg = _config_for("threshold", config)
     if cfg.N is not None:
-        if len(cfg.N) != len(modes):
+        if len(cfg.N) != len(cfg.n_modes):
             raise ConfigError("config key 'N' must pair one size with each n_modes entry")
-        sizes = list(cfg.N)
+        sizes = cfg.N
     else:
-        sizes = [_auto_size(extent, m) for m in modes]
+        sizes = [_auto_size(cfg.L, m) for m in cfg.n_modes]
 
     # one symbol serves every (p, s) pair; a build that raises is not
     # cached, so each of its tasks still gets its own error row
     @cache
     def build(size, n_modes, seed):
-        return random_phase_multiplier(UniformGrid(1, size, extent), n_modes, seed)
+        return random_phase_multiplier(UniformGrid(1, size, cfg.L), n_modes, seed)
 
     tasks = []
-    for p, s, (m, n), seed in product(ps, svals, zip(modes, sizes), seeds):
+    for p, s, (m, n), seed in product(cfg.p, cfg.s, zip(cfg.n_modes, sizes), cfg.seeds):
         stub = dict(experiment="threshold", p=p.p, s=s, n=1, N=n, n_modes=m, seed=seed)
         tasks.append(partial(_task, stub, _threshold_record, build, p, s, m, n, seed))
     records = _run_tasks(tasks, jobs)
@@ -825,7 +832,7 @@ def run_threshold_sweep(config=None, jobs=1):
         if math.isfinite(record.value):
             points.setdefault((record.p, record.s), []).append((record.n_modes, record.value))
 
-    for p, s in product(ps, svals):
+    for p, s in product(cfg.p, cfg.s):
         group = points.get((p.p, s), [])
         if len({m for m, _ in group}) < 2:
             continue

@@ -34,8 +34,6 @@ from .errors import UnsupportedExponent
 from .exponents import from_p, power_mean
 from .quantize import KOHN_NIRENBERG, _rank_one_products, as_matrix, lift_symbol, u_transform
 
-METHODS = ("exact_1", "exact_inf", "exact_2", "power_2", "boyd_p")
-
 _POWER_CAP = 10**4
 _BOYD_CAP = 10**3
 _TOL_2 = 1e-10
@@ -48,7 +46,7 @@ _BOYD_SALT = 0x62647970
 class NormEstimate:
     """Result of a norm computation.
 
-    value is the estimate and method one of METHODS: exact_1 and
+    value is the estimate and method the estimator's name: exact_1 and
     exact_inf are the closed-form column and row sums, exact_2 the
     closed form max|a| max|b| for a rank-one symbol whose |a| or |b| is
     constant, power_2 power iteration on A*A and boyd_p Boyd's method.

@@ -268,6 +268,15 @@ def _half_shift_rows(rows, shifts, spacing, extent):
     return ift_along(spectra * phase, 1, spacing)
 
 
+def _diagonals(n):
+    """The centered differences t and the index of the kernel's
+    diagonals: entry [t_pos, u] of the index is (u, (u - t) % N), the
+    point u on the diagonal x - y = t h."""
+    t = np.arange(n) - n // 2
+    u = np.arange(n)
+    return t, (u, (u - t[:, None]) % n)
+
+
 def weyl_to_kernel(symbol):
     """The Schwartz kernel of the Weyl operator of the symbol."""
     _require_tag(symbol, WEYL)
@@ -277,26 +286,19 @@ def weyl_to_kernel(symbol):
     # sheared kernel G(x, t) = K(x + t h/2, x + t h/2 - t h) for the
     # centered difference t; its y-transform is the symbol, so invert:
     sheared = ift_along(symbol.values, 1, h)  # G[x_idx, t_pos]
-    t = np.arange(n) - n // 2
+    t, diagonals = _diagonals(n)
     # diagonal slices: D_t(u) = K(u, u - t h) = G(u - t h/2, t)
-    slices = _half_shift_rows(sheared.T, t, h, grid.extent)  # (t_pos, u_idx)
     kernel = np.empty((n, n), dtype=complex)
-    u = np.arange(n)
-    for pos, diff in enumerate(t):
-        kernel[u, (u - diff) % n] = slices[pos]
+    kernel[diagonals] = _half_shift_rows(sheared.T, t, h, grid.extent)  # (t_pos, u_idx)
     return KernelRep(grid, kernel)
 
 
 def kernel_to_weyl(kernel):
     """Invert weyl_to_kernel: Weyl symbol from a sampled kernel."""
     grid = kernel.grid
-    n = grid.points_per_axis
     h = grid.spacing
-    t = np.arange(n) - n // 2
-    u = np.arange(n)
-    slices = np.empty((n, n), dtype=complex)  # (t_pos, u_idx)
-    for pos, diff in enumerate(t):
-        slices[pos] = kernel.values[u, (u - diff) % n]
+    t, diagonals = _diagonals(grid.points_per_axis)
+    slices = kernel.values[diagonals]  # (t_pos, u_idx)
     sheared = _half_shift_rows(slices, -t, h, grid.extent).T  # G[x_idx, t_pos]
     values = ft_along(sheared, 1, h)
     return PhaseSpaceSymbol(grid, values, WEYL)

@@ -22,16 +22,17 @@ BUMP_RADIUS = 0.45
 _SEMINORM_MAX_ORDER = 4
 
 
-def bump_profile(t, radius=BUMP_RADIUS):
-    """The standard compactly supported bump exp(1 - 1/(1 - (t/r)^2)).
+def bump_profile(t):
+    """The standard compactly supported bump exp(1 - 1/(1 - (t/r)^2)),
+    r = BUMP_RADIUS.
 
-    Smooth, equal to 1 at t = 0, supported in |t| < radius.
+    Smooth, equal to 1 at t = 0, supported in |t| < BUMP_RADIUS.
     """
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
-    inside = np.abs(t) < radius
+    inside = np.abs(t) < BUMP_RADIUS
     ratio = np.zeros_like(t)
-    ratio[inside] = (t[inside] / radius) ** 2
+    ratio[inside] = (t[inside] / BUMP_RADIUS) ** 2
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - ratio[inside]))
     return out
 

@@ -58,6 +58,15 @@ def gather_stft(values, window, spacing):
     return spacing * np.fft.fftshift(out, axes=1)
 
 
+def kernel_diagonals(kernel_values):
+    """Row t_pos is the kernel's diagonal x - y = t h, t = t_pos - N/2:
+    entry u is kernel_values[u, (u - t) % N].  One loop step per
+    diagonal, the form the library's index gather replaced."""
+    n = len(kernel_values)
+    u = np.arange(n)
+    return np.array([kernel_values[u, (u - t) % n] for t in np.arange(n) - n // 2])
+
+
 def gauss_stft_magnitude(x, xi):
     """|V_g g| for the L^2-normalized Gaussian g(t) = 2^{1/4} e^{-pi t^2}, d=1."""
     return np.exp(-np.pi * (x**2 + xi**2) / 2.0)

@@ -12,6 +12,7 @@ from modop import (
     SweepConfig,
     SweepRecord,
     TooLarge,
+    UniformGrid,
     default_config,
     emit_csv,
     load_config,
@@ -36,12 +37,16 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 
 def test_minimal_config_fills_defaults(tmp_path):
-    path = write_config(tmp_path, {"experiment": "identity"})
-    cfg = load_config(path)
-    base = default_config("identity")
-    assert cfg.N == base.N
-    assert cfg.L == base.L
-    assert cfg.seeds == base.seeds
+    # (N, L, seeds) per experiment; the threshold sweep sizes N from n_modes
+    defaults = {
+        "identity": ([256], 16.0, [0]),
+        "embedding": ([256], 16.0, [0]),
+        "threshold": (None, 8.0, [0, 1, 2]),
+    }
+    for experiment, expected in defaults.items():
+        cfg = load_config(write_config(tmp_path, {"experiment": experiment}))
+        assert cfg == default_config(experiment)
+        assert (cfg.N, cfg.L, cfg.seeds) == expected
 
 
 def test_unknown_key_is_named_in_error(tmp_path):
@@ -98,33 +103,26 @@ def test_config_rejects_non_finite_numbers(tmp_path):
         assert "finite" in str(info.value)
 
 
-def test_config_checks_tolerances(tmp_path):
-    path = write_config(tmp_path, {"experiment": "identity", "tolerances": {"ft-gausian": 1e-30}})
-    with pytest.raises(ConfigError) as info:
-        load_config(path)
-    assert "ft-gausian" in str(info.value)
-    for experiment in ("embedding", "threshold"):
-        path = write_config(tmp_path, {"experiment": experiment, "tolerances": {}})
-        with pytest.raises(ConfigError):
-            load_config(path)
-    # a valid override tightens one check past its measured error
-    path = write_config(tmp_path, {"experiment": "identity", "N": [64], "L": 8.0,
-                                   "tolerances": {"ft-gaussian": 1e-30}})
-    flags = {r.method: r.flags for r in run_identity_suite(load_config(path))}
-    assert flags.pop("ft-gaussian") == "fail"
-    assert set(flags.values()) == {"pass"}
-
-
 @pytest.mark.parametrize("experiment, key, value", [
     ("identity", "q", [1]),
     ("embedding", "n_modes", [4]),
     ("threshold", "functions", 3),
+    ("identity", "tolerances", {}),
+    ("identity", "out", "x.csv"),
 ])
 def test_config_rejects_keys_the_experiment_does_not_read(tmp_path, experiment, key, value):
     path = write_config(tmp_path, {"experiment": experiment, key: value})
     with pytest.raises(ConfigError) as info:
         load_config(path)
     assert key in str(info.value) and experiment in str(info.value)
+
+
+def test_runners_reject_another_experiments_config():
+    for runner, other in ((run_identity_suite, "threshold"), (run_embedding_sweep, "identity"),
+                          (run_threshold_sweep, "embedding")):
+        with pytest.raises(ConfigError) as info:
+            runner(SweepConfig(other))
+        assert other in str(info.value)
 
 
 def test_config_rejects_broken_json(tmp_path):
@@ -197,6 +195,16 @@ def test_identity_suite_passes_at_low_resolution():
         assert rec.flags.endswith("pass"), (rec.method, rec.value, rec.flags)
     weyl_rows = [r for r in records if r.method == "weyl-oracle"]
     assert weyl_rows and all(r.value <= 1e-8 for r in weyl_rows)
+
+
+def test_matrix_intertwine_compares_two_routes():
+    # as_matrix against the sampled kernel: roundoff where the test symbol
+    # is resolved, a fail where N = 64 on L = 16 under-resolves it
+    resolved = experiments._check_matrix_intertwine(UniformGrid(1, 64, 8.0), 0)
+    assert 0.0 < resolved <= 1e-12
+    cfg = SweepConfig("identity", N=[64], L=16.0)
+    rows = [r for r in run_identity_suite(cfg) if r.method == "matrix-intertwine"]
+    assert [r.flags for r in rows] == ["fail"] and rows[0].value > 1e-6
 
 
 def test_identity_suite_deterministic_across_jobs():

@@ -29,6 +29,8 @@ from modop import (
     write_pss,
 )
 
+from modop import quantize
+
 import oracles
 from conftest import make_bandlimited, rel_err
 
@@ -211,6 +213,26 @@ def test_kernel_roundtrip(small_grid):
     sigma = random_symbol(small_grid, seed=61, quantization="weyl")
     back = kernel_to_weyl(weyl_to_kernel(sigma))
     assert rel_err(back.values, sigma.values) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_kernel_diagonals_match_the_loop_oracle(monkeypatch, n):
+    # the diagonal slices are moved in and out of the kernel without
+    # arithmetic, so the gathers must agree with the loop to the bit
+    grid = UniformGrid(1, n, 8.0)
+    rng = np.random.default_rng(n)
+    slices = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    seen = []
+
+    def shift(rows, *args):
+        seen.append(rows)
+        return slices
+
+    monkeypatch.setattr(quantize, "_half_shift_rows", shift)
+    kernel = weyl_to_kernel(random_symbol(grid, seed=n, quantization="weyl")).values
+    assert np.array_equal(oracles.kernel_diagonals(kernel), slices)
+    kernel_to_weyl(KernelRep(grid, kernel))
+    assert np.array_equal(seen[-1], slices)
 
 
 def test_identity_kernel_gives_constant_symbol(small_grid):

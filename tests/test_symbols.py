@@ -29,7 +29,7 @@ THRESHOLD_SIZES = {4: 128, 8: 256, 16: 512, 32: 1024}
 
 def test_bump_profile_shape():
     t = np.linspace(-1.0, 1.0, 401)
-    vals = bump_profile(t, radius=0.45)
+    vals = bump_profile(t)
     assert vals.max() == 1.0
     assert vals[np.abs(t) >= 0.45].max() == 0.0
     assert np.all(vals >= 0.0)
