@@ -188,7 +188,9 @@ def sjostrand_norm(symbol, s=0.0):
     too, V_Phi(sigma) = V_phi1(a) (x) V_phi2(b), and the norm is the
     product of two one-dimensional sums of sup-STFTs, O(N^2 log N).
     Every other symbol takes the dense O(N^4 log N) path, limited to
-    N <= 256; it agrees with the factored one to roundoff.
+    N <= 256.  The dense path is the reference path: every generator
+    builds rank-one symbols, so only tests and hand-made dense symbols
+    reach it, and it agrees with the factored one to roundoff.
     """
     if not np.isfinite(s):
         raise InvalidValue(f"weight order s must be finite, got {s!r}")

@@ -13,8 +13,10 @@ error=<ExceptionName> for tasks that raised a package error.
 
 Each experiment's config keys and their defaults are one table,
 _DEFAULTS: load_config accepts exactly those keys, and SweepConfig fills
-every key left out.  An identity row's verdict comes from the tolerance
-in _IDENTITY_CHECKS, which no config can change.
+every key left out and checks every key given against _CHECKS, whether
+the config comes from a file or from code.  An identity row's verdict
+comes from the tolerance in _IDENTITY_CHECKS, which no config can
+change.
 
 Each runner builds a table of tasks, `partial(_task, stub, fn, *args)`
 over module-level functions, and hands it to one executor that runs the
@@ -108,6 +110,22 @@ _DEFAULTS = {
 }
 _EXPERIMENTS = tuple(_DEFAULTS)
 
+# each config key's check, given the value and the experiment: it
+# returns the value the sweep reads or raises ConfigError
+_CHECKS = {
+    "N": lambda v, _: _number_list(v, "N", int, lambda n: n >= 2 and not n & (n - 1),
+                                   "powers of two, >= 2"),
+    "L": lambda v, _: _positive(v, "L", float, "a positive number"),
+    "p": lambda v, _: _exponent_list(v, "p"),
+    "q": lambda v, _: _exponent_list(v, "q"),
+    "s": lambda v, experiment: _number_list(v, "s", float,
+                                            lambda s: s >= 0 or experiment != "threshold",
+                                            ">= 0 for the threshold sweep"),
+    "n_modes": lambda v, _: _number_list(v, "n_modes", int, lambda m: m >= 0, ">= 0"),
+    "seeds": lambda v, _: _number_list(v, "seeds", int, is_seed, "unsigned 64-bit"),
+    "functions": lambda v, _: _positive(v, "functions", int, "a positive integer"),
+}
+
 _FUNCTION_SALT = 0xF0
 _NORM_SALT = 0x6E6F726D
 _RATIO_BAND = 10.0
@@ -116,7 +134,9 @@ _RATIO_BAND = 10.0
 @dataclass
 class SweepConfig:
     """An experiment's configuration.  A field left None takes the
-    experiment's default from _DEFAULTS; the fields the experiment does
+    experiment's default from _DEFAULTS, and any other value of a key the
+    experiment reads must pass that key's check in _CHECKS, the same
+    checks load_config applies to a file; the fields the experiment does
     not read stay None."""
 
     experiment: str
@@ -133,8 +153,9 @@ class SweepConfig:
         if self.experiment not in _DEFAULTS:
             raise ConfigError(f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}")
         for key, default in _DEFAULTS[self.experiment].items():
-            if getattr(self, key) is None:
-                setattr(self, key, copy(default))
+            value = getattr(self, key)
+            value = copy(default) if value is None else _CHECKS[key](value, self.experiment)
+            setattr(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -161,15 +182,26 @@ _RECORD_FIELDS = fields(SweepRecord)
 _TASK_ERRORS = (ModopError, FloatingPointError, np.linalg.LinAlgError)
 
 
-def _number_list(value, key, kind):
+def _number_list(value, key, kind, ok, rule):
     """A number or non-empty list of numbers as a list of kind (int or
-    float); kind int admits integers only."""
+    float; kind int admits integers only), every entry meeting ok."""
     items = value if isinstance(value, list) else [value]
     accepted = int if kind is int else (int, float)
     if not items or not all(isinstance(v, accepted) and not isinstance(v, bool) for v in items):
         noun = "an integer or list of integers" if kind is int else "a number or list of numbers"
         raise ConfigError(f"config key {key!r} must be {noun}")
+    if not all(ok(v) for v in items):
+        raise ConfigError(f"config key {key!r} entries must be {rule}")
     return [kind(v) for v in items]
+
+
+def _positive(value, key, kind, noun):
+    """A positive number as kind (int or float; kind int admits integers
+    only)."""
+    accepted = int if kind is int else (int, float)
+    if not isinstance(value, accepted) or isinstance(value, bool) or not value > 0:
+        raise ConfigError(f"config key {key!r} must be {noun}")
+    return kind(value)
 
 
 def _finite_number(text):
@@ -204,9 +236,9 @@ def load_config(path, experiment=None):
 
     Keys the named experiment does not read (see _DEFAULTS) and
     non-finite numbers are rejected rather than ignored, so typos fail
-    loudly; keys the file leaves out take their defaults.  When
-    `experiment` is given, a mismatching experiment field in the file
-    is an error.
+    loudly; SweepConfig checks every other key and gives the keys the
+    file leaves out their defaults.  When `experiment` is given, a
+    mismatching experiment field in the file is an error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -227,38 +259,7 @@ def load_config(path, experiment=None):
         raise ConfigError(
             f"{path}: config keys the {named} experiment does not read: {', '.join(unknown)}"
         )
-
-    cfg = SweepConfig(experiment=named)
-    if "N" in raw:
-        cfg.N = _number_list(raw["N"], "N", int)
-        if any(n < 2 or n & (n - 1) for n in cfg.N):
-            raise ConfigError("config key 'N' entries must be powers of two, >= 2")
-    if "L" in raw:
-        if not isinstance(raw["L"], (int, float)) or isinstance(raw["L"], bool) or raw["L"] <= 0:
-            raise ConfigError("config key 'L' must be a positive number")
-        cfg.L = float(raw["L"])
-    if "p" in raw:
-        cfg.p = _exponent_list(raw["p"], "p")
-    if "q" in raw:
-        cfg.q = _exponent_list(raw["q"], "q")
-    if "s" in raw:
-        cfg.s = _number_list(raw["s"], "s", float)
-        if cfg.experiment == "threshold" and any(v < 0 for v in cfg.s):
-            raise ConfigError("config key 's' entries must be >= 0 for the threshold sweep")
-    if "n_modes" in raw:
-        cfg.n_modes = _number_list(raw["n_modes"], "n_modes", int)
-        if any(m < 0 for m in cfg.n_modes):
-            raise ConfigError("config key 'n_modes' entries must be >= 0")
-    if "seeds" in raw:
-        cfg.seeds = _number_list(raw["seeds"], "seeds", int)
-        if not all(is_seed(s) for s in cfg.seeds):
-            raise ConfigError("config key 'seeds' entries must be unsigned 64-bit")
-    if "functions" in raw:
-        count = raw["functions"]
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ConfigError("config key 'functions' must be a positive integer")
-        cfg.functions = count
-    return cfg
+    return SweepConfig(**{**raw, "experiment": named})
 
 
 def default_config(experiment):
@@ -714,21 +715,20 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
         _test_function(grid, derive_seed(seed, _FUNCTION_SALT, i))
         for i in range(functions)
     ]
-    # amalgam[i][pi][qi]: function i, outer exponent p, inner exponent q
-    amalgam = [amalgam_norms(f, ps, qs) for f in fs]
-    sobolev_cache = {}
-    for i, f in enumerate(fs):
-        for si, s in enumerate(svals):
-            lifted = bessel_potential(f, s)
-            for pi, p in enumerate(ps):
-                sobolev_cache[(i, pi, si)] = lp_norm(lifted, p)
+    # amalgam[i, pi, qi]: function i, outer exponent p, inner exponent q;
+    # sobolev[i, si, pi]: the L^p norm of <D>^s applied to function i
+    amalgam = np.array([amalgam_norms(f, ps, qs) for f in fs])
+    sobolev = np.array([
+        [[lp_norm(g, p) for p in ps] for g in (bessel_potential(f, s) for s in svals)]
+        for f in fs
+    ])
 
     records = []
     for pi, p in enumerate(ps):
         for qi, q in enumerate(qs):
             for si, s in enumerate(svals):
-                amal = np.array([amalgam[i][pi][qi] for i in range(functions)])
-                sob = np.array([sobolev_cache[(i, pi, si)] for i in range(functions)])
+                amal = amalgam[:, pi, qi]
+                sob = sobolev[:, si, pi]
                 # each direction's ratio, its CSV method and its predicate
                 for ratios, method, embeds in (
                     (amal / sob, "embed-sobolev-amalgam", embeds_sobolev_into_amalgam),
@@ -746,13 +746,10 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
                     )
 
     for name, symbol in standard_suite(grid, seed=derive_seed(seed, 0x5E)):
-        out_amalgam = [amalgam_norms(kn_apply(symbol, f), ps, qs) for f in fs]
+        ratios = np.array([amalgam_norms(kn_apply(symbol, f), ps, qs) for f in fs]) / amalgam
         for pi, p in enumerate(ps):
             for qi, q in enumerate(qs):
-                ratios = np.array(
-                    [out_amalgam[i][pi][qi] / amalgam[i][pi][qi] for i in range(functions)]
-                )
-                spread = _max_over_median(ratios)
+                spread = _max_over_median(ratios[:, pi, qi])
                 records.append(
                     SweepRecord(
                         **stub,

@@ -33,32 +33,6 @@ class ExponentValue:
             raise UnsupportedExponent(f"reciprocal exponent {self.u} outside [0, 1]")
         object.__setattr__(self, "u", float(self.u))
 
-    @classmethod
-    def from_p(cls, p):
-        """Build from the exponent itself; accepts numbers, 'inf', or 'a/b' strings."""
-        if isinstance(p, ExponentValue):
-            return p
-        if isinstance(p, str):
-            text = p.strip().lower()
-            if text in ("inf", "infinity", "oo"):
-                return cls(0.0)
-            if "/" in text:
-                num, _, den = text.partition("/")
-                try:
-                    value = float(num) / float(den)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise UnsupportedExponent(f"cannot parse exponent {p!r}") from exc
-                return cls.from_p(value)
-            try:
-                return cls.from_p(float(text))
-            except ValueError as exc:
-                raise UnsupportedExponent(f"cannot parse exponent {p!r}") from exc
-        if math.isinf(p):
-            return cls(0.0)
-        if not p >= 1.0:
-            raise UnsupportedExponent(f"exponent must satisfy p >= 1, got {p}")
-        return cls(1.0 / float(p))
-
     @property
     def p(self):
         """The exponent as a float, math.inf when u = 0."""
@@ -80,19 +54,41 @@ class ExponentValue:
         return f"{p:g}" if float(p).is_integer() else f"{p!r}"
 
 
+def from_p(p):
+    """The ExponentValue of p: a number, 'inf', or an 'a/b' string; an
+    ExponentValue is returned as it is."""
+    if isinstance(p, ExponentValue):
+        return p
+    if isinstance(p, str):
+        text = p.strip().lower()
+        if text in ("inf", "infinity", "oo"):
+            return ExponentValue(0.0)
+        if "/" in text:
+            num, _, den = text.partition("/")
+            try:
+                value = float(num) / float(den)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise UnsupportedExponent(f"cannot parse exponent {p!r}") from exc
+            return from_p(value)
+        try:
+            return from_p(float(text))
+        except ValueError as exc:
+            raise UnsupportedExponent(f"cannot parse exponent {p!r}") from exc
+    if math.isinf(p):
+        return ExponentValue(0.0)
+    if not p >= 1.0:
+        raise UnsupportedExponent(f"exponent must satisfy p >= 1, got {p}")
+    return ExponentValue(1.0 / float(p))
+
+
 def power_mean(magnitudes, exponent, cell_measure, axis=None):
     """Discrete L^p norm of ``magnitudes`` with quadrature weight ``cell_measure``.
 
     For finite p this is (cell_measure * sum |a|^p)^(1/p); for p = inf
     it is the maximum.  ``axis`` behaves as in numpy reductions.
     """
-    e = ExponentValue.from_p(exponent)
+    e = from_p(exponent)
     if e.is_infinite:
         return magnitudes.max(axis=axis)
     p = e.p
     return (cell_measure * (magnitudes**p).sum(axis=axis)) ** e.u
-
-
-def from_p(p):
-    """Coerce to ExponentValue; see ExponentValue.from_p."""
-    return ExponentValue.from_p(p)

@@ -28,7 +28,7 @@ below 1e-12 at the boundary).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,31 +104,31 @@ class UniformGrid:
         return rounded
 
 
+def _frozen(values, shape, what):
+    """A read-only complex copy of values, checked for shape and finiteness."""
+    values = np.array(values, dtype=complex)
+    if values.shape != shape:
+        raise GridMismatch(f"{what} shape {values.shape}, expected {shape}")
+    if not np.isfinite(values).all():
+        raise InvalidValue(f"{what} values must be finite")
+    values.setflags(write=False)
+    return values
+
+
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Complex samples of a function on a UniformGrid.
 
-    values has shape grid.shape and is held read-only; all operations
-    return new instances.
+    values has shape grid.shape and is held as a read-only copy; all
+    operations return new instances.
     """
 
-    __slots__ = ("grid", "values")
+    grid: UniformGrid
+    values: np.ndarray = field(repr=False)
 
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=complex)
-        if values.shape != grid.shape:
-            raise GridMismatch(f"values shape {values.shape} does not match grid shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise InvalidValue("sampled values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
+    def __post_init__(self):
+        values = _frozen(self.values, self.grid.shape, "sampled function")
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SampledFunction is immutable")
-
-    def __repr__(self):
-        return f"SampledFunction(grid={self.grid!r})"
 
 
 def ft_along(values, axis, spacing):

@@ -26,6 +26,7 @@ are |b|, max|a| max|b| bounds the spectral norm and equals it when
 """
 
 import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +44,7 @@ _NORM2_SALT = 0x70326E6F
 _BOYD_SALT = 0x62647970
 
 
+@dataclass(frozen=True)
 class NormEstimate:
     """Result of a norm computation.
 
@@ -56,18 +58,17 @@ class NormEstimate:
     the tolerance).
     """
 
-    __slots__ = ("value", "method", "iterations", "residual", "restarts", "lower_bound_only")
+    value: float
+    method: str
+    iterations: int
+    residual: float
+    restarts: int
+    lower_bound_only: bool
 
-    def __init__(self, value, method, iterations, residual, restarts, lower_bound_only):
-        object.__setattr__(self, "value", float(value))
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "iterations", int(iterations))
-        object.__setattr__(self, "residual", float(residual))
-        object.__setattr__(self, "restarts", int(restarts))
-        object.__setattr__(self, "lower_bound_only", bool(lower_bound_only))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormEstimate is immutable")
+    def __post_init__(self):
+        # coerce numpy scalars to the declared float, int and bool
+        for f in fields(self):
+            object.__setattr__(self, f.name, f.type(getattr(self, f.name)))
 
     def __repr__(self):
         tail = ", lower bound" if self.lower_bound_only else ""

@@ -26,11 +26,15 @@ difference t = x - y is an exact lattice gather, so the shear needs
 interpolation only for the half-step t/2, again done spectrally.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import FileFormatError, GridMismatch, InvalidValue, TooLarge, WrongQuantization
 from .grid import (
     SampledFunction,
+    UniformGrid,
+    _frozen,
     _read_samples,
     _write_samples,
     bessel_weights,
@@ -46,23 +50,7 @@ _MATRIX_LIMIT = 1024
 _APPLY_LIMIT = 2048  # dense apply materializes a (count, count) stack
 
 
-def _frozen(values, shape, what):
-    """A read-only complex copy of values, checked for shape and finiteness."""
-    values = np.asarray(values, dtype=complex)
-    if values.shape != shape:
-        raise GridMismatch(f"{what} shape {values.shape}, expected {shape}")
-    if not np.all(np.isfinite(values)):
-        raise InvalidValue(f"{what} values must be finite")
-    values = values.copy()
-    values.setflags(write=False)
-    return values
-
-
-def _require_known_tag(quantization):
-    if quantization not in (KOHN_NIRENBERG, WEYL):
-        raise WrongQuantization(f"unknown quantization tag {quantization!r}")
-
-
+@dataclass(frozen=True, eq=False)
 class PhaseSpaceSymbol:
     """Samples sigma(x_j, xi_k) with a quantization tag.
 
@@ -73,32 +61,31 @@ class PhaseSpaceSymbol:
     and keeps factors = (a, b); its values are np.outer(a, b), computed
     on first use and cached.  Fast paths (the factored Sjostrand norm,
     the FFT-multiplier kn_apply) are chosen from factors alone.  A
-    symbol built from values has factors None.
+    symbol built from values has factors None; when factors are given,
+    values are formed from them and any values passed are not read.
     """
 
-    __slots__ = ("grid", "quantization", "factors", "_values")
+    grid: UniformGrid
+    _values: np.ndarray = field(repr=False)
+    quantization: str
+    factors: tuple = field(default=None, repr=False, kw_only=True)
 
-    def __init__(self, grid, values, quantization):
-        _require_known_tag(quantization)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "quantization", quantization)
-        object.__setattr__(self, "factors", None)
-        object.__setattr__(self, "_values", _frozen(values, grid.shape * 2, "symbol"))
+    def __post_init__(self):
+        if self.quantization not in (KOHN_NIRENBERG, WEYL):
+            raise WrongQuantization(f"unknown quantization tag {self.quantization!r}")
+        shape = self.grid.shape
+        if self.factors is None:
+            object.__setattr__(self, "_values", _frozen(self._values, shape * 2, "symbol"))
+        else:
+            a, b = self.factors
+            factors = (_frozen(a, shape, "x factor"), _frozen(b, shape, "xi factor"))
+            object.__setattr__(self, "factors", factors)
+            object.__setattr__(self, "_values", None)
 
     @classmethod
     def product(cls, grid, a, b, quantization=KOHN_NIRENBERG):
         """The rank-one symbol sigma(x_j, xi_k) = a[j] * b[k]."""
-        _require_known_tag(quantization)
-        symbol = object.__new__(cls)
-        object.__setattr__(symbol, "grid", grid)
-        object.__setattr__(symbol, "quantization", quantization)
-        object.__setattr__(
-            symbol,
-            "factors",
-            (_frozen(a, grid.shape, "x factor"), _frozen(b, grid.shape, "xi factor")),
-        )
-        object.__setattr__(symbol, "_values", None)
-        return symbol
+        return cls(grid, None, quantization, factors=(a, b))
 
     @property
     def values(self):
@@ -108,47 +95,32 @@ class PhaseSpaceSymbol:
             object.__setattr__(self, "_values", values)
         return self._values
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PhaseSpaceSymbol is immutable")
-
-    def __repr__(self):
-        return f"PhaseSpaceSymbol(grid={self.grid!r}, quantization={self.quantization!r})"
-
     def with_values(self, values):
         """A dense symbol (no factors) on the same grid with the same tag."""
         return PhaseSpaceSymbol(self.grid, values, self.quantization)
 
 
+@dataclass(frozen=True, eq=False)
 class KernelRep:
     """A Schwartz kernel K(x, y) sampled on grid x grid."""
 
-    __slots__ = ("grid", "values")
+    grid: UniformGrid
+    values: np.ndarray = field(repr=False)
 
-    def __init__(self, grid, values):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _frozen(values, grid.shape * 2, "kernel"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KernelRep is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "values", _frozen(self.values, self.grid.shape * 2, "kernel"))
 
 
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense discretized operator; entries maps raw samples to raw samples."""
+    """Dense discretized operator; entries maps raw samples to raw
+    samples, so it is square."""
 
-    __slots__ = ("entries",)
+    entries: np.ndarray
 
-    def __init__(self, entries):
-        entries = np.asarray(entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvalidValue(f"entries must be square, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise InvalidValue("matrix entries must be finite")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorMatrix is immutable")
+    def __post_init__(self):
+        n = len(self.entries) if np.ndim(self.entries) else 0
+        object.__setattr__(self, "entries", _frozen(self.entries, (n, n), "matrix"))
 
 
 def _require_tag(symbol, tag):

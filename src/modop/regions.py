@@ -187,8 +187,3 @@ def hormander_order(p, rho=0.0, n=1):
         raise InvalidValue(f"rho must lie in [0, 1], got {rho!r}")
     u = from_p(p).u
     return -n * (1.0 - rho) * abs(u - 0.5)
-
-
-def conjugate_pair(p, q):
-    """The dual exponent pair (p', q') as ExponentValue objects."""
-    return from_p(p).conjugate, from_p(q).conjugate

@@ -125,6 +125,30 @@ def test_runners_reject_another_experiments_config():
         assert other in str(info.value)
 
 
+@pytest.mark.parametrize("experiment, fields", [
+    ("threshold", {"p": [0.5]}),
+    ("threshold", {"p": "x"}),
+    ("embedding", {"N": [32], "functions": 0}),
+    ("threshold", {"s": [-1.0]}),
+    ("identity", {"N": [6]}),
+    ("identity", {"seeds": [-1]}),
+    ("identity", {"L": 0}),
+])
+def test_config_built_in_code_is_checked_like_a_file(tmp_path, experiment, fields):
+    with pytest.raises(ConfigError) as from_file:
+        load_config(write_config(tmp_path, {"experiment": experiment, **fields}))
+    with pytest.raises(ConfigError) as in_code:
+        SweepConfig(experiment, **fields)
+    assert str(in_code.value) == str(from_file.value)
+
+
+def test_config_built_in_code_reads_exponents_like_a_file(tmp_path):
+    fields = {"p": [2], "s": [0.5], "n_modes": [4, 8], "seeds": [0]}
+    cfg = SweepConfig("threshold", **fields)
+    assert cfg == load_config(write_config(tmp_path, {"experiment": "threshold", **fields}))
+    assert cfg.p == [from_p(2)] and not has_errors(run_threshold_sweep(cfg))
+
+
 def test_config_rejects_broken_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -4,6 +4,8 @@ import pytest
 from modop import (
     GridMismatch,
     KernelRep,
+    NormEstimate,
+    OperatorMatrix,
     PhaseSpaceSymbol,
     SampledFunction,
     TooLarge,
@@ -415,3 +417,43 @@ def test_pss_header_validation(tmp_path):
     path.write_text("PSS 2\ndim=1 n=4 extent=2 quant=kn factors=1\n" + "0 0\n" * 16)
     with pytest.raises(FileFormatError, match="trailing content"):
         read_pss(path)
+
+
+# ---------------------------------------------------------------------------
+# immutable values
+
+_GRID8 = UniformGrid(1, 8, 4.0)
+
+# name: (shape of the caller's input array, the value built from it, what
+# the value holds: its arrays and scalars)
+_VALUE_TYPES = {
+    "grid": ((), lambda x: UniformGrid(1, 8, x), lambda v: [v.extent]),
+    "sampled": ((8,), lambda x: SampledFunction(_GRID8, x), lambda v: [v.values]),
+    "dense-symbol": (
+        (8, 8), lambda x: PhaseSpaceSymbol(_GRID8, x, "kn"), lambda v: [v.values]
+    ),
+    "product-symbol": (
+        (2, 8),
+        lambda x: PhaseSpaceSymbol.product(_GRID8, x[0], x[1], "weyl"),
+        lambda v: [*v.factors, v.values],
+    ),
+    "kernel": ((8, 8), lambda x: KernelRep(_GRID8, x), lambda v: [v.values]),
+    "matrix": ((8, 8), OperatorMatrix, lambda v: [v.entries]),
+    "norm": ((), lambda x: NormEstimate(x, "power_2", 3, x, 0, False), lambda v: [v.value]),
+}
+
+
+@pytest.mark.parametrize("name", _VALUE_TYPES)
+def test_value_types_are_immutable(name):
+    shape, build, held = _VALUE_TYPES[name]
+    # complex arrays, so that a missing copy would share memory with them
+    given = np.full(shape, 2.0, dtype=complex if shape else float)
+    value = build(given)
+    for attr in ("grid", "values", "factors", "entries", "value", "extent", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+    arrays = [a for a in held(value) if isinstance(a, np.ndarray)]
+    assert all(not a.flags.writeable for a in arrays)
+    snapshot = [np.copy(a) for a in held(value)]
+    given[...] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(held(value), snapshot))
