@@ -23,17 +23,22 @@ p over y), and sjostrand_norm (the M^{infty,1} norm of a phase-space
 symbol: sup over phase-space translates, L^1 over the dual variable).
 The modulation and amalgam norms use the default Gaussian window and
 the cells h and 1/L.  modulation_norms and amalgam_norms tabulate them
-over lists of exponents from one |V_g f| array, with one inner
-reduction per inner exponent; the single-pair functions are one-entry
-tables.
+for a sequence of functions on one grid over lists of exponents, as a
+(functions, ps, qs) array; the single-pair functions are one-function,
+one-entry tables.
 
-stft, the modulation and amalgam norm tables and the factored
-sjostrand_norm path share one kernel, _translate_spectra: it multiplies
-f by a strided view of every window translate (_translates, a view of a
-wrapped copy of the window, so no index table or stack of translates is
-built) and transforms the products with grid.ft_along.  Its values are
-bit-identical to the index-table form kept in tests/oracles.py.  The
-dense sjostrand_norm path shares only _translates.
+stft and the factored sjostrand_norm path share one kernel,
+_translate_spectra: it multiplies f by a strided view of every window
+translate (_translates, a view of a wrapped copy of the window, so no
+index table or stack of translates is built) and transforms the
+products with grid.ft_along.  The norm tables use _stft_magnitudes
+instead, a generator that forms the same products already in FFT
+order in a buffer it owns for the whole table and writes |V_g f| with
+the fftshift folded in; each function's table is then one power_mean
+per inner exponent on |V_g f| and one per outer exponent on the
+stacked inner norms.  Both kernels are bit-identical to the
+index-table form kept in tests/oracles.py.  The dense sjostrand_norm
+path shares only _translates.
 """
 
 import numpy as np
@@ -113,52 +118,84 @@ def sobolev_norm(f, p, s):
     return lp_norm(bessel_potential(f, s), p)
 
 
-def _stft_magnitudes(f):
-    """|V_g f| against the default window g, axes (x, xi)."""
-    return np.abs(_windowed_spectra(f, default_window(f.grid))[1])
+def _stft_magnitudes(fs):
+    """|V_g f| against the default window g, axes (x, xi), for each f of
+    fs (a list on one grid) in turn.
+
+    A generator that owns one complex and one real (N, N) array for the
+    whole run and yields the real one, overwritten with each function's
+    magnitudes, so a caller is done with an array before it asks for the
+    next.  Each product is formed in FFT order (the translates starting
+    at shift 0 times f rolled by N/2), and the fftshift is folded into
+    the half of the magnitudes each spectrum half is written to.  The
+    operands and operations are those of stft, so the values are
+    |stft(f, g)| to the bit.
+    """
+    grid = fs[0].grid
+    n = grid.points_per_axis
+    half = n // 2
+    translates = _translates(np.conj(_gaussian(grid.axis_points())), 0)
+    spectra = np.empty((n, n), dtype=complex)
+    mags = np.empty((n, n))
+    for f in fs:
+        np.multiply(translates, np.roll(f.values, -half), out=spectra)
+        np.fft.fft(spectra, axis=1, out=spectra)
+        spectra *= grid.spacing
+        np.abs(spectra[:, half:], out=mags[:, :half])
+        np.abs(spectra[:, :half], out=mags[:, half:])
+        yield mags
 
 
-def _mixed_norms(mags, inners, inner_cell, inner_axis, outers, outer_cell):
-    """Entry [i][j]: the L^outers[j] norm over the other axis of the
-    L^inners[i] norms over inner_axis.  Each inner reduction is done
-    once, for all outer exponents."""
-    table = []
-    for inner in inners:
-        inner_norms = power_mean(mags, inner, inner_cell, axis=inner_axis)
-        table.append([float(power_mean(inner_norms, outer, outer_cell)) for outer in outers])
-    return table
+def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
+    """Entry [k, j, i]: the L^outers[j] norm over the other axis of the
+    L^inners[i] norms over inner_axis (0: x, cell h; 1: xi, cell 1/L) of
+    |V_g fs[k]|, weighted by <xi>^s along xi.  Per function that is one
+    reduction per inner exponent on |V_g f| and one per outer exponent
+    on the stacked inner norms."""
+    fs = list(fs)
+    if not fs:
+        raise InvalidValue("a norm table needs at least one function")
+    grid = require_same_grid(*fs)
+    cells = (grid.spacing, grid.dual_spacing)
+    inner_cell, outer_cell = cells[inner_axis], cells[1 - inner_axis]
+    weights = bessel_weights(grid, s)[None, :] if s != 0.0 else None
+    tables = np.empty((len(fs), len(outers), len(inners)))
+    for table, mags in zip(tables, _stft_magnitudes(fs)):
+        if weights is not None:
+            mags *= weights
+        inner_norms = np.array([power_mean(mags, e, inner_cell, inner_axis) for e in inners])
+        table[...] = [power_mean(inner_norms, e, outer_cell, 1) for e in outers]
+    return tables
 
 
-def modulation_norms(f, ps, qs):
-    """Modulation norms for every exponent pair: entry [i][j] is
-    modulation_norm(f, ps[i], qs[j]), all from one |STFT| array."""
-    grid = f.grid
-    return _mixed_norms(_stft_magnitudes(f), ps, grid.spacing, 0, qs, grid.dual_spacing)
+def modulation_norms(fs, ps, qs):
+    """Modulation norms of a sequence of functions on one grid: entry
+    [k, i, j] of the (len(fs), len(ps), len(qs)) array is
+    modulation_norm(fs[k], ps[i], qs[j]), each function's entries from
+    one |STFT| array."""
+    return np.ascontiguousarray(_norm_tables(fs, ps, 0, qs).swapaxes(1, 2))
 
 
-def amalgam_norms(f, ps, qs, s=0.0):
-    """Amalgam norms for every exponent pair: entry [i][j] is
-    amalgam_norm(f, ps[i], qs[j], s), all from one |STFT| array."""
+def amalgam_norms(fs, ps, qs, s=0.0):
+    """Amalgam norms of a sequence of functions on one grid: entry
+    [k, i, j] of the (len(fs), len(ps), len(qs)) array is
+    amalgam_norm(fs[k], ps[i], qs[j], s), each function's entries from
+    one |STFT| array."""
     if not np.isfinite(s):
         raise InvalidValue(f"weight order s must be finite, got {s!r}")
-    grid = f.grid
-    mags = _stft_magnitudes(f)
-    if s != 0.0:
-        mags *= bessel_weights(grid, s)[None, :]
-    by_q = _mixed_norms(mags, qs, grid.dual_spacing, 1, ps, grid.spacing)
-    return [list(row) for row in zip(*by_q)]
+    return _norm_tables(fs, qs, 1, ps, s)
 
 
 def modulation_norm(f, p, q):
     """Modulation norm: L^p over x inside, L^q over xi outside, against
     the default window.  Reported values depend on the window, as they
     must."""
-    return modulation_norms(f, [p], [q])[0][0]
+    return float(modulation_norms([f], [p], [q])[0, 0, 0])
 
 
 def amalgam_norm(f, p, q, s=0.0):
     """Wiener amalgam norm: weighted L^q over omega inside, L^p over y outside."""
-    return amalgam_norms(f, [p], [q], s)[0][0]
+    return float(amalgam_norms([f], [p], [q], s)[0, 0, 0])
 
 
 def phase_space_window(grid):

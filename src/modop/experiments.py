@@ -156,6 +156,10 @@ class SweepConfig:
             value = getattr(self, key)
             value = copy(default) if value is None else _CHECKS[key](value, self.experiment)
             setattr(self, key, value)
+        # the threshold sweep pairs the i-th size with the i-th mode count
+        if self.experiment == "threshold" and self.N is not None:
+            if len(self.N) != len(self.n_modes):
+                raise ConfigError("config key 'N' must pair one size with each n_modes entry")
 
 
 @dataclass(frozen=True)
@@ -510,18 +514,13 @@ def _check_fourier_amalgam(grid, seed):
     # the transform of a sampled function lives on the same lattice only
     # when h = 1/L, so this check runs on the self-dual companion grid.
     # modulation_norm(fhat, p, q) against amalgam_norm(f, q, p): entry
-    # [i][j] of one table against entry [j][i] of the other
+    # [k, i, j] of one table against entry [k, j, i] of the other
     self_dual = UniformGrid(1, grid.points_per_axis, math.sqrt(grid.points_per_axis))
     exponents = _FOURIER_AMALGAM_EXPONENTS
-    worst = 0.0
-    for i in range(20):
-        f = _test_function(self_dual, derive_seed(seed, 0xFA, i), modes=4)
-        lhs = modulation_norms(forward_ft(f), exponents, exponents)
-        rhs = amalgam_norms(f, exponents, exponents)
-        for lhs_row, rhs_column in zip(lhs, zip(*rhs)):
-            for left, right in zip(lhs_row, rhs_column):
-                worst = max(worst, abs(left / right - 1.0))
-    return worst
+    fs = [_test_function(self_dual, derive_seed(seed, 0xFA, i), modes=4) for i in range(20)]
+    lhs = modulation_norms([forward_ft(f) for f in fs], exponents, exponents)
+    rhs = amalgam_norms(fs, exponents, exponents)
+    return float(np.abs(lhs / rhs.swapaxes(1, 2) - 1.0).max())
 
 
 def _check_sjostrand_constant(grid, seed):
@@ -717,7 +716,7 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
     ]
     # amalgam[i, pi, qi]: function i, outer exponent p, inner exponent q;
     # sobolev[i, si, pi]: the L^p norm of <D>^s applied to function i
-    amalgam = np.array([amalgam_norms(f, ps, qs) for f in fs])
+    amalgam = amalgam_norms(fs, ps, qs)
     sobolev = np.array([
         [[lp_norm(g, p) for p in ps] for g in (bessel_potential(f, s) for s in svals)]
         for f in fs
@@ -746,7 +745,7 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
                     )
 
     for name, symbol in standard_suite(grid, seed=derive_seed(seed, 0x5E)):
-        ratios = np.array([amalgam_norms(kn_apply(symbol, f), ps, qs) for f in fs]) / amalgam
+        ratios = amalgam_norms([kn_apply(symbol, f) for f in fs], ps, qs) / amalgam
         for pi, p in enumerate(ps):
             for qi, q in enumerate(qs):
                 spread = _max_over_median(ratios[:, pi, qi])
@@ -804,12 +803,7 @@ def run_threshold_sweep(config=None, jobs=1):
     that finite resolution cannot settle.
     """
     cfg = _config_for("threshold", config)
-    if cfg.N is not None:
-        if len(cfg.N) != len(cfg.n_modes):
-            raise ConfigError("config key 'N' must pair one size with each n_modes entry")
-        sizes = cfg.N
-    else:
-        sizes = [_auto_size(cfg.L, m) for m in cfg.n_modes]
+    sizes = cfg.N if cfg.N is not None else [_auto_size(cfg.L, m) for m in cfg.n_modes]
 
     # one symbol serves every (p, s) pair; a build that raises is not
     # cached, so each of its tasks still gets its own error row

@@ -10,6 +10,8 @@ unit square of (1/p, 1/q) pairs.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import UnsupportedExponent
 
 
@@ -85,10 +87,19 @@ def power_mean(magnitudes, exponent, cell_measure, axis=None):
     """Discrete L^p norm of ``magnitudes`` with quadrature weight ``cell_measure``.
 
     For finite p this is (cell_measure * sum |a|^p)^(1/p); for p = inf
-    it is the maximum.  ``axis`` behaves as in numpy reductions.
+    it is the maximum.  ``axis`` behaves as in numpy reductions.  The
+    powers are taken by the cheapest rule for p: p = 1 sums |a| as it
+    is, p = 4 squares twice (within an ulp or so of pow), and any other
+    p uses ``**``, which numpy forms by squaring for p = 2.
     """
     e = from_p(exponent)
     if e.is_infinite:
         return magnitudes.max(axis=axis)
-    p = e.p
-    return (cell_measure * (magnitudes**p).sum(axis=axis)) ** e.u
+    if e.u == 1.0:
+        return cell_measure * magnitudes.sum(axis=axis)
+    if e.u == 0.25:
+        powers = np.square(magnitudes)
+        np.square(powers, out=powers)
+    else:
+        powers = magnitudes**e.p
+    return (cell_measure * powers.sum(axis=axis)) ** e.u

@@ -48,7 +48,26 @@ def _bits(values):
     return np.asarray(values, dtype=complex).view(np.uint64)
 
 
-@pytest.mark.parametrize("n, extent", [(8, 4.0), (64, 7.3), (256, 16.0), (128, 12.345)])
+KERNEL_GRIDS = [(8, 4.0), (64, 7.3), (256, 16.0), (128, 12.345)]
+
+
+def _gather_magnitudes(fs):
+    """The magnitude kernel's oracle: |gather_stft| of each function."""
+    g = default_window(fs[0].grid)
+    for f in fs:
+        yield np.abs(oracles.gather_stft(f.values, g.values, f.grid.spacing))
+
+
+@pytest.mark.parametrize("n, extent", KERNEL_GRIDS)
+def test_magnitude_kernel_matches_gather_oracle_bitwise(n, extent):
+    grid = UniformGrid(1, n, extent)
+    fs = [make_bandlimited(grid, seed=seed, modes=min(3, n // 4)) for seed in (7, 8, 9)]
+    # the kernel overwrites one array per function, so compare each as it comes
+    for got, want in zip(analysis._stft_magnitudes(fs), _gather_magnitudes(fs), strict=True):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n, extent", KERNEL_GRIDS)
 def test_strided_kernel_matches_gather_oracle_bitwise(monkeypatch, n, extent):
     grid = UniformGrid(1, n, extent)
     f = make_bandlimited(grid, seed=7, modes=min(3, n // 4))
@@ -56,45 +75,86 @@ def test_strided_kernel_matches_gather_oracle_bitwise(monkeypatch, n, extent):
     got = stft(f, g)
     assert np.array_equal(_bits(got), _bits(oracles.gather_stft(f.values, g.values, grid.spacing)))
 
+    fs = [f, make_bandlimited(grid, seed=8, modes=min(3, n // 4))]
     names = [name for name, _ in EXPONENTS]
     n_modes = int(n / (2 * extent) - 0.45)  # the most modes the grid's band holds
     symbols = [gaussian_bump_symbol(grid), random_phase_multiplier(grid, n_modes, seed=3)]
 
     def tables():
-        norms = [modulation_norms(f, names, names)]
+        norms = [modulation_norms(fs, names, names)]
         for s in (0.0, 0.5):
-            norms.append(amalgam_norms(f, names, names, s))
+            norms.append(amalgam_norms(fs, names, names, s))
             norms.append([[sjostrand_norm(sigma, s) for sigma in symbols]])
         return norms
 
     fast = tables()
-    # the same tables with the gather oracle as the kernel
+    # the same tables with the gather oracle in the magnitude kernel (the
+    # norm tables) and in the spectra kernel (the factored sjostrand_norm)
+    monkeypatch.setattr(analysis, "_stft_magnitudes", _gather_magnitudes)
     monkeypatch.setattr(analysis, "_translate_spectra", oracles.gather_stft)
     for got, want in zip(fast, tables()):
         assert np.array_equal(_bits(got), _bits(want))
 
 
-def test_transforms_go_through_windowed_spectra_once(monkeypatch, tiny_grid):
+def test_stft_and_tables_run_their_kernels_once_per_function(monkeypatch, tiny_grid):
     n = tiny_grid.points_per_axis
-    f = make_bandlimited(tiny_grid, seed=2, modes=3)
-    inner = analysis._windowed_spectra
-    arrays = []
+    fs = [make_bandlimited(tiny_grid, seed=seed, modes=3) for seed in (2, 3, 4)]
+    spectra, magnitudes = [], []
+    windowed_spectra, stft_magnitudes = analysis._windowed_spectra, analysis._stft_magnitudes
 
-    def counted(f, g):
-        result = inner(f, g)
-        arrays.append(result[1])
+    def counted_spectra(f, g):
+        result = windowed_spectra(f, g)
+        spectra.append(result[1])
         return result
 
-    monkeypatch.setattr(analysis, "_windowed_spectra", counted)
-    for call in (
-        lambda: stft(f, default_window(tiny_grid)),
-        lambda: modulation_norms(f, ["1", "2"], ["2", "inf"]),
-        lambda: amalgam_norms(f, ["1", "2"], ["2", "inf"], 0.5),
-    ):
-        arrays.clear()
-        call()
-        assert len(arrays) == 1
-        assert arrays[0].shape == (n, n) and arrays[0].dtype == np.complex128
+    def counted_magnitudes(fs):
+        for mags in stft_magnitudes(fs):
+            magnitudes.append(mags.shape)
+            yield mags
+
+    monkeypatch.setattr(analysis, "_windowed_spectra", counted_spectra)
+    monkeypatch.setattr(analysis, "_stft_magnitudes", counted_magnitudes)
+    stft(fs[0], default_window(tiny_grid))
+    assert len(spectra) == 1 and not magnitudes
+    assert spectra[0].shape == (n, n) and spectra[0].dtype == np.complex128
+    for k in (1, 3):
+        for call in (
+            lambda: modulation_norms(fs[:k], ["1", "2"], ["2", "inf"]),
+            lambda: amalgam_norms(fs[:k], ["1", "2"], ["2", "inf"], 0.5),
+        ):
+            spectra.clear()
+            magnitudes.clear()
+            assert call().shape == (k, 2, 2)
+            assert not spectra and magnitudes == [(n, n)] * k
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_tables_of_a_run_match_one_function_tables(tiny_grid, s):
+    # a weight multiply or a buffer leaking from one function to the next
+    # would make a function's entries depend on its neighbours
+    fs = [make_bandlimited(tiny_grid, seed, modes) for seed, modes in ((1, 3), (2, 1), (3, 5))]
+    fs[1] = SampledFunction(tiny_grid, 40.0 * fs[1].values)
+    names = [name for name, _ in EXPONENTS]
+    for order in (fs, fs[::-1]):
+        modulation = modulation_norms(order, names, names)
+        amalgam = amalgam_norms(order, names, names, s)
+        assert modulation.shape == amalgam.shape == (3, len(names), len(names))
+        for k, f in enumerate(order):
+            alone = modulation_norms([f], names, names)[0]
+            assert np.array_equal(_bits(modulation[k]), _bits(alone))
+            alone = amalgam_norms([f], names, names, s)[0]
+            assert np.array_equal(_bits(amalgam[k]), _bits(alone))
+
+
+def test_tables_need_functions_on_one_grid(tiny_grid):
+    f = make_bandlimited(tiny_grid, seed=1, modes=3)
+    wider = UniformGrid(1, tiny_grid.points_per_axis, 2 * tiny_grid.extent)
+    other = make_bandlimited(wider, seed=1, modes=3)
+    for table in (modulation_norms, amalgam_norms):
+        with pytest.raises(GridMismatch):
+            table([f, other], ["2"], ["2"])
+        with pytest.raises(InvalidValue):
+            table([], ["2"], ["2"])
 
 
 def test_stft_at_origin_is_window_energy(default_grid):
@@ -188,16 +248,16 @@ def test_norm_tables_match_direct_stft(tiny_grid):
     s = 0.5
     weighted = mags * (1.0 + tiny_grid.axis_frequencies() ** 2)[None, :] ** (s / 2.0)
     names = [name for name, _ in EXPONENTS]
-    modulation = modulation_norms(f, names, names)
-    amalgam = amalgam_norms(f, names, names, s=s)
+    modulation = modulation_norms([f], names, names)[0]
+    amalgam = amalgam_norms([f], names, names, s=s)[0]
     for i, (p_name, p) in enumerate(EXPONENTS):
         for j, (q_name, q) in enumerate(EXPONENTS):
             want = _oracle_lp(_oracle_lp(mags, p, h, axis=0), q, dual)
-            assert abs(modulation[i][j] - want) <= 1e-12 * want, (p_name, q_name)
-            assert modulation[i][j] == modulation_norm(f, p_name, q_name)
+            assert abs(modulation[i, j] - want) <= 1e-12 * want, (p_name, q_name)
+            assert modulation[i, j] == modulation_norm(f, p_name, q_name)
             want = _oracle_lp(_oracle_lp(weighted, q, dual, axis=1), p, h)
-            assert abs(amalgam[i][j] - want) <= 1e-12 * want, (p_name, q_name)
-            assert amalgam[i][j] == amalgam_norm(f, p_name, q_name, s)
+            assert abs(amalgam[i, j] - want) <= 1e-12 * want, (p_name, q_name)
+            assert amalgam[i, j] == amalgam_norm(f, p_name, q_name, s)
 
 
 def test_modulation_isometry(bandlimited_suite):
@@ -349,11 +409,12 @@ def test_weight_order_must_be_finite(monkeypatch, tiny_grid, s):
     # rejected before any transform is made
     monkeypatch.setattr(analysis, "_windowed_spectra", None)
     monkeypatch.setattr(analysis, "_translate_spectra", None)
+    monkeypatch.setattr(analysis, "_stft_magnitudes", None)
     f = make_bandlimited(tiny_grid, seed=1, modes=3)
     with pytest.raises(InvalidValue):
         amalgam_norm(f, "2", "2", s)
     with pytest.raises(InvalidValue):
-        amalgam_norms(f, ["1", "2"], ["2"], s)
+        amalgam_norms([f], ["1", "2"], ["2"], s)
     with pytest.raises(InvalidValue):
         sjostrand_norm(gaussian_bump_symbol(tiny_grid), s)
 

@@ -133,6 +133,7 @@ def test_runners_reject_another_experiments_config():
     ("identity", {"N": [6]}),
     ("identity", {"seeds": [-1]}),
     ("identity", {"L": 0}),
+    ("threshold", {"N": [128], "n_modes": [4, 8]}),
 ])
 def test_config_built_in_code_is_checked_like_a_file(tmp_path, experiment, fields):
     with pytest.raises(ConfigError) as from_file:

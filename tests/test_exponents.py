@@ -59,6 +59,22 @@ def test_power_mean_matches_direct():
     assert np.array_equal(got, mags.max(axis=1))
 
 
+_MAGS = np.abs(np.random.default_rng(1).standard_normal((64, 64)))
+
+
+@pytest.mark.parametrize("values, axis", [(_MAGS, 0), (_MAGS, 1), (_MAGS[5], None)])
+def test_power_mean_powers_without_pow(values, axis):
+    # p = 1 and 2 keep the bits of the pow form; p = 4 squares twice
+    cell = 0.125
+    for p in (1.0, 2.0, 4.0):
+        want = (cell * (values**p).sum(axis=axis)) ** (1.0 / p)
+        got = power_mean(values, from_p(p), cell, axis)
+        if p == 4.0:
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+        else:
+            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
 def test_power_mean_scalar_reduction():
     mags = np.array([3.0, 4.0])
     assert abs(power_mean(mags, from_p(2), 1.0) - 5.0) <= 1e-14
