@@ -9,6 +9,8 @@ drivers with a CSV record format.  See README.md for the conventions
 and the command line.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._rng import derive_seed, splitmix64_next, uniform_stream
 from .analysis import (
     amalgam_norm,
@@ -100,4 +102,5 @@ from .symbols import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public names only: a star import must not rebind `grid`, `symbols` or another submodule
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))

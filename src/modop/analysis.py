@@ -153,8 +153,10 @@ def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
     reduction per inner exponent on |V_g f| and one per outer exponent
     on the stacked inner norms."""
     fs = list(fs)
-    if not fs:
-        raise InvalidValue("a norm table needs at least one function")
+    ps, qs = (inners, outers) if inner_axis == 0 else (outers, inners)  # over x, over xi
+    for name, entries in (("functions", fs), ("ps", ps), ("qs", qs)):
+        if len(entries) == 0:
+            raise InvalidValue(f"a norm table needs at least one entry in {name}")
     grid = require_same_grid(*fs)
     cells = (grid.spacing, grid.dual_spacing)
     inner_cell, outer_cell = cells[inner_axis], cells[1 - inner_axis]

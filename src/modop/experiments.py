@@ -12,11 +12,12 @@ such as pass / fail, lower-bound notices, predicate verdicts, and
 error=<ExceptionName> for tasks that raised a package error.
 
 Each experiment's config keys and their defaults are one table,
-_DEFAULTS: load_config accepts exactly those keys, and SweepConfig fills
-every key left out and checks every key given against _CHECKS, whether
-the config comes from a file or from code.  An identity row's verdict
-comes from the tolerance in _IDENTITY_CHECKS, which no config can
-change.
+_DEFAULTS.  SweepConfig rejects a key its experiment does not read,
+fills every key left out and checks every key given against _CHECKS,
+whether the config comes from a file or from code; load_config only
+parses the file and names the keys that are not SweepConfig fields.
+An identity row's verdict comes from the tolerance in _IDENTITY_CHECKS,
+which no config can change.
 
 Each runner builds a table of tasks, `partial(_task, stub, fn, *args)`
 over module-level functions, and hands it to one executor that runs the
@@ -78,6 +79,7 @@ from .symbols import (
     bessel_symbol,
     constant_symbol,
     gaussian_bump_symbol,
+    multiplication_profile,
     multiplication_symbol,
     random_phase_multiplier,
     standard_suite,
@@ -135,9 +137,9 @@ _RATIO_BAND = 10.0
 class SweepConfig:
     """An experiment's configuration.  A field left None takes the
     experiment's default from _DEFAULTS, and any other value of a key the
-    experiment reads must pass that key's check in _CHECKS, the same
-    checks load_config applies to a file; the fields the experiment does
-    not read stay None."""
+    experiment reads must pass that key's check in _CHECKS; a field the
+    experiment does not read must stay None.  A file goes through the
+    same checks, so both raise the same ConfigError."""
 
     experiment: str
     N: list = None
@@ -152,6 +154,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.experiment not in _DEFAULTS:
             raise ConfigError(f"experiment must be one of {_EXPERIMENTS}, got {self.experiment!r}")
+        unread = [f.name for f in fields(self)[1:]
+                  if f.name not in _DEFAULTS[self.experiment] and getattr(self, f.name) is not None]
+        if unread:
+            raise ConfigError(_unread_message(self.experiment, unread))
         for key, default in _DEFAULTS[self.experiment].items():
             value = getattr(self, key)
             value = copy(default) if value is None else _CHECKS[key](value, self.experiment)
@@ -160,6 +166,10 @@ class SweepConfig:
         if self.experiment == "threshold" and self.N is not None:
             if len(self.N) != len(self.n_modes):
                 raise ConfigError("config key 'N' must pair one size with each n_modes entry")
+
+
+def _unread_message(experiment, keys):
+    return f"config keys the {experiment} experiment does not read: {', '.join(sorted(keys))}"
 
 
 @dataclass(frozen=True)
@@ -238,11 +248,11 @@ def _exponent_list(value, key):
 def load_config(path, experiment=None):
     """Read a strict-JSON sweep configuration.
 
-    Keys the named experiment does not read (see _DEFAULTS) and
-    non-finite numbers are rejected rather than ignored, so typos fail
-    loudly; SweepConfig checks every other key and gives the keys the
-    file leaves out their defaults.  When `experiment` is given, a
-    mismatching experiment field in the file is an error.
+    Keys that are not SweepConfig fields and non-finite numbers are
+    rejected rather than ignored, so typos fail loudly; SweepConfig
+    rejects the fields the experiment does not read, checks the rest and
+    gives the keys the file leaves out their defaults.  When `experiment`
+    is given, a mismatching experiment field in the file is an error.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -258,11 +268,9 @@ def load_config(path, experiment=None):
         raise ConfigError(f"{path}: experiment must be one of {_EXPERIMENTS}, got {named!r}")
     if experiment is not None and named != experiment:
         raise ConfigError(f"{path}: config is for {named!r}, not {experiment!r}")
-    unknown = sorted(set(raw) - {"experiment", *_DEFAULTS[named]})
+    unknown = set(raw) - {f.name for f in fields(SweepConfig)}
     if unknown:
-        raise ConfigError(
-            f"{path}: config keys the {named} experiment does not read: {', '.join(unknown)}"
-        )
+        raise ConfigError(f"{path}: {_unread_message(named, unknown)}")
     return SweepConfig(**{**raw, "experiment": named})
 
 
@@ -286,17 +294,23 @@ def _fmt(value):
         return ""
     if isinstance(value, str):
         return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
 
 
+def csv_row(values):
+    """One CSV line: None empty, a bool true or false, an integer its
+    digits, any other number 17 significant digits (bit-exact)."""
+    return ",".join(map(_fmt, values))
+
+
 def emit_csv(records, destination):
     """Write records to a path or a file-like object, header first."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, f.name)) for f in _RECORD_FIELDS))
-    text = "\n".join(lines) + "\n"
+    rows = (csv_row(getattr(r, f.name) for f in _RECORD_FIELDS) for r in records)
+    text = "\n".join([CSV_HEADER, *rows]) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:
@@ -542,7 +556,7 @@ def _check_kn_constant(grid, seed):
 
 def _check_kn_multiplication(grid, seed):
     f = _test_function(grid, seed)
-    m = 1.0 + 0.5 * np.exp(-np.pi * grid.axis_points() ** 2)
+    m = multiplication_profile(grid)
     out = kn_apply(multiplication_symbol(grid, m), f)
     return _rel_max(out.values, m * f.values)
 

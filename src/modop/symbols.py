@@ -37,6 +37,13 @@ def bump_profile(t):
     return out
 
 
+def _count(value, name):
+    """value as an int >= 0; a bool or non-integer raises, not truncates."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidValue(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def random_phase_multiplier(grid, n_modes, seed):
     """Fourier multiplier sum_{|k| <= n_modes} e^{i theta_k} eta(xi - k).
 
@@ -46,9 +53,7 @@ def random_phase_multiplier(grid, n_modes, seed):
     ordered k = -M..M.  BUMP_RADIUS < 1/2, so each frequency lies in at
     most one bump, the one at the nearest integer, and the build is O(N).
     """
-    m = int(n_modes)
-    if m < 0:
-        raise InvalidValue(f"n_modes must be >= 0, got {n_modes!r}")
+    m = _count(n_modes, "n_modes")
     half_window = grid.points_per_axis / (2.0 * grid.extent)
     if m + BUMP_RADIUS > half_window:
         raise TooManyModes(
@@ -80,6 +85,11 @@ def multiplication_symbol(grid, m_values):
     if col.shape != (n,):
         raise InvalidValue(f"m must have {n} samples, got {col.shape}")
     return PhaseSpaceSymbol.product(grid, col, np.ones(n))
+
+
+def multiplication_profile(grid):
+    """m(x) = 1 + exp(-pi x^2) / 2, the standard multiplication symbol's profile."""
+    return 1.0 + 0.5 * np.exp(-np.pi * grid.axis_points() ** 2)
 
 
 def translation_symbol(grid, a):
@@ -149,10 +159,8 @@ def s_seminorms(symbol, m=0.0, rho=1.0, delta=0.0, max_order=2):
     across the box edges for the estimates to mean anything.  The
     order m must be finite and rho, delta must lie in [0, 1].
     """
-    if max_order > _SEMINORM_MAX_ORDER:
+    if _count(max_order, "max_order") > _SEMINORM_MAX_ORDER:
         raise OrderTooHigh(f"max_order is capped at {_SEMINORM_MAX_ORDER}, got {max_order}")
-    if max_order < 0:
-        raise InvalidValue(f"max_order must be >= 0, got {max_order!r}")
     if not math.isfinite(m):
         raise InvalidValue(f"order m must be finite, got {m!r}")
     for name, value in (("rho", rho), ("delta", delta)):
@@ -189,11 +197,10 @@ def standard_suite(grid, seed=0):
     phase-space Gaussian, and every random-phase multiplier whose mode
     count from {4, 8, 16, 32} fits the frequency window.
     """
-    x = grid.axis_points()
     shift = round(1.0 / grid.spacing) * grid.spacing
     suite = [
         ("constant", constant_symbol(grid)),
-        ("multiplication", multiplication_symbol(grid, 1.0 + 0.5 * np.exp(-np.pi * x**2))),
+        ("multiplication", multiplication_symbol(grid, multiplication_profile(grid))),
         ("translation", translation_symbol(grid, shift)),
         ("bessel", bessel_symbol(grid, -1.0)),
         ("gaussian-bump", gaussian_bump_symbol(grid)),

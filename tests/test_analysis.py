@@ -155,6 +155,11 @@ def test_tables_need_functions_on_one_grid(tiny_grid):
             table([f, other], ["2"], ["2"])
         with pytest.raises(InvalidValue):
             table([], ["2"], ["2"])
+        # an empty exponent list is named, not left to a numpy error
+        with pytest.raises(InvalidValue, match="in ps"):
+            table([f], [], ["2"])
+        with pytest.raises(InvalidValue, match="in qs"):
+            table([f], ["2"], [])
 
 
 def test_stft_at_origin_is_window_energy(default_grid):

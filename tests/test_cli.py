@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import modop
-from modop import read_pss, read_records, sjostrand_norm, sobolev_opnorm, write_pss
+from modop import cli, read_pss, read_records, sjostrand_norm, sobolev_opnorm, write_pss
 from modop.experiments import CSV_HEADER
 from modop.exponents import from_p
 from modop.grid import UniformGrid
@@ -40,6 +40,41 @@ def test_regions_golden_row():
         "embeds_sobolev_into_amalgam,embeds_amalgam_into_sobolev,sharp_threshold"
     )
     assert lines[1] == "1,2,0.5,1,0.5,0,I*2,I1,false,false,0.5"
+
+
+def test_main_twice_in_one_process_gives_the_same_output(tmp_path, capsys):
+    # main reuses one parser per process; a second call must not see the first
+    assert cli.build_parser() is cli.build_parser()
+    symbol = tmp_path / "bump.pss"
+    write_pss(gaussian_bump_symbol(UniformGrid(1, 32, 4.0)), symbol)
+    calls = {
+        "regions": ["regions", "--p", "1", "--q", "2", "--s", "0.5"],
+        "opnorm": ["opnorm", "--symbol", str(symbol), "--p", "4", "--s", "0.25"],
+        "gen": ["gen", "--kind", "phases", "--n", "64", "--extent", "4", "--seed", "3"],
+    }
+    outputs = []
+    for attempt in range(2):
+        run = {}
+        for name, argv in calls.items():
+            if name == "gen":
+                argv = argv + ["--out", str(tmp_path / f"phases{attempt}.pss")]
+            assert cli.main(argv) == 0
+            run[name] = capsys.readouterr()
+        outputs.append(run)
+    assert outputs[0] == outputs[1]
+    assert (tmp_path / "phases0.pss").read_bytes() == (tmp_path / "phases1.pss").read_bytes()
+    # the row README.md shows for this call
+    row = outputs[0]["regions"].out.splitlines()[1]
+    assert row == "1,2,0.5,1,0.5,0,I*2,I1,false,false,0.5"
+    readme = os.path.join(os.path.dirname(_SRC), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        assert f"$ modop regions --p 1 --q 2 --s 0.5\n{outputs[0]['regions'].out}" in fh.read()
+
+
+def test_star_import_binds_no_submodule():
+    exported = [getattr(modop, name) for name in modop.__all__]
+    assert not [value for value in exported if isinstance(value, type(modop))]
+    assert "grid" not in modop.__all__ and "UniformGrid" in modop.__all__
 
 
 def test_regions_fractional_exponent():

@@ -134,6 +134,10 @@ def test_runners_reject_another_experiments_config():
     ("identity", {"seeds": [-1]}),
     ("identity", {"L": 0}),
     ("threshold", {"N": [128], "n_modes": [4, 8]}),
+    # keys the experiment does not read
+    ("identity", {"q": [2]}),
+    ("embedding", {"n_modes": [4]}),
+    ("threshold", {"functions": 5}),
 ])
 def test_config_built_in_code_is_checked_like_a_file(tmp_path, experiment, fields):
     with pytest.raises(ConfigError) as from_file:

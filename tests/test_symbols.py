@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modop import (
+    InvalidValue,
     OrderTooHigh,
     PhaseSpaceSymbol,
     TooManyModes,
@@ -156,6 +157,22 @@ def test_seminorm_order_guard():
     grid = UniformGrid(1, 64, 8.0)
     with pytest.raises(OrderTooHigh):
         s_seminorms(constant_symbol(grid), max_order=5)
+
+
+@pytest.mark.parametrize("value", [1.9, 1.0, True, "2", -1])
+def test_counts_must_be_integers(value):
+    # int() would truncate 1.9 to the one-mode symbol, and True is not a count
+    grid = UniformGrid(1, 64, 8.0)
+    with pytest.raises(InvalidValue, match="n_modes must be an integer"):
+        random_phase_multiplier(grid, value, 0)
+    with pytest.raises(InvalidValue, match="max_order must be an integer"):
+        s_seminorms(constant_symbol(grid), max_order=value)
+
+
+def test_counts_accept_numpy_integers():
+    grid = UniformGrid(1, 64, 8.0)
+    assert random_phase_multiplier(grid, np.int64(2), 0).factors is not None
+    assert s_seminorms(constant_symbol(grid), max_order=np.int32(1)).max_order == 1
 
 
 def test_seminorm_report_accessors():
