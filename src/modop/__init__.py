@@ -56,7 +56,6 @@ from .grid import (
     bessel_potential,
     forward_ft,
     inverse_ft,
-    modulate,
     read_sfn,
     translate,
     write_sfn,

@@ -191,7 +191,7 @@ def main(argv=None):
         if seed is not None and not is_seed(seed):
             raise InvalidValue(f"--seed must be an unsigned 64-bit integer, got {seed}")
         return args.run(args)
-    except ModopError as exc:
+    except (ModopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

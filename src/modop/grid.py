@@ -175,13 +175,6 @@ def translate(f, a):
     return SampledFunction(f.grid, np.roll(f.values, offset))
 
 
-def modulate(f, xi0):
-    """Multiply f by the character exp(2 pi i xi0 x), xi0 on the dual lattice."""
-    k = f.grid.index_offset(xi0, f.grid.dual_spacing, "modulation frequency")
-    phase = (k * f.grid.dual_spacing) * f.grid.axis_points()
-    return SampledFunction(f.grid, f.values * np.exp(2j * np.pi * phase))
-
-
 def bessel_weights(grid, s):
     """The multiplier <xi>^s = (1 + xi^2)^(s/2) on the dual lattice."""
     return (1.0 + grid.axis_frequencies() ** 2) ** (s / 2.0)

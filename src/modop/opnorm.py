@@ -14,18 +14,15 @@ and the driver runs a bundle of deterministic and seeded random
 starts, keeping the best.
 
 One dispatch on p, _estimate, reaches every estimator, given the
-operator's size, apply and adjoint callables, and column and row sums
-of |A|.  _dense takes these from an OperatorMatrix, _rank_one from the
-factors of a rank-one symbol sigma = a(x) b(xi), whose operator
-A = diag(a) C (C the circulant whose eigenvalues are b in FFT order)
-is applied by FFT, so no N x N matrix is formed.  Column sums of |A|
-are a circular correlation of |a| with |c| (c = ifft of those
-eigenvalues), row sums are |a| sum|c|, and since C's singular values
-are |b|, max|a| max|b| bounds the spectral norm and equals it when
-|a| or |b| is constant.
+operator as quantize.kn_operator returns it: its size, apply and
+adjoint callables, and column and row sums of |A|.  An OperatorMatrix
+and a dense symbol act by their matrix.  A rank-one symbol
+sigma = a(x) b(xi) acts as A = diag(a) C, C the circulant whose
+eigenvalues are b in FFT order, applied by FFT, so no N x N matrix is
+formed; since C's singular values are |b|, max|a| max|b| bounds the
+spectral norm and equals it when |a| or |b| is constant.
 """
 
-import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,7 +30,7 @@ import numpy as np
 from ._rng import bulk_rng, derive_seed
 from .errors import UnsupportedExponent
 from .exponents import from_p, power_mean
-from .quantize import KOHN_NIRENBERG, _rank_one_products, as_matrix, lift_symbol, u_transform
+from .quantize import KOHN_NIRENBERG, kn_operator, lift_symbol, u_transform
 
 _POWER_CAP = 10**4
 _BOYD_CAP = 10**3
@@ -78,34 +75,6 @@ class NormEstimate:
         )
 
 
-def _dense(matrix):
-    """The operator of an OperatorMatrix, as _estimate takes it."""
-    a = matrix.entries
-    # the conjugate is formed on the first adjoint call, once per operator
-    a_star = functools.cache(lambda: a.conj().T)
-    return (
-        a.shape[0],
-        lambda x: a @ x,
-        lambda z: a_star() @ z,
-        lambda: np.abs(a).sum(axis=0),
-        lambda: np.abs(a).sum(axis=1),
-    )
-
-
-def _rank_one(a, b):
-    """The KN operator of the symbol a(x) b(xi), diag(a) C, as _estimate
-    takes it."""
-    apply, adjoint = _rank_one_products(a, b)
-    abs_a = np.abs(a)
-    abs_c = np.abs(np.fft.ifft(np.fft.ifftshift(b)))
-
-    def column_sums():
-        # sum_j |a_j| |c_{j - j'}|, a circular correlation of |a| with |c|
-        return np.fft.irfft(np.fft.rfft(abs_a) * np.fft.rfft(abs_c).conj(), len(a))
-
-    return len(a), apply, adjoint, column_sums, lambda: abs_a * abs_c.sum()
-
-
 def _estimate(e, seed, n, apply, adjoint, column_sums, row_sums):
     """The estimator for the exponent e, on an operator given as its size,
     apply and adjoint callables, and column and row sums of |A|; the sums
@@ -124,7 +93,7 @@ def exact_norm(matrix, p):
     e = from_p(p)
     if e.u not in (0.0, 1.0):
         raise UnsupportedExponent(f"exact_norm handles p in {{1, inf}}, got p={e}")
-    return _estimate(e, 0, *_dense(matrix))
+    return _estimate(e, 0, *kn_operator(matrix))
 
 
 def _power_2(apply, adjoint, n, seed):
@@ -155,7 +124,7 @@ def norm_2(matrix, seed=0):
     1e-10; if the cap of 10^4 iterations is reached first the best
     estimate is returned flagged lower_bound_only.
     """
-    return _estimate(from_p(2), seed, *_dense(matrix))
+    return _estimate(from_p(2), seed, *kn_operator(matrix))
 
 
 def _psi(values, p):
@@ -218,13 +187,13 @@ def norm_p(matrix, p, seed=0):
     e = from_p(p)
     if e.u in (0.0, 1.0):
         raise UnsupportedExponent("norm_p needs finite p > 1; use exact_norm")
-    _, apply, adjoint, column_sums, _ = _dense(matrix)
+    _, apply, adjoint, column_sums, _ = kn_operator(matrix)
     return _boyd(apply, adjoint, column_sums(), e, seed)
 
 
 def estimate_norm(matrix, p, seed=0):
     """Dispatch to the right estimator for the exponent."""
-    return _estimate(from_p(p), seed, *_dense(matrix))
+    return _estimate(from_p(p), seed, *kn_operator(matrix))
 
 
 def sobolev_opnorm(symbol, p, s=0.0, seed=0):
@@ -242,12 +211,8 @@ def sobolev_opnorm(symbol, p, s=0.0, seed=0):
         symbol = u_transform(symbol, "to_KN")
     lifted = lift_symbol(symbol, -s)
     e = from_p(p)
-    if lifted.factors is None:
-        return _estimate(e, seed, *_dense(as_matrix(lifted)))
-    a, b = lifted.factors
-    if e.u == 0.5:
-        abs_a = np.abs(a)
-        abs_b = np.abs(b)
+    if lifted.factors is not None and e.u == 0.5:
+        abs_a, abs_b = np.abs(lifted.factors)
         if np.all(abs_a == abs_a[0]) or np.all(abs_b == abs_b[0]):
             return NormEstimate(abs_a.max() * abs_b.max(), "exact_2", 0, 0.0, 0, False)
-    return _estimate(e, seed, *_rank_one(a, b))
+    return _estimate(e, seed, *kn_operator(lifted))

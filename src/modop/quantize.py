@@ -24,8 +24,15 @@ through the shear tau K(x, y) = K(x + y/2, x - y/2) followed by a
 Fourier transform in y.  On the periodic grid the slice at fixed
 difference t = x - y is an exact lattice gather, so the shear needs
 interpolation only for the half-step t/2, again done spectrally.
+
+Operators: kn_operator is the one place that says which operator a
+Kohn-Nirenberg symbol denotes.  kn_apply uses its apply, and every
+norm estimator in opnorm reads its size, apply, adjoint and sums of
+|A|.  A symbol with factors a(x) b(xi) is applied by FFT at any N; any
+other symbol is its dense as_matrix, N <= 1024.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +45,6 @@ from .grid import (
     _read_samples,
     _write_samples,
     bessel_weights,
-    forward_ft,
     ft_along,
     ift_along,
 )
@@ -47,7 +53,6 @@ KOHN_NIRENBERG = "kn"
 WEYL = "weyl"
 
 _MATRIX_LIMIT = 1024
-_APPLY_LIMIT = 2048  # dense apply materializes a (count, count) stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +65,7 @@ class PhaseSpaceSymbol:
     A symbol built by `product` is rank one, sigma(x, xi) = a(x) b(xi),
     and keeps factors = (a, b); its values are np.outer(a, b), computed
     on first use and cached.  Fast paths (the factored Sjostrand norm,
-    the FFT-multiplier kn_apply) are chosen from factors alone.  A
+    the FFT operator of kn_operator) are chosen from factors alone.  A
     symbol built from values has factors None; when factors are given,
     values are formed from them and any values passed are not read.
     """
@@ -128,47 +133,64 @@ def _require_tag(symbol, tag):
         raise WrongQuantization(f"expected a {tag!r} symbol, got {symbol.quantization!r}")
 
 
-def _rank_one_products(a, b):
-    """apply and adjoint of the KN operator of a(x) b(xi), diag(a) C with
-    C the circulant whose eigenvalues are b in FFT order (the centering
-    shifts and cell measures of forward_ft and inverse_ft cancel around
-    a Fourier multiplier).  Both take a vector or an (N, k) block."""
+def kn_operator(source):
+    """The operator of an OperatorMatrix or of a Kohn-Nirenberg symbol, as
+    (n, apply, adjoint, column_sums, row_sums).
+
+    apply and adjoint take a vector or an (n, k) block; column_sums and
+    row_sums return the column and row sums of |A|.  Every entry is a
+    callable and pays for its work only when called.  A symbol with
+    factors (a, b) is diag(a) C, C the circulant whose eigenvalues are b
+    in FFT order (the centering shifts and cell measures of forward_ft
+    and inverse_ft cancel around a Fourier multiplier): it applies by
+    FFT at any N, its column sums are a circular correlation of |a| with
+    |c| (c = ifft of those eigenvalues), its row sums |a| sum|c|.  Any
+    other symbol is its as_matrix, N <= 1024.
+    """
+    if isinstance(source, PhaseSpaceSymbol):
+        _require_tag(source, KOHN_NIRENBERG)
+        if source.factors is not None:
+            return _rank_one_operator(*source.factors)
+        source = as_matrix(source)
+    a = source.entries
+    # the conjugate is formed on the first adjoint call, once per operator
+    a_star = functools.cache(lambda: a.conj().T)
+    return (
+        len(a),
+        lambda x: a @ x,
+        lambda z: a_star() @ z,
+        lambda: np.abs(a).sum(axis=0),
+        lambda: np.abs(a).sum(axis=1),
+    )
+
+
+def _rank_one_operator(a, b):
+    """kn_operator of the symbol a(x) b(xi)."""
     eig = np.fft.ifftshift(b)
-    eig_conj = eig.conj()
-    a_conj = a.conj()
+    abs_c = functools.cache(lambda: np.abs(np.fft.ifft(eig)))
 
     # x.T batches a block's columns along axis 0; a vector is unchanged
     def apply(x):
         return (a * np.fft.ifft(eig * np.fft.fft(x.T))).T
 
     def adjoint(y):
-        return np.fft.ifft(eig_conj * np.fft.fft(a_conj * y.T)).T
+        return np.fft.ifft(eig.conj() * np.fft.fft(a.conj() * y.T)).T
 
-    return apply, adjoint
+    def column_sums():
+        # sum_j |a_j| |c_{j - j'}|
+        return np.fft.irfft(np.fft.rfft(np.abs(a)) * np.fft.rfft(abs_c()).conj(), len(a))
+
+    return len(a), apply, adjoint, column_sums, lambda: np.abs(a) * abs_c().sum()
 
 
 def kn_apply(symbol, f):
-    """Apply the Kohn-Nirenberg operator of the symbol to f.
-
-    A rank-one symbol a(x) b(xi) acts as multiplication by a after the
-    Fourier multiplier b, in O(N log N); any other symbol takes the
-    dense path, limited to 2048 grid points.
-    """
-    _require_tag(symbol, KOHN_NIRENBERG)
-    grid = symbol.grid
-    if grid != f.grid:
+    """Apply the Kohn-Nirenberg operator of the symbol to f: the apply of
+    its kn_operator, so O(N log N) for a symbol with factors and a
+    product with its as_matrix (N <= 1024) for any other."""
+    if symbol.grid != f.grid:
         raise GridMismatch("symbol and function live on different grids")
-    if symbol.factors is not None:
-        apply, _ = _rank_one_products(*symbol.factors)
-        return SampledFunction(grid, apply(f.values))
-    n = grid.points_per_axis
-    if n > _APPLY_LIMIT:
-        raise TooLarge(f"dense apply is limited to {_APPLY_LIMIT} grid points, got {n}")
-    weighted = symbol.values * forward_ft(f).values[None, :]
-    # per-row inverse transform, batched over rows; row r of the result
-    # evaluated at its own grid point r is the operator output there
-    rows = ift_along(weighted, 1, grid.spacing)
-    return SampledFunction(grid, np.diagonal(rows))
+    _, apply, *_ = kn_operator(symbol)
+    return SampledFunction(f.grid, apply(f.values))
 
 
 def weyl_apply(symbol, f):

@@ -143,11 +143,8 @@ class SeminormReport:
         return max(self.values)
 
 
-def _central_difference(values, axis, step, order):
-    out = np.asarray(values, dtype=complex)
-    for _ in range(order):
-        out = (np.roll(out, -1, axis=axis) - np.roll(out, 1, axis=axis)) / (2.0 * step)
-    return out
+def _central_difference(values, axis, step):
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * step)
 
 
 def s_seminorms(symbol, m=0.0, rho=1.0, delta=0.0, max_order=2):
@@ -170,17 +167,14 @@ def s_seminorms(symbol, m=0.0, rho=1.0, delta=0.0, max_order=2):
     xi = grid.axis_frequencies()[None, :]
     orders = []
     values = []
-    x_cache = {0: np.asarray(symbol.values, dtype=complex)}
+    x_derivative = symbol.values  # of order alpha in x
     for alpha in range(max_order + 1):
-        if alpha not in x_cache:
-            x_cache[alpha] = _central_difference(
-                x_cache[alpha - 1], 0, grid.spacing, 1
-            )
-        base = x_cache[alpha]
-        current = base
+        if alpha > 0:
+            x_derivative = _central_difference(x_derivative, 0, grid.spacing)
+        current = x_derivative
         for beta in range(max_order + 1 - alpha):
             if beta > 0:
-                current = _central_difference(current, 1, grid.dual_spacing, 1)
+                current = _central_difference(current, 1, grid.dual_spacing)
             weight = (1.0 + np.abs(xi)) ** (-(m - rho * beta + delta * alpha))
             orders.append((alpha, beta))
             values.append(float(np.max(np.abs(current) * weight)))

@@ -193,38 +193,64 @@ def brute_force_norm_inf(entries):
     return best
 
 
+def _round_robin(n):
+    """The n - 1 rounds of the round-robin ordering for even n: each round
+    is n/2 disjoint column pairs, and the rounds together hold every pair
+    once.  Column 0 stays put and the rest rotate one place per round
+    (Brent and Luk, 1985)."""
+    order = np.arange(n)
+    rounds = []
+    for _ in range(n - 1):
+        rounds.append((order[: n // 2], order[n // 2 :][::-1]))
+        order = np.concatenate((order[:1], np.roll(order[1:], 1)))
+    return rounds
+
+
 def jacobi_spectral_norm(entries, sweeps=60, tol=1e-14):
     """Largest singular value via one-sided Jacobi on the columns.
 
     Complex input is realified first: the 2n x 2n real representation
     [[Re, -Im], [Im, Re]] has the same singular values (doubled), so the
-    largest one is unchanged.
+    largest one is unchanged.  An odd column count gets a zero column.
+    Each numpy step rotates the n/2 disjoint pairs of one round-robin
+    round; a pair already orthogonal to tol is left as it is, and the
+    sweeps stop once every pair of a sweep was.
     """
     a = np.asarray(entries)
     if np.iscomplexobj(a):
         re, im = a.real, a.imag
         a = np.block([[re, -im], [im, re]])
-    a = a.astype(float).copy()
-    n = a.shape[1]
+    # row k of cols is column k of the matrix
+    cols = a.astype(float).T.copy()
+    if len(cols) % 2:
+        cols = np.vstack([cols, np.zeros((1, cols.shape[1]))])
+    rounds = _round_robin(len(cols))
     for _ in range(sweeps):
         off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ci, cj = a[:, i], a[:, j]
-                alpha = ci @ ci
-                beta = cj @ cj
-                gamma = ci @ cj
-                off = max(off, abs(gamma) / max(np.sqrt(alpha * beta), 1e-300))
-                if abs(gamma) < tol * np.sqrt(alpha * beta):
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.hypot(1.0, t)
-                s = c * t
-                a[:, i], a[:, j] = c * ci - s * cj, s * ci + c * cj
+        for i, j in rounds:
+            ci, cj = cols[i], cols[j]
+            alpha = (ci * ci).sum(axis=1)
+            beta = (cj * cj).sum(axis=1)
+            gamma = (ci * cj).sum(axis=1)
+            scale = np.sqrt(alpha * beta)
+            off = max(off, (np.abs(gamma) / np.maximum(scale, 1e-300)).max())
+            rotate = (np.abs(gamma) >= tol * scale) & (gamma != 0.0)
+            # t = sign(zeta) / (|zeta| + hypot(1, zeta)), zeta = diff / (2 gamma),
+            # sign(0) = 1, written so that a huge zeta cannot overflow
+            diff = beta - alpha
+            sign = np.where(diff == 0.0, 1.0, np.sign(diff) * np.sign(gamma))
+            t = sign * np.divide(
+                2.0 * np.abs(gamma),
+                np.abs(diff) + np.hypot(2.0 * gamma, diff),
+                out=np.zeros_like(gamma),
+                where=rotate,
+            )
+            c = 1.0 / np.hypot(1.0, t)
+            s = c * t
+            cols[i], cols[j] = c[:, None] * ci - s[:, None] * cj, s[:, None] * ci + c[:, None] * cj
         if off < tol:
             break
-    return float(np.sqrt((a * a).sum(axis=0).max()))
+    return float(np.sqrt((cols * cols).sum(axis=1).max()))
 
 
 def ascent_norm_p(entries, p, n_starts=400, iters=3000, seed=1):

@@ -208,6 +208,21 @@ def test_bad_config_exits_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("opnorm", "--symbol", "nothere.pss", "--p", "2"),
+    ("identity", "--config", "nothere.json"),
+    ("gen", "--kind", "constant", "--n", "8", "--extent", "1", "--out", "nodir/x.pss"),
+], ids=["opnorm-symbol", "identity-config", "gen-out"])
+def test_missing_files_exit_2(tmp_path, capsys, argv):
+    # the paths are relative to tmp_path, which holds no file or directory
+    argv = [str(tmp_path / a) if a.startswith("no") else a for a in argv]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_threshold_modes_past_the_box_give_error_rows(tmp_path):
     # 8 modes plus the bump radius 0.45 pass N / (2 L) = 8, so only the 4-mode tasks fit
     cfg = tmp_path / "threshold.json"

@@ -13,7 +13,6 @@ from modop import (
     forward_ft,
     inverse_ft,
     lp_norm,
-    modulate,
     read_pss,
     read_sfn,
     translate,
@@ -101,23 +100,18 @@ def test_translation_covariance(default_grid):
     assert rel_err(lhs.values, rhs) <= 1e-12
 
 
-def test_translate_modulate_trivia(default_grid):
+def test_translate_trivia(default_grid):
     f = make_bandlimited(default_grid, seed=2)
     assert np.array_equal(translate(f, 0.0).values, f.values)
-    assert np.array_equal(modulate(f, 0.0).values, f.values)
     h = default_grid.spacing
     round_trip = translate(translate(f, 5 * h), -5 * h)
     assert np.array_equal(round_trip.values, f.values)
-    two = from_p(2)
-    assert abs(lp_norm(modulate(f, 3.0 / default_grid.extent), two) - lp_norm(f, two)) <= 1e-12
 
 
 def test_off_lattice_rejected(default_grid):
     f = make_bandlimited(default_grid, seed=1)
     with pytest.raises(OffLattice):
         translate(f, default_grid.spacing / 3.0)
-    with pytest.raises(OffLattice):
-        modulate(f, 1.0 / (3.0 * default_grid.extent))
 
 
 def test_bessel_identity_and_inverse(default_grid):

@@ -102,16 +102,23 @@ def test_kn_linearity(small_grid):
 
 def test_kn_factored_matches_dense_twin(default_grid):
     f = make_bandlimited(default_grid, seed=7)
+    block = np.stack([make_bandlimited(default_grid, seed).values for seed in (8, 9)], axis=1)
     for name, sigma in standard_suite(default_grid, seed=0):
         assert sigma.factors is not None, name
         dense = sigma.with_values(sigma.values)
         assert dense.factors is None
         got = kn_apply(sigma, f).values
         assert rel_err(got, kn_apply(dense, f).values) <= 1e-12, name
+        # the FFT operator's adjoint and sums of |A| against the twin's matrix
+        _, _, adjoint, *sums = quantize.kn_operator(sigma)
+        _, _, dense_adjoint, *dense_sums = quantize.kn_operator(dense)
+        assert rel_err(adjoint(block), dense_adjoint(block)) <= 1e-12, name
+        for got_sums, want_sums in zip(sums, dense_sums):
+            assert rel_err(got_sums(), want_sums()) <= 1e-12, name
 
 
 def test_kn_factored_skips_dense_apply_limit():
-    # the dense path raises TooLarge past 2048 grid points
+    # a dense symbol applies through as_matrix, which raises TooLarge past 1024
     grid = UniformGrid(1, 4096, 64.0)
     f = make_bandlimited(grid, seed=8)
     out = kn_apply(bessel_symbol(grid, -1.3), f)
@@ -318,10 +325,12 @@ def test_as_matrix_multiplier_eigenvalues(small_grid):
 
 
 def test_as_matrix_matches_kn_apply(small_grid):
+    # kn_apply of a dense symbol is its as_matrix, so check both against sums
     sigma = random_symbol(small_grid, seed=91)
     m = as_matrix(sigma)
     f = make_bandlimited(small_grid, seed=92, modes=6)
-    assert rel_err(m.entries @ f.values, kn_apply(sigma, f).values) <= 1e-10
+    want = oracles.direct_kn_apply(sigma.values, f.values, small_grid)
+    assert rel_err(m.entries @ f.values, want) <= 1e-10
 
 
 def test_as_matrix_intertwines_quantizations(small_grid):
@@ -347,6 +356,10 @@ def test_as_matrix_size_guard():
     sigma = constant_symbol(grid)
     with pytest.raises(TooLarge):
         as_matrix(sigma)
+    # a symbol without factors applies through as_matrix, so kn_apply stops there too
+    dense = PhaseSpaceSymbol(grid, np.ones((2048, 2048)), "kn")
+    with pytest.raises(TooLarge):
+        kn_apply(dense, make_bandlimited(grid, seed=0))
 
 
 # ---------------------------------------------------------------------------
