@@ -27,18 +27,20 @@ for a sequence of functions on one grid over lists of exponents, as a
 (functions, ps, qs) array; the single-pair functions are one-function,
 one-entry tables.
 
-stft and the factored sjostrand_norm path share one kernel,
+stft and both sjostrand_norm paths share one kernel,
 _translate_spectra: it multiplies f by a strided view of every window
 translate (_translates, a view of a wrapped copy of the window, so no
 index table or stack of translates is built) and transforms the
-products with grid.ft_along.  The norm tables use _stft_magnitudes
-instead, a generator that forms the same products already in FFT
-order in a buffer it owns for the whole table and writes |V_g f| with
-the fftshift folded in; each function's table is then one power_mean
-per inner exponent on |V_g f| and one per outer exponent on the
-stacked inner norms.  Both kernels are bit-identical to the
-index-table form kept in tests/oracles.py.  The dense sjostrand_norm
-path shares only _translates.
+products with grid.ft_along; values with leading axes are transformed
+along their last axis, with the translates stacked ahead of them.  The
+dense sjostrand_norm path runs it along xi once per x translate, and
+tests/oracles.direct_sjostrand checks both paths by brute force.  The
+norm tables use _stft_magnitudes instead, a generator that forms the
+same products already in FFT order in a buffer it owns for the whole
+table and writes |V_g f| with the fftshift folded in; each function's
+table is then one power_mean per inner exponent on |V_g f| and one per
+outer exponent on the stacked inner norms.  Both kernels are
+bit-identical to the index-table form kept in tests/oracles.py.
 """
 
 import numpy as np
@@ -68,24 +70,25 @@ def default_window(grid):
 
 
 def _translates(window, shift):
-    """Every lattice translate of window, as a strided view.
-
-    Entry [i..., j...] (one i and one j per axis) is
-    window[(j - i + shift) % N, ...].  The view reads a wrapped copy of
-    window twice its size along each axis, so no index table or stack of
-    translates is ever built.
-    """
+    """Every lattice translate of the one-axis window, as a strided
+    (N, N) view: entry [i, j] is window[(j - i + shift) % N].  The view
+    reads a wrapped copy of window twice its length, so no index table
+    or stack of translates is ever built."""
     n = len(window)
     before = -shift % n
     doubled = np.pad(window, (before, n - before), mode="wrap")
-    return sliding_window_view(doubled, window.shape)[(slice(n, 0, -1),) * window.ndim]
+    return sliding_window_view(doubled, n)[n:0:-1]
 
 
 def _translate_spectra(values, window, spacing):
-    """Forward transforms along one periodic axis of values times the
-    conjugate of every lattice translate of window, stacked along axis 0:
-    row i is the transform against the translate by i - N/2 steps."""
-    return ft_along(_translates(np.conj(window), len(values) // 2) * values, 1, spacing)
+    """Forward transforms along the last (periodic) axis of values times
+    the conjugate of every lattice translate of window, stacked along a
+    new axis 0 ahead of values' leading axes: entry [i, ...] is the
+    transform against the translate by i - N/2 steps."""
+    n = values.shape[-1]
+    translates = _translates(np.conj(window), n // 2)
+    translates = translates.reshape((n,) + (1,) * (values.ndim - 1) + (n,))
+    return ft_along(translates * values, -1, spacing)
 
 
 def _windowed_spectra(f, g):
@@ -183,8 +186,6 @@ def amalgam_norms(fs, ps, qs, s=0.0):
     [k, i, j] of the (len(fs), len(ps), len(qs)) array is
     amalgam_norm(fs[k], ps[i], qs[j], s), each function's entries from
     one |STFT| array."""
-    if not np.isfinite(s):
-        raise InvalidValue(f"weight order s must be finite, got {s!r}")
     return _norm_tables(fs, qs, 1, ps, s)
 
 
@@ -200,18 +201,12 @@ def amalgam_norm(f, p, q, s=0.0):
     return float(amalgam_norms([f], [p], [q], s)[0, 0, 0])
 
 
-def phase_space_window(grid):
-    """L^2(R^2)-normalized Gaussian on the (x, xi) product lattice."""
-    x = grid.axis_points()
-    xi = grid.axis_frequencies()
-    return np.sqrt(2.0) * np.exp(-np.pi * (x[:, None] ** 2 + xi[None, :] ** 2))
-
-
 def _sup_stft(values, window, spacing, weight):
     """max over lattice translates z of |V_window values(z, zeta)| weight(z),
-    for every dual point zeta, on one periodic axis with the given step."""
+    for every dual point zeta of the last (periodic) axis, with the given
+    step; leading axes of values are kept."""
     mags = np.abs(_translate_spectra(values, window, spacing))
-    mags *= weight[:, None]
+    mags *= weight.reshape((-1,) + (1,) * values.ndim)
     return mags.max(axis=0)
 
 
@@ -222,17 +217,18 @@ def sjostrand_norm(symbol, s=0.0):
     translates z, takes sup_z of |V| <z_xi>^s for each dual point zeta,
     and integrates the result over zeta (L^1, cell measure 1/N).
 
-    The window is the phase-space Gaussian Phi = phi1 (x) phi2.  For a
-    symbol built from factors, sigma = a (x) b, the transform factors
-    too, V_Phi(sigma) = V_phi1(a) (x) V_phi2(b), and the norm is the
-    product of two one-dimensional sums of sup-STFTs, O(N^2 log N).
-    Every other symbol takes the dense O(N^4 log N) path, limited to
-    N <= 256.  The dense path is the reference path: every generator
-    builds rank-one symbols, so only tests and hand-made dense symbols
-    reach it, and it agrees with the factored one to roundoff.
+    The window is the phase-space Gaussian Phi = phi1 (x) phi2, so both
+    paths run the one-axis sup-STFT kernel _sup_stft.  For a symbol
+    built from factors, sigma = a (x) b, the transform factors too,
+    V_Phi(sigma) = V_phi1(a) (x) V_phi2(b), and the norm is the product
+    of two one-dimensional sums of sup-STFTs, O(N^2 log N).  Every other
+    symbol takes the dense O(N^4 log N) path, limited to N <= 256: for
+    each x translate z1 it transforms conj(phi1)(. - z1) sigma along x,
+    and the sup over z2 at that z1 is _sup_stft of the result along xi.
+    The dense path is the reference path: every generator builds
+    rank-one symbols, so only tests and hand-made dense symbols reach
+    it, and it agrees with the factored one to roundoff.
     """
-    if not np.isfinite(s):
-        raise InvalidValue(f"weight order s must be finite, got {s!r}")
     grid = symbol.grid
     n = grid.points_per_axis
     # dual cells: axis-0 dual steps 1/L, axis-1 dual steps L/N = h; the
@@ -240,11 +236,13 @@ def sjostrand_norm(symbol, s=0.0):
     zeta_cell = grid.dual_spacing * grid.spacing
 
     zweight2 = bessel_weights(grid, s)  # <z_xi>^s on the z lattice, axis 1
+    window1 = _gaussian(grid.axis_points())
+    window2 = _gaussian(grid.axis_frequencies())
 
     if symbol.factors is not None:
         a, b = symbol.factors
-        first = _sup_stft(a, _gaussian(grid.axis_points()), grid.spacing, np.ones(n))
-        second = _sup_stft(b, _gaussian(grid.axis_frequencies()), grid.dual_spacing, zweight2)
+        first = _sup_stft(a, window1, grid.spacing, np.ones(n))
+        second = _sup_stft(b, window2, grid.dual_spacing, zweight2)
         return float(zeta_cell * first.sum() * second.sum())
 
     if n > _SJOSTRAND_DENSE_LIMIT:
@@ -253,14 +251,9 @@ def sjostrand_norm(symbol, s=0.0):
             "symbols built from factors (PhaseSpaceSymbol.product) use the "
             "factored path"
         )
-    sigma = symbol.values
-    # translates[i1, i2] is conj(Phi) shifted by (z1, z2) = (i1 - N/2, i2 - N/2) steps
-    translates = _translates(np.conj(phase_space_window(grid)), n // 2)
     best = np.zeros((n, n))
-    for i1 in range(n):
-        # all axis-1 shifts at once: stack[i2, a, b] = conj(Phi)[a - z1, b - z2] sigma[a, b]
-        stack = translates[i1] * sigma[None, :, :]
-        spec = ft_along(ft_along(stack, 1, grid.spacing), 2, grid.dual_spacing)
-        weighted = np.abs(spec) * zweight2[:, None, None]
-        np.maximum(best, weighted.max(axis=0), out=best)
+    # row i1 of the translates is conj(phi1) shifted by z1 = i1 - N/2 steps
+    for translate1 in _translates(np.conj(window1), n // 2):
+        partial = ft_along(translate1[:, None] * symbol.values, 0, grid.spacing)
+        np.maximum(best, _sup_stft(partial, window2, grid.dual_spacing, zweight2), out=best)
     return float(zeta_cell * best.sum())

@@ -27,7 +27,7 @@ tasks in order in the calling thread.
 import json
 import math
 from copy import copy
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cache, partial
 from itertools import product
 
@@ -139,7 +139,8 @@ class SweepConfig:
     experiment's default from _DEFAULTS, and any other value of a key the
     experiment reads must pass that key's check in _CHECKS; a field the
     experiment does not read must stay None.  A file goes through the
-    same checks, so both raise the same ConfigError."""
+    same checks, so both raise the same ConfigError, and so does an
+    assignment to a field after construction."""
 
     experiment: str
     N: list = None
@@ -161,11 +162,17 @@ class SweepConfig:
         for key, default in _DEFAULTS[self.experiment].items():
             value = getattr(self, key)
             value = copy(default) if value is None else _CHECKS[key](value, self.experiment)
-            setattr(self, key, value)
+            object.__setattr__(self, key, value)
         # the threshold sweep pairs the i-th size with the i-th mode count
         if self.experiment == "threshold" and self.N is not None:
             if len(self.N) != len(self.n_modes):
                 raise ConfigError("config key 'N' must pair one size with each n_modes entry")
+
+    def __setattr__(self, name, value):
+        # once every field is set, check an assignment on a checked copy
+        if all(f.name in vars(self) for f in fields(self)):
+            value = getattr(replace(self, **{name: value}), name)
+        object.__setattr__(self, name, value)
 
 
 def _unread_message(experiment, keys):

@@ -95,14 +95,6 @@ class UniformGrid:
         n = self.points_per_axis
         return (np.arange(n) - n // 2) / self.extent
 
-    def index_offset(self, a, spacing, name):
-        """The integer m with a = m * spacing, or raise OffLattice."""
-        ratio = float(a) / spacing
-        rounded = round(ratio)
-        if abs(ratio - rounded) > _LATTICE_RTOL * max(1.0, abs(ratio)):
-            raise OffLattice(f"{name}={a!r} is not a lattice multiple of {spacing}")
-        return rounded
-
 
 def _frozen(values, shape, what):
     """A read-only complex copy of values, checked for shape and finiteness."""
@@ -171,12 +163,19 @@ def translate(f, a):
 
     Implemented as an exact cyclic shift; raises OffLattice when a is
     not a grid point."""
-    offset = f.grid.index_offset(a, f.grid.spacing, "shift")
+    spacing = f.grid.spacing
+    ratio = float(a) / spacing
+    offset = round(ratio)
+    if abs(ratio - offset) > _LATTICE_RTOL * max(1.0, abs(ratio)):
+        raise OffLattice(f"shift={a!r} is not a lattice multiple of {spacing}")
     return SampledFunction(f.grid, np.roll(f.values, offset))
 
 
 def bessel_weights(grid, s):
-    """The multiplier <xi>^s = (1 + xi^2)^(s/2) on the dual lattice."""
+    """The multiplier <xi>^s = (1 + xi^2)^(s/2) on the dual lattice; a
+    non-finite order s raises InvalidValue."""
+    if not math.isfinite(s):
+        raise InvalidValue(f"order s must be finite, got {s!r}")
     return (1.0 + grid.axis_frequencies() ** 2) ** (s / 2.0)
 
 
@@ -184,8 +183,8 @@ def bessel_potential(f, s):
     """Apply <D>^s, the Fourier multiplier <xi>^s, to f."""
     if s == 0:
         return f
-    spectrum = forward_ft(f)
-    return inverse_ft(SampledFunction(f.grid, spectrum.values * bessel_weights(f.grid, s)))
+    weights = bessel_weights(f.grid, s)
+    return inverse_ft(SampledFunction(f.grid, forward_ft(f).values * weights))
 
 
 def require_same_grid(*functions):

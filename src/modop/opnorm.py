@@ -170,25 +170,23 @@ def _boyd(apply, adjoint, column_sums, e, seed):
             x[:, dead] = 1.0
             norms = power_mean(np.abs(x), e, 1.0, axis=0)
         x /= norms[None, :]
-    # at p = 2 the iteration is the classical power method on A*A and the
-    # limit is the true norm; for every other p the value is a lower bound
-    return NormEstimate(best, "boyd_p", iterations, residual, _RESTARTS, e.u != 0.5)
+    return NormEstimate(best, "boyd_p", iterations, residual, _RESTARTS, True)
 
 
 def norm_p(matrix, p, seed=0):
-    """Boyd's nonlinear power method for the ell^p operator norm.
+    """The ell^p operator norm for finite p > 1.
 
-    Runs a deterministic all-ones start, a coordinate start at the
-    heaviest column, and 8 seeded random starts, all iterated in one
-    batch; keeps the largest quotient reached.  The quotient is
-    nondecreasing along the iteration, so the result is always a valid
-    lower bound and is flagged as such.
+    p = 2 runs power_2, as norm_2 does.  Every other p runs Boyd's
+    nonlinear power method from a deterministic all-ones start, a
+    coordinate start at the heaviest column, and 8 seeded random starts,
+    all iterated in one batch, and keeps the largest quotient reached.
+    The quotient is nondecreasing along the iteration, so the result is
+    always a valid lower bound and is flagged as such.
     """
     e = from_p(p)
     if e.u in (0.0, 1.0):
         raise UnsupportedExponent("norm_p needs finite p > 1; use exact_norm")
-    _, apply, adjoint, column_sums, _ = kn_operator(matrix)
-    return _boyd(apply, adjoint, column_sums(), e, seed)
+    return _estimate(e, seed, *kn_operator(matrix))
 
 
 def estimate_norm(matrix, p, seed=0):

@@ -237,8 +237,6 @@ def lift_symbol(symbol, s):
     raises WrongQuantization: the product is not that composition there,
     so convert it with u_transform first."""
     _require_tag(symbol, KOHN_NIRENBERG)
-    if not np.isfinite(s):
-        raise InvalidValue(f"lift order s must be finite, got {s!r}")
     if s == 0:
         return symbol
     weights = bessel_weights(symbol.grid, s)

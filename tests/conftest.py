@@ -55,3 +55,12 @@ def rel_err(got, want):
     if scale == 0.0:
         return float(np.abs(got).max())
     return float(np.abs(got - want).max() / scale)
+
+
+def near_degenerate_matrix():
+    """Q diag(1, 0.9999, 0.5 .. 0.1) Q^T with Q orthogonal (16 x 16, seed
+    0): spectral norm 1, and power iteration creeps towards it at the
+    rate 0.9999^2, so it reaches no 1e-10 step before its cap."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))
+    d = np.concatenate(([1.0, 0.9999], np.linspace(0.5, 0.1, 14)))
+    return (q * d) @ q.T

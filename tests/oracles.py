@@ -58,6 +58,31 @@ def gather_stft(values, window, spacing):
     return spacing * np.fft.fftshift(out, axes=1)
 
 
+def direct_sjostrand(sigma_values, grid, s=0.0):
+    """The weighted Sjostrand norm by brute force: sum over zeta of
+    max over z of |V_Phi sigma(z, zeta)| <z_xi>^s, times 1/N.
+
+    Phi = phi1 (x) phi2 with phi1 = 2^{1/4} e^{-pi x^2} on the x axis and
+    phi2 the same Gaussian on the xi axis.  Each factor's translates are
+    gathered with an index table (row i shifted by i - N/2 steps), each
+    axis is transformed by its DFT matrix (cells h and 1/L, duals the
+    frequencies and the points), and one einsum forms every V[z1, z2,
+    zeta1, zeta2].  O(N^4) memory: small N only.
+    """
+    n = grid.points_per_axis
+    x = grid.axis_points()
+    xi = grid.axis_frequencies()
+    gather = (np.arange(n)[None, :] - (np.arange(n) - n // 2)[:, None]) % n
+    t1 = np.conj(2.0**0.25 * np.exp(-np.pi * x**2))[gather]
+    t2 = np.conj(2.0**0.25 * np.exp(-np.pi * xi**2))[gather]
+    f1 = grid.spacing * np.exp(-2j * np.pi * np.outer(xi, x))
+    f2 = grid.dual_spacing * np.exp(-2j * np.pi * np.outer(x, xi))
+    v = np.einsum("ia,jb,ka,mb,ab->ijkm", t1, t2, f1, f2, sigma_values, optimize=True)
+    weight = (1.0 + xi**2) ** (s / 2.0)
+    best = (np.abs(v) * weight[None, :, None, None]).max(axis=(0, 1))
+    return float(best.sum() / n)
+
+
 def kernel_diagonals(kernel_values):
     """Row t_pos is the kernel's diagonal x - y = t h, t = t_pos - N/2:
     entry u is kernel_values[u, (u - t) % N].  One loop step per

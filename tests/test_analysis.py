@@ -12,10 +12,12 @@ from modop import (
     amalgam_norm,
     amalgam_norms,
     bessel_potential,
+    bessel_symbol,
     constant_symbol,
     default_window,
     forward_ft,
     gaussian_bump_symbol,
+    lift_symbol,
     lp_norm,
     modulation_norm,
     modulation_norms,
@@ -28,6 +30,7 @@ from modop import (
     translation_symbol,
 )
 from modop import analysis
+from modop import grid as grid_module
 from modop.exponents import from_p
 
 import oracles
@@ -409,12 +412,45 @@ def test_sjostrand_dense_agrees_with_factored():
                 assert abs(fast - dense) <= 1e-10 * dense, (n, name, s)
 
 
+def _oracle_symbols(grid):
+    """Factored symbols and two dense-only ones: a seeded random complex
+    sigma and the plane wave times Gaussian of the triangle test."""
+    x = grid.axis_points()[:, None]
+    xi = grid.axis_frequencies()[None, :]
+    rng = np.random.default_rng(11)
+    noise = rng.standard_normal((2,) + grid.shape * 2)
+    dense = constant_symbol(grid).with_values
+    return {
+        "bump": gaussian_bump_symbol(grid),
+        "multiplication": multiplication_symbol(
+            grid, 1.0 + 0.5 * np.exp(-np.pi * grid.axis_points() ** 2)
+        ),
+        "phases-1": random_phase_multiplier(grid, 1, seed=0),
+        "random": dense(noise[0] + 1j * noise[1]),
+        "plane-gauss": dense(np.exp(2j * np.pi * x * xi) * np.exp(-np.pi * xi**2)),
+    }
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_sjostrand_paths_match_brute_force_oracle(n, s):
+    # N/(2L) = 2 leaves room for one mode of phases
+    grid = UniformGrid(1, n, n / 4.0)
+    for name, sigma in _oracle_symbols(grid).items():
+        want = oracles.direct_sjostrand(sigma.values, grid, s)
+        twin = sigma.with_values(sigma.values)
+        assert twin.factors is None
+        for got in (sjostrand_norm(sigma, s), sjostrand_norm(twin, s)):
+            assert abs(got - want) <= 1e-12 * want, (n, s, name)
+
+
 @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
 def test_weight_order_must_be_finite(monkeypatch, tiny_grid, s):
-    # rejected before any transform is made
+    # rejected by bessel_weights, before any transform is made
     monkeypatch.setattr(analysis, "_windowed_spectra", None)
     monkeypatch.setattr(analysis, "_translate_spectra", None)
     monkeypatch.setattr(analysis, "_stft_magnitudes", None)
+    monkeypatch.setattr(grid_module, "forward_ft", None)
     f = make_bandlimited(tiny_grid, seed=1, modes=3)
     with pytest.raises(InvalidValue):
         amalgam_norm(f, "2", "2", s)
@@ -422,6 +458,12 @@ def test_weight_order_must_be_finite(monkeypatch, tiny_grid, s):
         amalgam_norms([f], ["1", "2"], ["2"], s)
     with pytest.raises(InvalidValue):
         sjostrand_norm(gaussian_bump_symbol(tiny_grid), s)
+    with pytest.raises(InvalidValue):
+        sobolev_norm(f, "2", s)
+    with pytest.raises(InvalidValue):
+        bessel_symbol(tiny_grid, s)
+    with pytest.raises(InvalidValue):
+        lift_symbol(constant_symbol(tiny_grid), s)
 
 
 def test_sjostrand_factored_path_scales_past_dense_limit():

@@ -313,6 +313,15 @@ def test_gen_too_many_modes_exits_2(tmp_path):
     assert proc.stderr.startswith("error:")
 
 
+def test_gen_non_finite_order_exits_2(tmp_path):
+    out = tmp_path / "x.pss"
+    proc = run_cli("gen", "--kind", "bessel", "--n", "8", "--extent", "1", "--s=-inf",
+                   "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "finite" in proc.stderr
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

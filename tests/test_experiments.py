@@ -145,6 +145,11 @@ def test_config_built_in_code_is_checked_like_a_file(tmp_path, experiment, field
     with pytest.raises(ConfigError) as in_code:
         SweepConfig(experiment, **fields)
     assert str(in_code.value) == str(from_file.value)
+    cfg = SweepConfig(experiment)
+    with pytest.raises(ConfigError) as assigned:
+        for key, value in fields.items():
+            setattr(cfg, key, value)
+    assert str(assigned.value) == str(from_file.value)
 
 
 def test_config_built_in_code_reads_exponents_like_a_file(tmp_path):
@@ -152,6 +157,10 @@ def test_config_built_in_code_reads_exponents_like_a_file(tmp_path):
     cfg = SweepConfig("threshold", **fields)
     assert cfg == load_config(write_config(tmp_path, {"experiment": "threshold", **fields}))
     assert cfg.p == [from_p(2)] and not has_errors(run_threshold_sweep(cfg))
+    # an assignment is checked too, so p = [2] reaches the sweep as exponents
+    assigned = SweepConfig("threshold", s=[0.5], n_modes=[4, 8])
+    assigned.p, assigned.seeds = [2], [0]
+    assert assigned == cfg
 
 
 def test_config_rejects_broken_json(tmp_path):

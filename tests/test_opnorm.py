@@ -22,6 +22,7 @@ from modop.exponents import from_p
 from modop.symbols import standard_suite
 
 import oracles
+from conftest import near_degenerate_matrix
 
 # the 8x8 reference matrix; the general-p value comes from a multi-start
 # projected-ascent search (400 starts here, 10^5-scale offline), which for
@@ -148,6 +149,17 @@ def test_norm_p_agrees_with_norm_2():
         a = norm_p(m, from_p(2)).value
         b = norm_2(m).value
         assert abs(a - b) <= 1e-6 * b
+
+
+def test_norm_p_at_2_flags_an_unconverged_estimate():
+    # the norm is 1 and power iteration creeps towards it, so an estimate
+    # short of 1 must be flagged as a lower bound
+    m = OperatorMatrix(near_degenerate_matrix().astype(complex))
+    est = norm_p(m, from_p(2))
+    assert est.method == "power_2"
+    assert est == norm_2(m)
+    assert est.lower_bound_only or abs(est.value - 1.0) <= 1e-8
+    assert est.value <= 1.0 + 1e-12
 
 
 def test_norm_p_43_matches_frozen_oracle():
