@@ -45,12 +45,15 @@ class UniformGrid:
     ----------
     dim : int
         Spatial dimension; must be 1.  It is kept in the constructor and
-        in the SFN/PSS file headers, and anything else raises
+        in the SFN/PSS file headers; any other integer >= 1 raises
         DimensionUnsupported.
     points_per_axis : int
         N, even and at least 2.  Powers of two give the fastest FFTs.
     extent : float
         Side length L > 0 of the periodic box, finite.
+
+    A bool, a non-integer, a dim below 1 or an N below 2 raises
+    InvalidValue, as does an odd N; numpy integers are accepted.
 
     The dual (frequency) lattice is {k/L : k = -N/2 .. N/2-1}, with cell
     measure 1/L; the spatial cell measure is h = L/N.
@@ -61,13 +64,15 @@ class UniformGrid:
     extent: float
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "points_per_axis", int(self.points_per_axis))
+        dim = _integer(self.dim, "dim", 1)
+        n = _integer(self.points_per_axis, "points_per_axis", 2)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "points_per_axis", n)
         object.__setattr__(self, "extent", float(self.extent))
         if self.dim != 1:
             raise DimensionUnsupported(f"only dimension 1 is supported, got {self.dim}")
-        if self.points_per_axis < 2 or self.points_per_axis % 2 != 0:
-            raise InvalidValue(f"points_per_axis must be even and >= 2, got {self.points_per_axis}")
+        if self.points_per_axis % 2 != 0:
+            raise InvalidValue(f"points_per_axis must be even, got {self.points_per_axis}")
         if not (math.isfinite(self.extent) and self.extent > 0):
             raise InvalidValue(f"extent must be finite and positive, got {self.extent}")
 
@@ -94,6 +99,13 @@ class UniformGrid:
         """Dual lattice k/L, k = -N/2..N/2-1, ascending."""
         n = self.points_per_axis
         return (np.arange(n) - n // 2) / self.extent
+
+
+def _integer(value, name, minimum=0):
+    """value as an int >= minimum; a bool or non-integer raises, not truncates."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidValue(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _frozen(values, shape, what):
@@ -161,10 +173,12 @@ def inverse_ft(F):
 def translate(f, a):
     """Translate f by the grid point a:  (T_a f)(x) = f(x - a).
 
-    Implemented as an exact cyclic shift; raises OffLattice when a is
-    not a grid point."""
+    Implemented as an exact cyclic shift; raises InvalidValue when a
+    is not finite and OffLattice when it is not a grid point."""
     spacing = f.grid.spacing
     ratio = float(a) / spacing
+    if not math.isfinite(ratio):
+        raise InvalidValue(f"shift={a!r} is not a finite multiple of {spacing}")
     offset = round(ratio)
     if abs(ratio - offset) > _LATTICE_RTOL * max(1.0, abs(ratio)):
         raise OffLattice(f"shift={a!r} is not a lattice multiple of {spacing}")
@@ -173,10 +187,14 @@ def translate(f, a):
 
 def bessel_weights(grid, s):
     """The multiplier <xi>^s = (1 + xi^2)^(s/2) on the dual lattice; a
-    non-finite order s raises InvalidValue."""
-    if not math.isfinite(s):
-        raise InvalidValue(f"order s must be finite, got {s!r}")
-    return (1.0 + grid.axis_frequencies() ** 2) ** (s / 2.0)
+    non-finite order s, or one whose weights overflow on the grid's
+    lattice, raises InvalidValue."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (1.0 + grid.axis_frequencies() ** 2) ** (s / 2.0)
+    # xi[0] = -N/(2L) has the largest |xi|, so for s > 0 it has the largest weight
+    if not (math.isfinite(s) and math.isfinite(weights[0])):
+        raise InvalidValue(f"order s={s!r} must be finite and keep <xi>^s finite on this grid")
+    return weights
 
 
 def bessel_potential(f, s):

@@ -5,22 +5,24 @@ cancels from every norm ratio, so each estimator computes the plain
 ell^p -> ell^p norm of the operator on raw samples.
 
 p = 1 and p = infinity have closed forms (max column and row sums of
-|A|).  p = 2 uses power iteration on A*A, or the closed form exact_2
-when it applies.  Other p use Boyd's nonlinear power method, which
-climbs the Rayleigh-like quotient ||Ax||_p / ||x||_p and converges to
-a critical point; since the iteration can stall below the supremum,
-results for p not in {1, 2, inf} are always flagged lower_bound_only
-and the driver runs a bundle of deterministic and seeded random
-starts, keeping the best.
+|A|).  p = 2 takes the operator's closed form exact_2 where it has one
+and runs power iteration on A*A otherwise.  Other p use Boyd's
+nonlinear power method, which climbs the Rayleigh-like quotient
+||Ax||_p / ||x||_p and converges to a critical point; since the
+iteration can stall below the supremum, results for p not in
+{1, 2, inf} are always flagged lower_bound_only and the driver runs a
+bundle of deterministic and seeded random starts, keeping the best.
 
-One dispatch on p, _estimate, reaches every estimator, given the
-operator as quantize.kn_operator returns it: its size, apply and
-adjoint callables, and column and row sums of |A|.  An OperatorMatrix
-and a dense symbol act by their matrix.  A rank-one symbol
-sigma = a(x) b(xi) acts as A = diag(a) C, C the circulant whose
-eigenvalues are b in FFT order, applied by FFT, so no N x N matrix is
-formed; since C's singular values are |b|, max|a| max|b| bounds the
-spectral norm and equals it when |a| or |b| is constant.
+One dispatch on p, _estimate, is the only place an estimator is
+chosen; every entry point hands it the operator as quantize.kn_operator
+returns it: its size, apply and adjoint callables, the column and row
+sums of |A|, and exact_2, the spectral norm in closed form or None.
+An OperatorMatrix and a dense symbol act by their matrix and have no
+exact_2.  A rank-one symbol sigma = a(x) b(xi) acts as A = diag(a) C,
+C the circulant whose eigenvalues are b in FFT order, applied by FFT,
+so no N x N matrix is formed; C's singular values are |b|, so
+max|a| max|b| bounds the spectral norm and is exact_2 when |a| or |b|
+is constant.
 """
 
 from dataclasses import dataclass, fields
@@ -48,7 +50,8 @@ class NormEstimate:
     value is the estimate and method the estimator's name: exact_1 and
     exact_inf are the closed-form column and row sums, exact_2 the
     closed form max|a| max|b| for a rank-one symbol whose |a| or |b| is
-    constant, power_2 power iteration on A*A and boyd_p Boyd's method.
+    constant (at p = 2 every entry point reports it wherever it applies),
+    power_2 power iteration on A*A and boyd_p Boyd's method.
     iterations and residual describe the final sweep; lower_bound_only
     marks estimates that certify only a lower bound (always true for
     boyd_p, and for power_2 that hit the iteration cap before meeting
@@ -75,15 +78,18 @@ class NormEstimate:
         )
 
 
-def _estimate(e, seed, n, apply, adjoint, column_sums, row_sums):
-    """The estimator for the exponent e, on an operator given as its size,
-    apply and adjoint callables, and column and row sums of |A|; the sums
-    are callables so that only what the estimator needs is computed."""
+def _estimate(e, seed, n, apply, adjoint, column_sums, row_sums, exact_2):
+    """The estimator for the exponent e, on an operator given as
+    kn_operator returns it; its members are callables so that only what
+    the estimator needs is computed."""
     if e.u == 1.0:
         return NormEstimate(column_sums().max(), "exact_1", 0, 0.0, 0, False)
     if e.u == 0.0:
         return NormEstimate(row_sums().max(), "exact_inf", 0, 0.0, 0, False)
     if e.u == 0.5:
+        value = exact_2()
+        if value is not None:
+            return NormEstimate(value, "exact_2", 0, 0.0, 0, False)
         return _power_2(apply, adjoint, n, seed)
     return _boyd(apply, adjoint, column_sums(), e, seed)
 
@@ -118,11 +124,12 @@ def _power_2(apply, adjoint, n, seed):
 
 
 def norm_2(matrix, seed=0):
-    """Spectral norm by power iteration on A*A.
+    """Spectral norm: exact_2 where the operator has it, else power
+    iteration on A*A.
 
-    Stops when successive singular-value estimates differ by less than
-    1e-10; if the cap of 10^4 iterations is reached first the best
-    estimate is returned flagged lower_bound_only.
+    Power iteration stops when successive singular-value estimates
+    differ by less than 1e-10; if the cap of 10^4 iterations is reached
+    first the best estimate is returned flagged lower_bound_only.
     """
     return _estimate(from_p(2), seed, *kn_operator(matrix))
 
@@ -176,12 +183,12 @@ def _boyd(apply, adjoint, column_sums, e, seed):
 def norm_p(matrix, p, seed=0):
     """The ell^p operator norm for finite p > 1.
 
-    p = 2 runs power_2, as norm_2 does.  Every other p runs Boyd's
-    nonlinear power method from a deterministic all-ones start, a
-    coordinate start at the heaviest column, and 8 seeded random starts,
-    all iterated in one batch, and keeps the largest quotient reached.
-    The quotient is nondecreasing along the iteration, so the result is
-    always a valid lower bound and is flagged as such.
+    p = 2 is norm_2.  Every other p runs Boyd's nonlinear power method
+    from a deterministic all-ones start, a coordinate start at the
+    heaviest column, and 8 seeded random starts, all iterated in one
+    batch, and keeps the largest quotient reached.  The quotient is
+    nondecreasing along the iteration, so the result is always a valid
+    lower bound and is flagged as such.
     """
     e = from_p(p)
     if e.u in (0.0, 1.0):
@@ -200,17 +207,10 @@ def sobolev_opnorm(symbol, p, s=0.0, seed=0):
 
     Composes the operator with the order -s Bessel lift on the symbol
     side, which is exact on the lattice in the Kohn-Nirenberg calculus
-    (Weyl symbols are converted first).  A lifted symbol with factors
-    (a, b) is estimated matrix-free at any N, by the closed form exact_2
-    at p = 2 when |a| or |b| is constant; any other symbol is estimated
-    on its dense matrix, limited to N <= 1024.
+    (Weyl symbols are converted first), and is estimate_norm of the
+    lifted symbol: a symbol with factors is estimated matrix-free at any
+    N, any other on its dense matrix, limited to N <= 1024.
     """
     if symbol.quantization != KOHN_NIRENBERG:
         symbol = u_transform(symbol, "to_KN")
-    lifted = lift_symbol(symbol, -s)
-    e = from_p(p)
-    if lifted.factors is not None and e.u == 0.5:
-        abs_a, abs_b = np.abs(lifted.factors)
-        if np.all(abs_a == abs_a[0]) or np.all(abs_b == abs_b[0]):
-            return NormEstimate(abs_a.max() * abs_b.max(), "exact_2", 0, 0.0, 0, False)
-    return _estimate(e, seed, *kn_operator(lifted))
+    return estimate_norm(lift_symbol(symbol, -s), p, seed)

@@ -27,9 +27,10 @@ interpolation only for the half-step t/2, again done spectrally.
 
 Operators: kn_operator is the one place that says which operator a
 Kohn-Nirenberg symbol denotes.  kn_apply uses its apply, and every
-norm estimator in opnorm reads its size, apply, adjoint and sums of
-|A|.  A symbol with factors a(x) b(xi) is applied by FFT at any N; any
-other symbol is its dense as_matrix, N <= 1024.
+norm estimator in opnorm reads its size, apply, adjoint, sums of |A|
+and closed-form spectral norm.  A symbol with factors a(x) b(xi) is
+applied by FFT at any N; any other symbol is its dense as_matrix,
+N <= 1024.
 """
 
 import functools
@@ -135,17 +136,19 @@ def _require_tag(symbol, tag):
 
 def kn_operator(source):
     """The operator of an OperatorMatrix or of a Kohn-Nirenberg symbol, as
-    (n, apply, adjoint, column_sums, row_sums).
+    (n, apply, adjoint, column_sums, row_sums, exact_2).
 
     apply and adjoint take a vector or an (n, k) block; column_sums and
-    row_sums return the column and row sums of |A|.  Every entry is a
-    callable and pays for its work only when called.  A symbol with
-    factors (a, b) is diag(a) C, C the circulant whose eigenvalues are b
-    in FFT order (the centering shifts and cell measures of forward_ft
-    and inverse_ft cancel around a Fourier multiplier): it applies by
-    FFT at any N, its column sums are a circular correlation of |a| with
-    |c| (c = ifft of those eigenvalues), its row sums |a| sum|c|.  Any
-    other symbol is its as_matrix, N <= 1024.
+    row_sums return the column and row sums of |A|, exact_2 the spectral
+    norm in closed form or None.  Every entry is a callable and pays for
+    its work only when called.  A symbol with factors (a, b) is diag(a) C,
+    C the circulant whose eigenvalues are b in FFT order (the centering
+    shifts and cell measures of forward_ft and inverse_ft cancel around a
+    Fourier multiplier): it applies by FFT at any N, its column sums are
+    a circular correlation of |a| with |c| (c = ifft of those
+    eigenvalues), its row sums |a| sum|c|, and its exact_2 max|a| max|b|
+    when |a| or |b| is constant (C's singular values are |b|).  Any other
+    symbol is its as_matrix, N <= 1024, with exact_2 None.
     """
     if isinstance(source, PhaseSpaceSymbol):
         _require_tag(source, KOHN_NIRENBERG)
@@ -161,6 +164,7 @@ def kn_operator(source):
         lambda z: a_star() @ z,
         lambda: np.abs(a).sum(axis=0),
         lambda: np.abs(a).sum(axis=1),
+        lambda: None,
     )
 
 
@@ -180,7 +184,13 @@ def _rank_one_operator(a, b):
         # sum_j |a_j| |c_{j - j'}|
         return np.fft.irfft(np.fft.rfft(np.abs(a)) * np.fft.rfft(abs_c()).conj(), len(a))
 
-    return len(a), apply, adjoint, column_sums, lambda: np.abs(a) * abs_c().sum()
+    def exact_2():
+        abs_a, abs_b = np.abs(a), np.abs(b)
+        if np.all(abs_a == abs_a[0]) or np.all(abs_b == abs_b[0]):
+            return abs_a.max() * abs_b.max()
+        return None
+
+    return len(a), apply, adjoint, column_sums, lambda: np.abs(a) * abs_c().sum(), exact_2
 
 
 def kn_apply(symbol, f):

@@ -9,7 +9,10 @@ pass exact rationals where you can.
 
 The index tau1 governs when a Bessel potential space embeds into a
 Wiener amalgam with the same integrability and tau2 the reverse
-direction.  They satisfy the duality
+direction.  Both are read off three branch values, 0, u + v - 1 and
+v - 1/2: tau1 is their maximum and tau2 their minimum, and a point's
+region (I*1..I*3 for tau1, I1..I3 for tau2) is the branch attaining
+it.  They satisfy the duality
 
     tau1(p, q) = -tau2(p', q')
 
@@ -23,8 +26,9 @@ two agree up to sign at rho = 0.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidValue, UnsupportedExponent
+from .errors import InvalidValue
 from .exponents import from_p
+from .grid import _integer
 
 _TIE_TOL = 1e-14
 
@@ -35,7 +39,7 @@ class RegionLabel:
 
     family is 'star' (the tau1 partition) or 'plain' (tau2); index is
     the primary region 1..3 (lowest index on ties); boundary holds the
-    other region indices whose defining inequality also holds at the
+    other region indices whose branch also attains the extreme at the
     point, and is nonempty only where the adjacent branch formulas
     agree.  tau is the branch value at the point.
     """
@@ -58,12 +62,6 @@ def _uv(p, q):
     return from_p(p).u, from_p(q).u
 
 
-def _check_dim(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidValue(f"dimension must be a positive integer, got {n!r}")
-    return n
-
-
 def _check_order(s):
     s = float(s)
     if not math.isfinite(s):
@@ -71,45 +69,25 @@ def _check_order(s):
     return s
 
 
-def _star_branches(u, v):
-    """(margin, value) per region; the point is inside when margin >= 0."""
-    return [
-        (min(1.0 - u, 0.5) - v, 0.0),
-        (min(v, 0.5) - (1.0 - u), u + v - 1.0),
-        (min(1.0 - u, v) - 0.5, v - 0.5),
-    ]
-
-
-def _plain_branches(u, v):
-    return [
-        (v - max(1.0 - u, 0.5), 0.0),
-        ((1.0 - u) - max(v, 0.5), u + v - 1.0),
-        (0.5 - max(1.0 - u, v), v - 0.5),
-    ]
-
-
-def _label(branches, family, u, v):
-    matches = [i for i, (margin, _) in enumerate(branches, start=1) if margin >= -_TIE_TOL]
-    if not matches:
-        raise UnsupportedExponent(
-            f"no {family} region contains (1/p, 1/q) = ({u:g}, {v:g})"
-        )
-    primary = matches[0]
-    return RegionLabel(
-        family, primary, frozenset(matches[1:]), branches[primary - 1][1]
-    )
+def _label(family, u, v):
+    """The region of (u, v): the branch values 0, u + v - 1 and v - 1/2
+    that lie within _TIE_TOL of their maximum (star) or minimum (plain),
+    the lowest index primary; tau is the primary branch's value."""
+    values = (0.0, u + v - 1.0, v - 0.5)
+    sign = 1.0 if family == "star" else -1.0
+    extreme = max(sign * t for t in values)
+    matches = [i for i, t in enumerate(values, start=1) if sign * t >= extreme - _TIE_TOL]
+    return RegionLabel(family, matches[0], frozenset(matches[1:]), values[matches[0] - 1])
 
 
 def region_star(p, q):
     """The tau1-partition region containing (1/p, 1/q)."""
-    u, v = _uv(p, q)
-    return _label(_star_branches(u, v), "star", u, v)
+    return _label("star", *_uv(p, q))
 
 
 def region(p, q):
     """The tau2-partition region containing (1/p, 1/q)."""
-    u, v = _uv(p, q)
-    return _label(_plain_branches(u, v), "plain", u, v)
+    return _label("plain", *_uv(p, q))
 
 
 def tau1(p, q):
@@ -133,7 +111,7 @@ def embeds_sobolev_into_amalgam(p, q, s, n=1):
       * p > q and q < 2:  excluded;
       * otherwise (p != 1 and max(1/p, 1/2) >= 1/q):  included.
     """
-    _check_dim(n)
+    n = _integer(n, "dimension n", 1)
     u, v = _uv(p, q)
     s = _check_order(s)
     threshold = n * tau1(p, q)
@@ -153,7 +131,7 @@ def embeds_amalgam_into_sobolev(p, q, s, n=1):
     The threshold is n * tau2(p, q), included except when p < q with
     q > 2 (strict), and for p = infinity included only at q = 1.
     """
-    _check_dim(n)
+    n = _integer(n, "dimension n", 1)
     u, v = _uv(p, q)
     s = _check_order(s)
     threshold = n * tau2(p, q)
@@ -170,7 +148,7 @@ def sharp_threshold(p, n=1):
     """Critical Sobolev order s*(p, n) = n |1/p - 1/2| for the diagonal
     problem: below it generic bounded-symbol operators may be unbounded,
     at and above it they are bounded."""
-    _check_dim(n)
+    n = _integer(n, "dimension n", 1)
     u = from_p(p).u
     return n * abs(u - 0.5)
 
@@ -182,7 +160,7 @@ def hormander_order(p, rho=0.0, n=1):
     At rho = 0 this is minus sharp_threshold; at rho = 1 it vanishes
     for every p.
     """
-    _check_dim(n)
+    n = _integer(n, "dimension n", 1)
     if not 0.0 <= rho <= 1.0:
         raise InvalidValue(f"rho must lie in [0, 1], got {rho!r}")
     u = from_p(p).u

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import uniform_stream
 from .errors import InvalidValue, OrderTooHigh, TooManyModes
-from .grid import bessel_weights
+from .grid import _integer, bessel_weights
 from .quantize import PhaseSpaceSymbol
 
 BUMP_RADIUS = 0.45
@@ -37,13 +37,6 @@ def bump_profile(t):
     return out
 
 
-def _count(value, name):
-    """value as an int >= 0; a bool or non-integer raises, not truncates."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise InvalidValue(f"{name} must be an integer >= 0, got {value!r}")
-    return int(value)
-
-
 def random_phase_multiplier(grid, n_modes, seed):
     """Fourier multiplier sum_{|k| <= n_modes} e^{i theta_k} eta(xi - k).
 
@@ -53,7 +46,7 @@ def random_phase_multiplier(grid, n_modes, seed):
     ordered k = -M..M.  BUMP_RADIUS < 1/2, so each frequency lies in at
     most one bump, the one at the nearest integer, and the build is O(N).
     """
-    m = _count(n_modes, "n_modes")
+    m = _integer(n_modes, "n_modes")
     half_window = grid.points_per_axis / (2.0 * grid.extent)
     if m + BUMP_RADIUS > half_window:
         raise TooManyModes(
@@ -156,7 +149,7 @@ def s_seminorms(symbol, m=0.0, rho=1.0, delta=0.0, max_order=2):
     across the box edges for the estimates to mean anything.  The
     order m must be finite and rho, delta must lie in [0, 1].
     """
-    if _count(max_order, "max_order") > _SEMINORM_MAX_ORDER:
+    if _integer(max_order, "max_order") > _SEMINORM_MAX_ORDER:
         raise OrderTooHigh(f"max_order is capped at {_SEMINORM_MAX_ORDER}, got {max_order}")
     if not math.isfinite(m):
         raise InvalidValue(f"order m must be finite, got {m!r}")

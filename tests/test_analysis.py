@@ -444,25 +444,28 @@ def test_sjostrand_paths_match_brute_force_oracle(n, s):
             assert abs(got - want) <= 1e-12 * want, (n, s, name)
 
 
-@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf"), 1e4])
 def test_weight_order_must_be_finite(monkeypatch, tiny_grid, s):
-    # rejected by bessel_weights, before any transform is made
+    # rejected by bessel_weights, naming the order, before any transform
+    # is made; at |xi| <= 2 the weights <xi>^s overflow for s = 1e4, which
+    # must raise rather than warn and return nan
     monkeypatch.setattr(analysis, "_windowed_spectra", None)
     monkeypatch.setattr(analysis, "_translate_spectra", None)
     monkeypatch.setattr(analysis, "_stft_magnitudes", None)
     monkeypatch.setattr(grid_module, "forward_ft", None)
     f = make_bandlimited(tiny_grid, seed=1, modes=3)
-    with pytest.raises(InvalidValue):
+    with pytest.raises(InvalidValue, match=f"s={s!r}"):
         amalgam_norm(f, "2", "2", s)
-    with pytest.raises(InvalidValue):
+    with pytest.raises(InvalidValue, match=f"s={s!r}"):
         amalgam_norms([f], ["1", "2"], ["2"], s)
-    with pytest.raises(InvalidValue):
+    with pytest.raises(InvalidValue, match=f"s={s!r}"):
         sjostrand_norm(gaussian_bump_symbol(tiny_grid), s)
-    with pytest.raises(InvalidValue):
+    with pytest.raises(InvalidValue, match=f"s={s!r}"):
         sobolev_norm(f, "2", s)
-    with pytest.raises(InvalidValue):
+    with pytest.raises(InvalidValue, match=f"s={s!r}"):
         bessel_symbol(tiny_grid, s)
-    with pytest.raises(InvalidValue):
+    with pytest.raises(InvalidValue, match=f"s={s!r}"):
         lift_symbol(constant_symbol(tiny_grid), s)
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -63,12 +65,40 @@ def test_main_twice_in_one_process_gives_the_same_output(tmp_path, capsys):
         outputs.append(run)
     assert outputs[0] == outputs[1]
     assert (tmp_path / "phases0.pss").read_bytes() == (tmp_path / "phases1.pss").read_bytes()
-    # the row README.md shows for this call
     row = outputs[0]["regions"].out.splitlines()[1]
     assert row == "1,2,0.5,1,0.5,0,I*2,I1,false,false,0.5"
-    readme = os.path.join(os.path.dirname(_SRC), "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        assert f"$ modop regions --p 1 --q 2 --s 0.5\n{outputs[0]['regions'].out}" in fh.read()
+
+
+def _readme():
+    with open(os.path.join(os.path.dirname(_SRC), "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_readme_commands_print_what_it_shows(tmp_path, monkeypatch, capsys):
+    # every sh block of `$ modop` lines that shows output runs in order in
+    # a fresh directory; a "..." line ends the part of the output shown
+    monkeypatch.chdir(tmp_path)
+    blocks = [b for b in re.findall(r"```sh\n(.*?)```", _readme(), re.S) if b.startswith("$ modop ")]
+    blocks = [b for b in blocks if not all(line.startswith("$ ") for line in b.splitlines())]
+    assert len(blocks) == 2
+    for block in blocks:
+        for command in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, *want = command.splitlines()
+            argv = shlex.split(line)
+            assert argv[0] == "modop"
+            assert cli.main(argv[1:]) == 0, line
+            got = capsys.readouterr().out.splitlines()
+            if "..." in want:
+                want = want[:want.index("...")]
+                got = got[:len(want)]
+            assert got == want, line
+
+
+def test_readme_quick_start_runs(capsys):
+    code = re.search(r"## Quick start\n\n```python\n(.*?)```", _readme(), re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    value, method, lower_bound_only = capsys.readouterr().out.split()
+    assert (method, lower_bound_only) == ("power_2", "False")
 
 
 def test_star_import_binds_no_submodule():
@@ -281,6 +311,7 @@ def test_threshold_modes_past_the_matrix_limit(tmp_path):
     ("gen", "--kind", "constant", "--n", "8", "--extent", "inf"),
     ("gen", "--kind", "phases", "--n", "64", "--extent", "4", "--seed", "-1"),
     ("opnorm", "--p", "4", "--seed", "-7"),
+    ("classify", "--s", "1e6"),
 ])
 def test_bad_values_exit_2(tmp_path, argv):
     if argv[0] == "gen":

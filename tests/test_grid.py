@@ -6,6 +6,7 @@ import pytest
 from modop import (
     DimensionUnsupported,
     FileFormatError,
+    InvalidValue,
     OffLattice,
     SampledFunction,
     UniformGrid,
@@ -43,6 +44,16 @@ def test_grid_rejects_bad_sizes():
     for extent in (math.inf, math.nan):
         with pytest.raises(ValueError):
             UniformGrid(1, 8, extent)
+    # int() would truncate 4.5 to a 4-point grid
+    for dim, n in ((1, 4.5), (1, "8"), (1.5, 8), (True, 8), (1, np.float64(8))):
+        with pytest.raises(InvalidValue, match="must be an integer"):
+            UniformGrid(dim, n, 1.0)
+
+
+def test_grid_accepts_numpy_integers():
+    grid = UniformGrid(np.int64(1), np.int32(8), 1.0)
+    assert grid == UniformGrid(1, 8, 1.0)
+    assert type(grid.dim) is int and type(grid.points_per_axis) is int
 
 
 def test_gaussian_is_ft_fixed_point(default_grid):
@@ -112,6 +123,9 @@ def test_off_lattice_rejected(default_grid):
     f = make_bandlimited(default_grid, seed=1)
     with pytest.raises(OffLattice):
         translate(f, default_grid.spacing / 3.0)
+    for shift in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidValue, match="not a finite multiple"):
+            translate(f, shift)
 
 
 def test_bessel_identity_and_inverse(default_grid):

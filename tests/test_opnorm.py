@@ -8,6 +8,7 @@ from modop import (
     UniformGrid,
     UnsupportedExponent,
     as_matrix,
+    bessel_symbol,
     constant_symbol,
     lift_symbol,
     estimate_norm,
@@ -290,6 +291,20 @@ def test_rank_one_path_matches_dense_twin():
                 assert fast.method == dense.method, case
                 tol = 1e-12 if fast.method in ("exact_1", "exact_inf") else 1e-8
                 assert abs(fast.value - dense.value) <= tol * dense.value, case
+
+
+def test_sobolev_opnorm_is_estimate_norm_of_the_lifted_symbol():
+    # one operator gets one answer, exact_2 included, from every entry point
+    for grid in (UniformGrid(1, 64, 8.0), UniformGrid(1, 256, 16.0)):
+        for name, sym in standard_suite(grid):
+            for s in (0.0, 0.25):
+                lifted = lift_symbol(sym, -s)
+                for p in ("1", "4/3", "2", "4", "inf"):
+                    want = estimate_norm(lifted, from_p(p))
+                    assert sobolev_opnorm(sym, from_p(p), s) == want, (name, s, p)
+    bessel = bessel_symbol(UniformGrid(1, 256, 16.0), -1.0)
+    for est in (norm_2(bessel), norm_p(bessel, 2), estimate_norm(bessel, 2)):
+        assert (est.value, est.method, est.lower_bound_only) == (1.0, "exact_2", False)
 
 
 def test_exact_2_matches_jacobi_oracle():

@@ -109,12 +109,17 @@ def test_kn_factored_matches_dense_twin(default_grid):
         assert dense.factors is None
         got = kn_apply(sigma, f).values
         assert rel_err(got, kn_apply(dense, f).values) <= 1e-12, name
-        # the FFT operator's adjoint and sums of |A| against the twin's matrix
-        _, _, adjoint, *sums = quantize.kn_operator(sigma)
-        _, _, dense_adjoint, *dense_sums = quantize.kn_operator(dense)
+        # the FFT operator's adjoint, sums of |A| and closed-form spectral
+        # norm against the twin's matrix
+        _, _, adjoint, *sums, exact_2 = quantize.kn_operator(sigma)
+        _, _, dense_adjoint, *dense_sums, dense_exact_2 = quantize.kn_operator(dense)
         assert rel_err(adjoint(block), dense_adjoint(block)) <= 1e-12, name
         for got_sums, want_sums in zip(sums, dense_sums):
             assert rel_err(got_sums(), want_sums()) <= 1e-12, name
+        assert dense_exact_2() is None
+        if exact_2() is not None:
+            spectral = np.linalg.norm(quantize.as_matrix(dense).entries, 2)
+            assert rel_err(exact_2(), spectral) <= 1e-12, name
 
 
 def test_kn_factored_skips_dense_apply_limit():
