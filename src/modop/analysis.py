@@ -36,12 +36,21 @@ along their last axis, with the translates stacked ahead of them.  The
 dense sjostrand_norm path runs it along xi once per x translate, and
 tests/oracles.direct_sjostrand checks both paths by brute force.  The
 norm tables use _stft_magnitudes instead, a generator that forms the
-same products already in FFT order in a buffer it owns for the whole
-table and writes |V_g f| with the fftshift folded in; each function's
-table is then one power_mean per inner exponent on |V_g f| and one per
-outer exponent on the stacked inner norms.  Both kernels are
-bit-identical to the index-table form kept in tests/oracles.py.
+same products already in FFT order in buffers it owns for the whole
+table and yields |V_g f| left in FFT order along xi (the Bessel weights
+are ifftshifted to match); each function's table is then one
+power_mean per inner exponent on |V_g f| and one per outer exponent on
+the stacked inner norms.  _norm_tables splits its functions into one
+contiguous run per CPU the process may use, each run with its own
+kernel on its own thread (the caller's first), so a table's values do
+not depend on the CPU count.  Both kernels are bit-identical to the
+index-table form kept in tests/oracles.py, the magnitude kernel up to
+the ifftshift along xi.
 """
+
+import contextvars
+import os
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -122,31 +131,70 @@ def sobolev_norm(f, p, s):
 
 
 def _stft_magnitudes(fs):
-    """|V_g f| against the default window g, axes (x, xi), for each f of
-    fs (a list on one grid) in turn.
+    """|V_g f| against the default window g, axes (x, xi) with xi in FFT
+    order (frequency 0 first), for each f of fs (a list on one grid) in
+    turn.
 
-    A generator that owns one complex and one real (N, N) array for the
-    whole run and yields the real one, overwritten with each function's
-    magnitudes, so a caller is done with an array before it asks for the
-    next.  Each product is formed in FFT order (the translates starting
-    at shift 0 times f rolled by N/2), and the fftshift is folded into
-    the half of the magnitudes each spectrum half is written to.  The
-    operands and operations are those of stft, so the values are
-    |stft(f, g)| to the bit.
+    A generator that owns one complex vector and one complex and one
+    real (N, N) array for the whole run and yields the real one,
+    overwritten with each function's magnitudes, so a caller is done
+    with an array before it asks for the next.  Each product is formed
+    in FFT order (the translates starting at shift 0 times f rolled by
+    N/2, the roll two slice copies into the owned vector) and its
+    spectrum's magnitudes are taken in one pass, left in FFT order.
+    The operands and operations are those of stft, so the values are
+    the ifftshift of |stft(f, g)| along xi, to the bit.
     """
     grid = fs[0].grid
     n = grid.points_per_axis
     half = n // 2
     translates = _translates(np.conj(_gaussian(grid.axis_points())), 0)
+    rolled = np.empty(n, dtype=complex)
     spectra = np.empty((n, n), dtype=complex)
     mags = np.empty((n, n))
     for f in fs:
-        np.multiply(translates, np.roll(f.values, -half), out=spectra)
+        rolled[:half] = f.values[half:]
+        rolled[half:] = f.values[:half]
+        np.multiply(translates, rolled, out=spectra)
         np.fft.fft(spectra, axis=1, out=spectra)
         spectra *= grid.spacing
-        np.abs(spectra[:, half:], out=mags[:, :half])
-        np.abs(spectra[:, :half], out=mags[:, half:])
+        np.abs(spectra, out=mags)
         yield mags
+
+
+def _usable_cpus():
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunks(work, chunks):
+    """work(chunk) for every chunk: the first in the calling thread, each
+    other on a thread of its own inside a copy of the caller's context
+    (np.errstate is a context variable), all joined before returning.  A
+    worker's exception is re-raised here; the caller's own comes first."""
+    errors = []
+
+    def run(chunk):
+        try:
+            work(chunk)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, chunk))
+        for chunk in chunks[1:]
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        work(chunks[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
@@ -154,7 +202,13 @@ def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
     L^inners[i] norms over inner_axis (0: x, cell h; 1: xi, cell 1/L) of
     |V_g fs[k]|, weighted by <xi>^s along xi.  Per function that is one
     reduction per inner exponent on |V_g f| and one per outer exponent
-    on the stacked inner norms."""
+    on the stacked inner norms.
+
+    The functions are split into one contiguous run per usable CPU (at
+    most one per function); each run has its own magnitude kernel and
+    fills its own rows, the first in the calling thread.  Every row is
+    computed by one thread with the same operations, so the tables do
+    not depend on the CPU count."""
     fs = list(fs)
     ps, qs = (inners, outers) if inner_axis == 0 else (outers, inners)  # over x, over xi
     for name, entries in (("functions", fs), ("ps", ps), ("qs", qs)):
@@ -163,13 +217,20 @@ def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
     grid = require_same_grid(*fs)
     cells = (grid.spacing, grid.dual_spacing)
     inner_cell, outer_cell = cells[inner_axis], cells[1 - inner_axis]
-    weights = bessel_weights(grid, s)[None, :] if s != 0.0 else None
+    # the magnitudes come in FFT order along xi, so the weights do too
+    weights = np.fft.ifftshift(bessel_weights(grid, s)) if s != 0.0 else None
     tables = np.empty((len(fs), len(outers), len(inners)))
-    for table, mags in zip(tables, _stft_magnitudes(fs)):
-        if weights is not None:
-            mags *= weights
-        inner_norms = np.array([power_mean(mags, e, inner_cell, inner_axis) for e in inners])
-        table[...] = [power_mean(inner_norms, e, outer_cell, 1) for e in outers]
+
+    def fill(rows):
+        for k, mags in zip(rows, _stft_magnitudes([fs[k] for k in rows])):
+            if weights is not None:
+                mags *= weights
+            inner_norms = np.array([power_mean(mags, e, inner_cell, inner_axis) for e in inners])
+            tables[k] = [power_mean(inner_norms, e, outer_cell, 1) for e in outers]
+
+    count = min(_usable_cpus(), len(fs))
+    bounds = [len(fs) * c // count for c in range(count + 1)]
+    _run_chunks(fill, [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])])
     return tables
 
 

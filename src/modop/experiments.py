@@ -440,10 +440,9 @@ def _weyl_direct_apply(symbol, f):
     j = np.arange(n)
     t = (j[:, None] - j[None, :] + n // 2) % n - n // 2
     mid = (2 * j[:, None] - t) % (2 * n)
-    x = grid.axis_points()
-    xi = grid.axis_frequencies()
-    phase = np.exp(2j * np.pi * (x[:, None] - x[None, :])[:, :, None] * xi[None, None, :])
-    kernel = (fine[mid, :] * phase).sum(axis=2) / grid.extent
+    # the phase e^{2 pi i (x - y) xi} is waves[x, xi] conj(waves[y, xi])
+    waves = np.exp(2j * np.pi * np.outer(grid.axis_points(), grid.axis_frequencies()))
+    kernel = np.einsum("xyk,xk,yk->xy", fine[mid, :], waves, waves.conj()) / grid.extent
     return SampledFunction(grid, h * (kernel @ f.values))
 
 

@@ -89,8 +89,9 @@ def power_mean(magnitudes, exponent, cell_measure, axis=None):
     For finite p this is (cell_measure * sum |a|^p)^(1/p); for p = inf
     it is the maximum.  ``axis`` behaves as in numpy reductions.  The
     powers are taken by the cheapest rule for p: p = 1 sums |a| as it
-    is, p = 4 squares twice (within an ulp or so of pow), and any other
-    p uses ``**``, which numpy forms by squaring for p = 2.
+    is, p = 4 squares twice and p = 4/3 multiplies |a| by its cube root
+    (each within an ulp or so of pow, at a fraction of its cost), and
+    any other p uses ``**``, which numpy forms by squaring for p = 2.
     """
     e = from_p(exponent)
     if e.is_infinite:
@@ -100,6 +101,9 @@ def power_mean(magnitudes, exponent, cell_measure, axis=None):
     if e.u == 0.25:
         powers = np.square(magnitudes)
         np.square(powers, out=powers)
+    elif e.u == 0.75:
+        powers = np.cbrt(magnitudes)
+        powers *= magnitudes
     else:
         powers = magnitudes**e.p
     return (cell_measure * powers.sum(axis=axis)) ** e.u

@@ -53,7 +53,10 @@ class UniformGrid:
         Side length L > 0 of the periodic box, finite.
 
     A bool, a non-integer, a dim below 1 or an N below 2 raises
-    InvalidValue, as does an odd N; numpy integers are accepted.
+    InvalidValue, as does an odd N; numpy integers are accepted.  An
+    extent that is a bool, a str or any other non-real value raises
+    InvalidValue; ints and numpy reals (0-d arrays too) are accepted and
+    stored as float.
 
     The dual (frequency) lattice is {k/L : k = -N/2 .. N/2-1}, with cell
     measure 1/L; the spatial cell measure is h = L/N.
@@ -68,6 +71,9 @@ class UniformGrid:
         n = _integer(self.points_per_axis, "points_per_axis", 2)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "points_per_axis", n)
+        # float() would read "4" as 4.0 and True as 1.0
+        if np.ndim(self.extent) != 0 or np.asarray(self.extent).dtype.kind not in "iuf":
+            raise InvalidValue(f"extent must be a real number, got {self.extent!r}")
         object.__setattr__(self, "extent", float(self.extent))
         if self.dim != 1:
             raise DimensionUnsupported(f"only dimension 1 is supported, got {self.dim}")

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -55,10 +57,12 @@ KERNEL_GRIDS = [(8, 4.0), (64, 7.3), (256, 16.0), (128, 12.345)]
 
 
 def _gather_magnitudes(fs):
-    """The magnitude kernel's oracle: |gather_stft| of each function."""
+    """The magnitude kernel's oracle: |gather_stft| of each function, in
+    FFT order along xi as the kernel yields it."""
     g = default_window(fs[0].grid)
     for f in fs:
-        yield np.abs(oracles.gather_stft(f.values, g.values, f.grid.spacing))
+        oracle = np.abs(oracles.gather_stft(f.values, g.values, f.grid.spacing))
+        yield np.fft.ifftshift(oracle, axes=1)
 
 
 @pytest.mark.parametrize("n, extent", KERNEL_GRIDS)
@@ -147,6 +151,67 @@ def test_tables_of_a_run_match_one_function_tables(tiny_grid, s):
             assert np.array_equal(_bits(modulation[k]), _bits(alone))
             alone = amalgam_norms([f], names, names, s)[0]
             assert np.array_equal(_bits(amalgam[k]), _bits(alone))
+
+
+def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, tiny_grid):
+    # five functions split unevenly over two and three CPUs
+    fs = [make_bandlimited(tiny_grid, seed, modes=3) for seed in range(5)]
+    names = [name for name, _ in EXPONENTS]
+    runs = []  # (first function, functions, thread) per magnitude kernel
+    stft_magnitudes = analysis._stft_magnitudes
+
+    def recorded_magnitudes(chunk):
+        runs.append((fs.index(chunk[0]), len(chunk), threading.get_ident()))
+        yield from stft_magnitudes(chunk)
+
+    def chunks(call):
+        runs.clear()
+        result = call()
+        # one kernel per chunk, each on its own thread, the caller's first
+        assert len({thread for *_, thread in runs}) == len(runs)
+        assert min(runs)[2] == threading.get_ident()
+        return result, [size for _, size, _ in sorted(runs)]
+
+    monkeypatch.setattr(analysis, "_stft_magnitudes", recorded_magnitudes)
+    tables = {}
+    for cpus, sizes in ((1, [5]), (2, [2, 3]), (3, [1, 2, 2])):
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        tables[cpus] = []
+        for call in (
+            lambda: modulation_norms(fs, names, names),
+            lambda: amalgam_norms(fs, names, names, 0.5),
+        ):
+            table, split = chunks(call)
+            assert split == sizes
+            tables[cpus].append(table)
+    for cpus in (2, 3):
+        for got, want in zip(tables[cpus], tables[1], strict=True):
+            assert np.array_equal(_bits(got), _bits(want))
+    # never more chunks than functions
+    assert chunks(lambda: modulation_norms(fs[:2], names, names))[1] == [1, 1]
+
+
+def test_tables_run_workers_in_the_callers_errstate(monkeypatch, tiny_grid):
+    # |V_g f|^2 overflows only for the last function, which the second
+    # CPU's worker thread takes
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+    fs = [make_bandlimited(tiny_grid, seed, modes=3) for seed in (1, 2)]
+    fs.append(SampledFunction(tiny_grid, 1e300 * fs[0].values))
+    with np.errstate(all="raise"):
+        modulation_norms(fs[:2], ["2"], ["2"])
+        with pytest.raises(FloatingPointError):
+            modulation_norms(fs, ["2"], ["2"])
+    with np.errstate(over="ignore"):
+        assert np.isinf(modulation_norms(fs, ["2"], ["2"])[2, 0, 0])
+
+    def failing_magnitudes(chunk):
+        if chunk[0] is not fs[0]:
+            raise ZeroWindow("raised in a worker")
+        yield from ()
+
+    monkeypatch.setattr(analysis, "_stft_magnitudes", failing_magnitudes)
+    with pytest.raises(ZeroWindow, match="raised in a worker"):
+        amalgam_norms(fs, ["2"], ["2"])
 
 
 def test_tables_need_functions_on_one_grid(tiny_grid):

@@ -48,12 +48,19 @@ def test_grid_rejects_bad_sizes():
     for dim, n in ((1, 4.5), (1, "8"), (1.5, 8), (True, 8), (1, np.float64(8))):
         with pytest.raises(InvalidValue, match="must be an integer"):
             UniformGrid(dim, n, 1.0)
+    # float() would read "4" as 4.0 and True as 1.0
+    for extent in ("4", True, np.bool_(True), 4.0 + 0j, None, [4.0], np.array(["4"])):
+        with pytest.raises(InvalidValue, match="extent must be a real number"):
+            UniformGrid(1, 8, extent)
 
 
 def test_grid_accepts_numpy_integers():
     grid = UniformGrid(np.int64(1), np.int32(8), 1.0)
     assert grid == UniformGrid(1, 8, 1.0)
     assert type(grid.dim) is int and type(grid.points_per_axis) is int
+    for extent in (4, np.int64(4), np.float32(4.0), np.float64(4.0), np.array(4.0)):
+        grid = UniformGrid(1, 8, extent)
+        assert grid == UniformGrid(1, 8, 4.0) and type(grid.extent) is float
 
 
 def test_gaussian_is_ft_fixed_point(default_grid):

@@ -153,6 +153,32 @@ def test_seminorm_weighting():
             assert sharpened[order] == flat[order]
 
 
+@pytest.mark.parametrize("n, extent", [(64, 8.0), (128, 12.345), (256, 16.0)])
+def test_factored_seminorms_match_the_dense_twin(n, extent):
+    # each factor is differenced on its own; the dense twin differences
+    # the rounded products a_j b_k, and each difference can grow their
+    # eps-sized errors by 1/step, so mixed orders of a symbol with two
+    # non-constant factors agree to that scale (2.5e-14 relative for the
+    # bump's order (1, 3) at N = 256), the others to 1e-14
+    grid = UniformGrid(1, n, extent)
+    eps = np.finfo(float).eps
+    xi = np.abs(grid.axis_frequencies())
+    for name, sigma in standard_suite(grid, seed=4):
+        twin = sigma.with_values(sigma.values)
+        a, b = sigma.factors
+        scale = np.abs(a).max() * np.abs(b).max()
+        for max_order in range(5):
+            for m, rho, delta in ((0.0, 1.0, 0.0), (-1.0, 0.5, 0.25)):
+                fast = s_seminorms(sigma, m, rho, delta, max_order)
+                dense = s_seminorms(twin, m, rho, delta, max_order)
+                assert fast.orders == dense.orders
+                for (alpha, beta), got, want in zip(dense.orders, fast.values, dense.values):
+                    weight = ((1.0 + xi) ** (-(m - rho * beta + delta * alpha))).max()
+                    growth = grid.spacing**-alpha * grid.dual_spacing**-beta
+                    slack = 4.0 * eps * scale * weight * growth if alpha and beta else 0.0
+                    assert abs(got - want) <= max(1e-14 * want, slack), (name, alpha, beta)
+
+
 def test_seminorm_order_guard():
     grid = UniformGrid(1, 64, 8.0)
     with pytest.raises(OrderTooHigh):
