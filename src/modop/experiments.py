@@ -264,7 +264,7 @@ def load_config(path, experiment=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-    except (json.JSONDecodeError, ConfigError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -340,8 +340,11 @@ def _parse_field(text, kind, column, lineno, path):
 
 def read_records(path):
     """Parse a CSV produced by emit_csv back into SweepRecord objects."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: non-ascii byte: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise FileFormatError(f"{path}: missing or wrong header line")
     records = []

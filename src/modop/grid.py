@@ -27,6 +27,7 @@ non-issue (the experiment defaults L=16, N=256 keep Gaussian tails
 below 1e-12 at the boundary).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -233,16 +234,10 @@ def _write_samples(path, magic, grid, extra, values):
 
 
 def _parse_header(line, expected_keys, path):
-    fields = line.split()
-    if len(fields) != len(expected_keys):
+    fields = [field.partition("=") for field in line.split()]
+    if [(name, eq) for name, eq, _ in fields] != [(key, "=") for key in expected_keys]:
         raise FileFormatError(f"{path}: header must have fields {expected_keys}, got {line!r}")
-    out = {}
-    for field, key in zip(fields, expected_keys):
-        name, eq, value = field.partition("=")
-        if name != key or eq != "=":
-            raise FileFormatError(f"{path}: expected '{key}=...', got {field!r}")
-        out[key] = value
-    return out
+    return {name: value for name, _, value in fields}
 
 
 def _read_samples(path, magic, extra_keys, shape):
@@ -250,36 +245,40 @@ def _read_samples(path, magic, extra_keys, shape):
 
     shape(header, grid) gives the shape of the sample block; it runs
     before any sample line is read, so it may also reject the header.
-    Returns (header fields, grid, values).  A header with dim other
-    than 1 raises DimensionUnsupported; every other departure from the
-    format raises FileFormatError.
+    The block is the next prod(shape) lines, none blank; only blank
+    lines may follow.  Returns (header fields, grid, values).  A header
+    with dim other than 1 raises DimensionUnsupported; every other
+    departure from the format, a non-ASCII byte too, FileFormatError.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        line = fh.readline().strip()
-        if line != magic:
-            raise FileFormatError(f"{path}: bad magic line {line!r}, expected {magic!r}")
-        header = _parse_header(fh.readline().strip(), ["dim", "n", "extent", *extra_keys], path)
-        try:
-            grid = UniformGrid(int(header["dim"]), int(header["n"]), float(header["extent"]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad header values: {exc}") from exc
-        block = shape(header, grid)
-        count = int(np.prod(block))
-        values = np.empty(count, dtype=complex)
-        for i in range(count):
-            line = fh.readline()
-            if not line:
-                raise FileFormatError(f"{path}: expected {count} sample lines, got {i}")
-            parts = line.split()
-            if len(parts) != 2:
-                raise FileFormatError(f"{path}: sample line {i + 3} must be 're im', got {line!r}")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            line = fh.readline().strip()
+            if line != magic:
+                raise FileFormatError(f"{path}: bad magic line {line!r}, expected {magic!r}")
+            header = _parse_header(fh.readline().strip(), ["dim", "n", "extent", *extra_keys], path)
             try:
-                values[i] = complex(float(parts[0]), float(parts[1]))
+                grid = UniformGrid(int(header["dim"]), int(header["n"]), float(header["extent"]))
             except ValueError as exc:
-                raise FileFormatError(f"{path}: bad number on line {i + 3}: {line!r}") from exc
-        if fh.readline().strip():
-            raise FileFormatError(f"{path}: trailing content after {count} samples")
-    return header, grid, values.reshape(block)
+                raise FileFormatError(f"{path}: bad header values: {exc}") from exc
+            block = shape(header, grid)
+            count = math.prod(block)
+            # numpy only warns on a block with no data, so line 3 is checked here
+            lines = itertools.islice(fh, count)
+            first = next(lines, "")
+            if not first.strip():
+                raise FileFormatError(f"{path}: line 3 must be a 're im' sample, got {first!r}")
+            try:
+                samples = np.loadtxt(itertools.chain([first], lines), comments=None, ndmin=2)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}: bad sample line: {exc}") from exc
+            if samples.shape != (count, 2):
+                got = f"{len(samples)} rows of {samples.shape[1]} numbers"
+                raise FileFormatError(f"{path}: expected {count} 're im' sample lines, got {got}")
+            if any(line.strip() for line in fh):
+                raise FileFormatError(f"{path}: trailing content after {count} samples")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: non-ascii byte: {exc}") from exc
+    return header, grid, samples.view(complex).reshape(block)
 
 
 def write_sfn(f, path):

@@ -171,7 +171,10 @@ def kn_operator(source):
 def _rank_one_operator(a, b):
     """kn_operator of the symbol a(x) b(xi)."""
     eig = np.fft.ifftshift(b)
-    abs_c = functools.cache(lambda: np.abs(np.fft.ifft(eig)))
+
+    def abs_c():
+        # |c|, c the circulant's first column; each norm reads it at most once
+        return np.abs(np.fft.ifft(eig))
 
     # x.T batches a block's columns along axis 0; a vector is unchanged
     def apply(x):

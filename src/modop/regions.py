@@ -145,9 +145,12 @@ def embeds_amalgam_into_sobolev(p, q, s, n=1):
 
 
 def sharp_threshold(p, n=1):
-    """Critical Sobolev order s*(p, n) = n |1/p - 1/2| for the diagonal
-    problem: below it generic bounded-symbol operators may be unbounded,
-    at and above it they are bounded."""
+    """Critical Sobolev order s*(p, n) = n |1/p - 1/2| of the paper's
+    claim: every symbol in M^{inf,1} (Sjostrand's class) gives an
+    operator bounded from L^p_s to L^p when s >= s*(p, n), and the order
+    is sharp for 1 <= p <= inf.  At the endpoints p in {1, inf} the
+    default threshold sweep flags its slope at s = s* as
+    endpoint-inconclusive: finite resolution cannot settle it."""
     n = _integer(n, "dimension n", 1)
     u = from_p(p).u
     return n * abs(u - 0.5)

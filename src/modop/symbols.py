@@ -65,10 +65,10 @@ def random_phase_multiplier(grid, n_modes, seed):
     return PhaseSpaceSymbol.product(grid, np.ones(grid.points_per_axis), row)
 
 
-def constant_symbol(grid, value=1.0):
-    """sigma(x, xi) = value; quantizes to value * identity."""
+def constant_symbol(grid):
+    """sigma(x, xi) = 1; quantizes to the identity."""
     n = grid.points_per_axis
-    return PhaseSpaceSymbol.product(grid, np.full(n, value, dtype=complex), np.ones(n))
+    return PhaseSpaceSymbol.product(grid, np.ones(n, dtype=complex), np.ones(n))
 
 
 def multiplication_symbol(grid, m_values):
@@ -99,14 +99,12 @@ def bessel_symbol(grid, s):
     return PhaseSpaceSymbol.product(grid, np.ones(grid.points_per_axis), bessel_weights(grid, s))
 
 
-def gaussian_bump_symbol(grid, width=1.0):
-    """sigma(x, xi) = e^{-pi x^2 / width^2} e^{-pi xi^2 / width^2}, a
-    phase-space bump used in smoothness checks."""
+def gaussian_bump_symbol(grid):
+    """sigma(x, xi) = e^{-pi x^2} e^{-pi xi^2}, a phase-space bump used in
+    smoothness checks."""
     x = grid.axis_points()
     xi = grid.axis_frequencies()
-    return PhaseSpaceSymbol.product(
-        grid, np.exp(-np.pi * x**2 / width**2), np.exp(-np.pi * xi**2 / width**2)
-    )
+    return PhaseSpaceSymbol.product(grid, np.exp(-np.pi * x**2), np.exp(-np.pi * xi**2))
 
 
 @dataclass(frozen=True)

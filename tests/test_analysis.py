@@ -161,15 +161,17 @@ def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, tiny_grid):
     stft_magnitudes = analysis._stft_magnitudes
 
     def recorded_magnitudes(chunk):
-        runs.append((fs.index(chunk[0]), len(chunk), threading.get_ident()))
+        runs.append((fs.index(chunk[0]), len(chunk), threading.current_thread()))
         yield from stft_magnitudes(chunk)
 
     def chunks(call):
         runs.clear()
         result = call()
-        # one kernel per chunk, each on its own thread, the caller's first
+        # one kernel per chunk, each on its own thread, the caller's first;
+        # runs keeps the Thread objects alive, so unlike the idents an exited
+        # worker's thread cannot be reused and compare equal
         assert len({thread for *_, thread in runs}) == len(runs)
-        assert min(runs)[2] == threading.get_ident()
+        assert min(runs)[2] is threading.current_thread()
         return result, [size for _, size, _ in sorted(runs)]
 
     monkeypatch.setattr(analysis, "_stft_magnitudes", recorded_magnitudes)

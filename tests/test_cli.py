@@ -296,6 +296,21 @@ def test_threshold_modes_past_the_matrix_limit(tmp_path):
     assert slopes == [1.0, math.inf]
 
 
+@pytest.mark.parametrize("command, name, content", [
+    ("classify", "huge.pss", b"PSS 2\ndim=1 n=1048576 extent=2 quant=kn factors=0\n0 0\n"),
+    ("classify", "accent.pss", b"PSS 2\ndim=1 n=2 extent=2 quant=kn factors=1\n0 \xc3\n"),
+    ("identity", "bad.json", b'{"experiment": "identity"}\xff'),
+], ids=["pss-header-past-the-file", "pss-non-ascii", "config-non-utf8"])
+def test_malformed_input_files_exit_2(tmp_path, capsys, command, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    option = "--config" if name.endswith(".json") else "--symbol"
+    assert cli.main([command, option, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "--kind", "bump", "--n", "7", "--extent", "8"),
     ("gen", "--kind", "bump", "--n", "8", "--extent", "-1"),

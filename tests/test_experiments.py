@@ -168,6 +168,10 @@ def test_config_rejects_broken_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+    # JSON is UTF-8, in which a lone 0xff byte never occurs
+    path.write_bytes(b'{"experiment": "identity", "L": 8\xff}')
+    with pytest.raises(ConfigError):
+        load_config(path)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +218,9 @@ def test_read_records_rejects_wrong_header(tmp_path):
         read_records(path)
     path.write_text(CSV_HEADER + "\nonly,three,fields\n")
     with pytest.raises(FileFormatError):
+        read_records(path)
+    path.write_bytes(CSV_HEADER.encode() + b"\nidentity,\xc3\n")
+    with pytest.raises(FileFormatError, match="non-ascii byte"):
         read_records(path)
 
 

@@ -212,7 +212,11 @@ def test_sample_file_with_dim_2_header_is_unsupported(tmp_path, fmt):
 
 @pytest.mark.parametrize(
     "defect",
-    ["header key", "odd n", "inf extent", "three fields", "bad number", "trailing content"],
+    [
+        "header key", "odd n", "inf extent", "three fields", "bad number", "non-ascii byte",
+        "header past the file", "no samples", "blank samples", "blank inside",
+        "trailing content", "content after blank line",
+    ],
 )
 @pytest.mark.parametrize("fmt", sorted(_SAMPLE_FORMATS))
 def test_malformed_sample_file_is_rejected(tmp_path, fmt, defect):
@@ -220,7 +224,8 @@ def test_malformed_sample_file_is_rejected(tmp_path, fmt, defect):
     head = f"{magic}\ndim=1 n=2 extent=2{extra}\n"
     samples = "0 0\n" * count
     path = tmp_path / f"f.{fmt}"
-    path.write_text(head + samples)
+    # blank lines may follow the block
+    path.write_text(head + samples + "\n \n")
     reader(path)
     path.write_text(
         {
@@ -229,11 +234,34 @@ def test_malformed_sample_file_is_rejected(tmp_path, fmt, defect):
             "inf extent": f"{magic}\ndim=1 n=2 extent=inf{extra}\n" + samples,
             "three fields": head + "0 0 0\n" + samples[4:],
             "bad number": head + "0 zero\n" + samples[4:],
+            "non-ascii byte": head + "0 \xc3\n" + samples[4:],
+            # 2^20 points: up to 2^40 samples, which the file's lines bound
+            "header past the file": f"{magic}\ndim=1 n=1048576 extent=2{extra}\n" + samples,
+            "no samples": head,
+            "blank samples": head + "\n" * count,
+            "blank inside": head + "0 0\n\n" + samples[4:],
             "trailing content": head + samples + "0 0\n",
-        }[defect]
+            "content after blank line": head + samples + "\n0 0\n",
+        }[defect],
+        encoding="latin-1",
     )
+    # numpy's warning on a block with no data would fail the test too
     with pytest.raises(FileFormatError):
         reader(path)
+
+
+def test_sample_round_trip_is_bit_exact_at_the_float_extremes(tmp_path):
+    grid = UniformGrid(1, 4096, 16.0)
+    extremes = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    parts = np.random.default_rng(4).standard_normal((2, 4096))
+    parts[0, : len(extremes)] = extremes
+    parts[1, : len(extremes)] = extremes[::-1]
+    parts[1, -len(extremes) :] = extremes
+    f = SampledFunction(grid, parts[0] + 1j * parts[1])
+    path = tmp_path / "extremes.sfn"
+    write_sfn(f, path)
+    back = read_sfn(path).values
+    assert np.array_equal(back.view(np.uint64), f.values.view(np.uint64))
 
 
 def test_values_must_match_grid(default_grid):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,11 @@ from modop import (
     multiplication_symbol,
     norm_2,
     norm_p,
+    random_phase_multiplier,
     sobolev_opnorm,
 )
 from modop import opnorm
+from modop.experiments import _auto_size, default_config
 from modop.exponents import from_p
 from modop.symbols import standard_suite
 
@@ -335,3 +339,17 @@ def test_rank_one_path_has_no_matrix_limit():
     dense = PhaseSpaceSymbol(grid, np.ones((2048, 2048)), "kn")
     with pytest.raises(TooLarge):
         sobolev_opnorm(dense, from_p(2), 0.0)
+
+
+def test_lifted_random_phase_multipliers_have_equal_1_and_inf_norms():
+    # a lifted multiplier is a circulant, whose column and row sums of |A|
+    # coincide: the threshold sweep's p = 1 and p = inf rows are one norm
+    cfg = default_config("threshold")
+    for n_modes, seed in itertools.product(cfg.n_modes, cfg.seeds):
+        grid = UniformGrid(1, _auto_size(cfg.L, n_modes), cfg.L)
+        symbol = random_phase_multiplier(grid, n_modes, seed)
+        for s in cfg.s:
+            one = sobolev_opnorm(symbol, from_p(1), s)
+            inf = sobolev_opnorm(symbol, from_p("inf"), s)
+            assert (one.method, inf.method) == ("exact_1", "exact_inf")
+            assert abs(one.value - inf.value) <= 1e-14 * inf.value, (n_modes, seed, s)

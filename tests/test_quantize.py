@@ -134,10 +134,7 @@ def test_kn_guards(default_grid, tiny_grid):
     f = make_bandlimited(tiny_grid, seed=0)
     with pytest.raises(GridMismatch):
         kn_apply(constant_symbol(default_grid), f)
-    weyl = constant_symbol(tiny_grid, 1.0).with_values(
-        constant_symbol(tiny_grid).values
-    )
-    weyl = PhaseSpaceSymbol(tiny_grid, weyl.values, "weyl")
+    weyl = PhaseSpaceSymbol(tiny_grid, constant_symbol(tiny_grid).values, "weyl")
     with pytest.raises(WrongQuantization):
         kn_apply(weyl, make_bandlimited(tiny_grid, seed=0))
     with pytest.raises(WrongQuantization):
