@@ -27,25 +27,23 @@ for a sequence of functions on one grid over lists of exponents, as a
 (functions, ps, qs) array; the single-pair functions are one-function,
 one-entry tables.
 
-stft and both sjostrand_norm paths share one kernel,
-_translate_spectra: it multiplies f by a strided view of every window
+stft is one grid.ft_along of f times a strided view of every window
 translate (_translates, a view of a wrapped copy of the window, so no
-index table or stack of translates is built) and transforms the
-products with grid.ft_along; values with leading axes are transformed
-along their last axis, with the translates stacked ahead of them.  The
-dense sjostrand_norm path runs it along xi once per x translate, and
-tests/oracles.direct_sjostrand checks both paths by brute force.  The
-norm tables use _stft_magnitudes instead, a generator that forms the
-same products already in FFT order in buffers it owns for the whole
-table and yields |V_g f| left in FFT order along xi (the Bessel weights
-are ifftshifted to match); each function's table is then one
+index table or stack of translates is built).  Both sjostrand_norm
+paths run _sup_stft, which streams the same products through ft_along
+in fixed-size blocks of translates and keeps one running maximum of
+the weighted magnitudes; the dense path runs it along xi, over leading
+axis x, once per x translate, and tests/oracles.direct_sjostrand checks
+both paths by brute force.  The norm tables use _stft_magnitudes, a
+generator that forms the same products in FFT order in buffers it owns
+for the whole table and yields |V_g f| left in FFT order along xi (the
+Bessel weights are ifftshifted to match); a function's table is one
 power_mean per inner exponent on |V_g f| and one per outer exponent on
-the stacked inner norms.  _norm_tables splits its functions into one
-contiguous run per CPU the process may use, each run with its own
-kernel on its own thread (the caller's first), so a table's values do
-not depend on the CPU count.  Both kernels are bit-identical to the
-index-table form kept in tests/oracles.py, the magnitude kernel up to
-the ifftshift along xi.
+the stacked inner norms.  _norm_tables gives each CPU the process may
+use one contiguous run of functions and its own kernel and thread (the
+caller's first), so a table's values do not depend on the CPU count.
+Every kernel is bit-identical to the index-table form kept in
+tests/oracles.py, the magnitude kernel up to the ifftshift along xi.
 """
 
 import contextvars
@@ -66,6 +64,8 @@ from .grid import (
 )
 
 _SJOSTRAND_DENSE_LIMIT = 256
+# complex products per _sup_stft block (1 MiB); larger blocks timed no faster
+_BLOCK_ENTRIES = 2**16
 
 
 def _gaussian(t):
@@ -89,24 +89,14 @@ def _translates(window, shift):
     return sliding_window_view(doubled, n)[n:0:-1]
 
 
-def _translate_spectra(values, window, spacing):
-    """Forward transforms along the last (periodic) axis of values times
-    the conjugate of every lattice translate of window, stacked along a
-    new axis 0 ahead of values' leading axes: entry [i, ...] is the
-    transform against the translate by i - N/2 steps."""
-    n = values.shape[-1]
-    translates = _translates(np.conj(window), n // 2)
-    translates = translates.reshape((n,) + (1,) * (values.ndim - 1) + (n,))
-    return ft_along(translates * values, -1, spacing)
-
-
 def _windowed_spectra(f, g):
     """V_g f as (x_axis_points, array), the complex array shaped (N, N)
     with axes (x, xi)."""
     grid = require_same_grid(f, g)
     if not np.any(g.values):
         raise ZeroWindow("window is identically zero")
-    return grid.axis_points(), _translate_spectra(f.values, g.values, grid.spacing)
+    translates = _translates(np.conj(g.values), grid.points_per_axis // 2)
+    return grid.axis_points(), ft_along(translates * f.values, -1, grid.spacing)
 
 
 def stft(f, g):
@@ -265,10 +255,18 @@ def amalgam_norm(f, p, q, s=0.0):
 def _sup_stft(values, window, spacing, weight):
     """max over lattice translates z of |V_window values(z, zeta)| weight(z),
     for every dual point zeta of the last (periodic) axis, with the given
-    step; leading axes of values are kept."""
-    mags = np.abs(_translate_spectra(values, window, spacing))
-    mags *= weight.reshape((-1,) + (1,) * values.ndim)
-    return mags.max(axis=0)
+    step; leading axes of values are kept.  The translates go through in
+    blocks of at most _BLOCK_ENTRIES products folded into one running
+    maximum, which is exact, so the block size moves no bit."""
+    n = values.shape[-1]
+    translates = _translates(np.conj(window), n // 2)
+    rows = max(1, _BLOCK_ENTRIES // values.size)
+    best = np.zeros(values.shape)
+    for start in range(0, n, rows):
+        mags = np.abs(ft_along(translates[start:start + rows] * values[..., None, :], -1, spacing))
+        mags *= weight[start:start + rows, None]
+        np.maximum(best, mags.max(axis=-2), out=best)
+    return best
 
 
 def sjostrand_norm(symbol, s=0.0):
@@ -282,10 +280,11 @@ def sjostrand_norm(symbol, s=0.0):
     paths run the one-axis sup-STFT kernel _sup_stft.  For a symbol
     built from factors, sigma = a (x) b, the transform factors too,
     V_Phi(sigma) = V_phi1(a) (x) V_phi2(b), and the norm is the product
-    of two one-dimensional sums of sup-STFTs, O(N^2 log N).  Every other
-    symbol takes the dense O(N^4 log N) path, limited to N <= 256: for
-    each x translate z1 it transforms conj(phi1)(. - z1) sigma along x,
-    and the sup over z2 at that z1 is _sup_stft of the result along xi.
+    of two one-dimensional sums of sup-STFTs, O(N^2 log N).  Any other
+    symbol takes the dense O(N^4 log N) path, which its time, not its
+    memory, limits to N <= 256: for each x translate z1 it transforms
+    conj(phi1)(. - z1) sigma along x, and the sup over z2 at that z1 is
+    _sup_stft of the result along xi.
     The dense path is the reference path: every generator builds
     rank-one symbols, so only tests and hand-made dense symbols reach
     it, and it agrees with the factored one to roundoff.

@@ -123,7 +123,7 @@ _CHECKS = {
     "s": lambda v, experiment: _number_list(v, "s", float,
                                             lambda s: s >= 0 or experiment != "threshold",
                                             ">= 0 for the threshold sweep"),
-    "n_modes": lambda v, _: _number_list(v, "n_modes", int, lambda m: m >= 0, ">= 0"),
+    "n_modes": lambda v, _: _number_list(v, "n_modes", int, lambda m: m >= 1, ">= 1"),
     "seeds": lambda v, _: _number_list(v, "seeds", int, is_seed, "unsigned 64-bit"),
     "functions": lambda v, _: _positive(v, "functions", int, "a positive integer"),
 }
@@ -236,13 +236,11 @@ def _finite_number(text):
 
 def _exponent_list(value, key):
     """An exponent or non-empty list of exponents (numbers or strings such
-    as "4/3" and "inf"); JSON booleans are rejected, not read as 0 or 1."""
+    as "4/3" and "inf"), each read by from_p."""
     if not isinstance(value, list):
         value = [value]
     out = []
     for entry in value:
-        if isinstance(entry, bool):
-            raise ConfigError(f"config key {key!r}: bad exponent {entry!r}")
         try:
             out.append(from_p(entry))
         except Exception as exc:

@@ -58,28 +58,29 @@ class ExponentValue:
 
 def from_p(p):
     """The ExponentValue of p: a number, 'inf', or an 'a/b' string; an
-    ExponentValue is returned as it is."""
+    ExponentValue is returned as it is.  p = inf is spelled 'inf',
+    'infinity', 'oo' or math.inf; a bool or any other value that is not
+    finite (nan, -inf, '1e309') raises UnsupportedExponent."""
     if isinstance(p, ExponentValue):
         return p
+    if isinstance(p, (bool, np.bool_)):
+        raise UnsupportedExponent(f"exponent must be a number, got {p!r}")
     if isinstance(p, str):
         text = p.strip().lower()
         if text in ("inf", "infinity", "oo"):
             return ExponentValue(0.0)
-        if "/" in text:
-            num, _, den = text.partition("/")
-            try:
-                value = float(num) / float(den)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise UnsupportedExponent(f"cannot parse exponent {p!r}") from exc
-            return from_p(value)
+        num, slash, den = text.partition("/")
         try:
-            return from_p(float(text))
-        except ValueError as exc:
+            value = float(num) / float(den) if slash else float(num)
+        except (ValueError, ZeroDivisionError) as exc:
             raise UnsupportedExponent(f"cannot parse exponent {p!r}") from exc
-    if math.isinf(p):
+        if not math.isfinite(value):
+            raise UnsupportedExponent(f"exponent {p!r} is not finite; write 'inf' for p = inf")
+        return from_p(value)
+    if p == math.inf:
         return ExponentValue(0.0)
-    if not p >= 1.0:
-        raise UnsupportedExponent(f"exponent must satisfy p >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise UnsupportedExponent(f"exponent must be finite with p >= 1, or inf, got {p}")
     return ExponentValue(1.0 / float(p))
 
 

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,12 +96,55 @@ def test_strided_kernel_matches_gather_oracle_bitwise(monkeypatch, n, extent):
         return norms
 
     fast = tables()
+    # three translates per block leave a partial last block at every n here
+    monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", 3 * n)
+    blocked = tables()
     # the same tables with the gather oracle in the magnitude kernel (the
-    # norm tables) and in the spectra kernel (the factored sjostrand_norm)
+    # norm tables) and in the sup-STFT kernel (the factored sjostrand_norm)
     monkeypatch.setattr(analysis, "_stft_magnitudes", _gather_magnitudes)
-    monkeypatch.setattr(analysis, "_translate_spectra", oracles.gather_stft)
-    for got, want in zip(fast, tables()):
-        assert np.array_equal(_bits(got), _bits(want))
+    monkeypatch.setattr(analysis, "_sup_stft", _gather_sup_stft)
+    want = tables()
+    for got in (fast, blocked):
+        for got_table, want_table in zip(got, want, strict=True):
+            assert np.array_equal(_bits(got_table), _bits(want_table))
+
+
+def _gather_sup_stft(values, window, spacing, weight):
+    """The sup-STFT kernel's oracle for one-axis values: the weighted
+    |gather_stft| maximized over every translate at once."""
+    return (np.abs(oracles.gather_stft(values, window, spacing)) * weight[:, None]).max(axis=0)
+
+
+@pytest.mark.parametrize("shape", [(16,), (256,), (2048,), (16, 16), (64, 64)],
+                         ids=["16", "256", "2048", "16x16", "64x64"])
+def test_sup_stft_is_bit_identical_for_any_block(monkeypatch, shape):
+    # blocks of 1, 7 and all N translates against one block per call; the
+    # 2-D values are the dense path's, with their leading x axis kept
+    n = shape[-1]
+    grid = UniformGrid(1, n, 8.0)
+    rng = np.random.default_rng(n + len(shape))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    args = (values, analysis._gaussian(grid.axis_frequencies()), grid.dual_spacing,
+            grid_module.bessel_weights(grid, 0.25))
+    monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", n * values.size)
+    want = analysis._sup_stft(*args)
+    assert want.shape == shape
+    for rows in (1, 7, n):
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", rows * values.size)
+        assert np.array_equal(analysis._sup_stft(*args).view(np.uint64), want.view(np.uint64))
+
+
+def test_sjostrand_memory_is_bounded_by_the_block():
+    # the block's product, its shifted transform and its magnitudes, plus
+    # 1 MiB for the O(N) vectors; every translate at once took 192 MB here
+    sigma = random_phase_multiplier(UniformGrid(1, 2048, 8.0), 64, 0)
+    tracemalloc.start()
+    try:
+        sjostrand_norm(sigma, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * analysis._BLOCK_ENTRIES + 2**20
 
 
 def test_stft_and_tables_run_their_kernels_once_per_function(monkeypatch, tiny_grid):
@@ -500,15 +544,20 @@ def _oracle_symbols(grid):
 
 @pytest.mark.parametrize("n", [8, 16])
 @pytest.mark.parametrize("s", [0.0, 0.5])
-def test_sjostrand_paths_match_brute_force_oracle(n, s):
-    # N/(2L) = 2 leaves room for one mode of phases
+def test_sjostrand_paths_match_brute_force_oracle(monkeypatch, n, s):
+    # N/(2L) = 2 leaves room for one mode of phases; besides the default
+    # block, three translates per block of a vector (the factored path)
+    # and of an N x N array (the dense path) leave partial last blocks
     grid = UniformGrid(1, n, n / 4.0)
-    for name, sigma in _oracle_symbols(grid).items():
-        want = oracles.direct_sjostrand(sigma.values, grid, s)
-        twin = sigma.with_values(sigma.values)
-        assert twin.factors is None
-        for got in (sjostrand_norm(sigma, s), sjostrand_norm(twin, s)):
-            assert abs(got - want) <= 1e-12 * want, (n, s, name)
+    symbols = _oracle_symbols(grid)
+    wants = {name: oracles.direct_sjostrand(sigma.values, grid, s) for name, sigma in symbols.items()}
+    for block in (analysis._BLOCK_ENTRIES, 3 * n, 3 * n * n):
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", block)
+        for name, sigma in symbols.items():
+            twin = sigma.with_values(sigma.values)
+            assert twin.factors is None
+            for got in (sjostrand_norm(sigma, s), sjostrand_norm(twin, s)):
+                assert abs(got - wants[name]) <= 1e-12 * wants[name], (n, s, name, block)
 
 
 @pytest.mark.filterwarnings("error")
@@ -518,7 +567,7 @@ def test_weight_order_must_be_finite(monkeypatch, tiny_grid, s):
     # is made; at |xi| <= 2 the weights <xi>^s overflow for s = 1e4, which
     # must raise rather than warn and return nan
     monkeypatch.setattr(analysis, "_windowed_spectra", None)
-    monkeypatch.setattr(analysis, "_translate_spectra", None)
+    monkeypatch.setattr(analysis, "_sup_stft", None)
     monkeypatch.setattr(analysis, "_stft_magnitudes", None)
     monkeypatch.setattr(grid_module, "forward_ft", None)
     f = make_bandlimited(tiny_grid, seed=1, modes=3)

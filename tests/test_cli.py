@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -18,19 +20,32 @@ from modop.symbols import bessel_symbol, gaussian_bump_symbol
 
 
 # the directory modop was imported from, first on the subprocess's path,
-# so the CLI under test is this package whether or not it is installed
+# so the entry point under test is this package whether or not it is installed
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(modop.__file__)))
 
 
-def run_cli(*argv, timeout=600):
+def run_cli(*argv):
+    """cli.main(argv) in this process, with its exit status and captured
+    output; an argparse exit (usage error) becomes its exit code."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(map(str, argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(argv, code, stdout.getvalue(), stderr.getvalue())
+
+
+def test_module_entry_point_exit_codes():
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "modop.cli", *map(str, argv)],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    for argv, code, shown in (
+        (["regions", "--p", "1", "--q", "2"], 0, "p,q,s,n,"),
+        (["frobnicate"], 2, "invalid choice"),
+    ):
+        proc = subprocess.run([sys.executable, "-m", "modop.cli", *argv], capture_output=True,
+                              text=True, timeout=600, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == code, proc.stderr
+        assert shown in proc.stdout + proc.stderr
 
 
 def test_regions_golden_row():
@@ -237,6 +252,14 @@ def test_bad_config_exits_2(tmp_path):
     proc = run_cli("identity", "--config", cfg)
     assert proc.returncode == 2
 
+    # a mode count of 0 has no log for the slope fit
+    cfg.write_text(json.dumps({"experiment": "threshold", "n_modes": [0, 1, 2], "p": ["1"],
+                               "s": [0.5], "seeds": [0]}))
+    proc = run_cli("threshold", "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "n_modes" in proc.stderr
+    assert proc.stdout == ""
+
 
 @pytest.mark.parametrize("argv", [
     ("opnorm", "--symbol", "nothere.pss", "--p", "2"),
@@ -327,6 +350,7 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, command, name, content):
     ("gen", "--kind", "phases", "--n", "64", "--extent", "4", "--seed", "-1"),
     ("opnorm", "--p", "4", "--seed", "-7"),
     ("classify", "--s", "1e6"),
+    ("regions", "--p=-inf", "--q", "2"),
 ])
 def test_bad_values_exit_2(tmp_path, argv):
     if argv[0] == "gen":

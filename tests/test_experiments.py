@@ -87,6 +87,13 @@ def test_config_validates_lists(tmp_path):
     path = write_config(tmp_path, {"experiment": "embedding", "q": True})
     with pytest.raises(ConfigError):
         load_config(path)
+    for bad in (["-inf"], ["1e309"], ["-1e309"], ["nan"]):
+        path = write_config(tmp_path, {"experiment": "threshold", "p": bad})
+        with pytest.raises(ConfigError, match="bad exponent"):
+            load_config(path)
+    path = write_config(tmp_path, {"experiment": "threshold", "n_modes": [0, 1, 2]})
+    with pytest.raises(ConfigError, match="n_modes"):
+        load_config(path)
 
 
 def test_config_rejects_non_finite_numbers(tmp_path):
