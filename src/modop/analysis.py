@@ -27,23 +27,23 @@ for a sequence of functions on one grid over lists of exponents, as a
 (functions, ps, qs) array; the single-pair functions are one-function,
 one-entry tables.
 
-stft is one grid.ft_along of f times a strided view of every window
-translate (_translates, a view of a wrapped copy of the window, so no
-index table or stack of translates is built).  Both sjostrand_norm
-paths run _sup_stft, which streams the same products through ft_along
-in fixed-size blocks of translates and keeps one running maximum of
-the weighted magnitudes; the dense path runs it along xi, over leading
-axis x, once per x translate, and tests/oracles.direct_sjostrand checks
-both paths by brute force.  The norm tables use _stft_magnitudes, a
-generator that forms the same products in FFT order in buffers it owns
-for the whole table and yields |V_g f| left in FFT order along xi (the
-Bessel weights are ifftshifted to match); a function's table is one
-power_mean per inner exponent on |V_g f| and one per outer exponent on
-the stacked inner norms.  _norm_tables gives each CPU the process may
-use one contiguous run of functions and its own kernel and thread (the
+There is one kernel per job, both on a strided view of every window
+translate (_translates, so no index table or stack of translates is
+built).  _spectra yields the full-lattice V_g f of each function in
+turn, in FFT order along xi, from buffers it owns for the whole run;
+stft fftshifts its one array, and the norm tables take |V_g f| in
+place (the Bessel weights are ifftshifted to match), then one
+power_mean per inner exponent and one per outer exponent on the
+stacked inner norms.  _norm_tables gives each CPU the process may use
+one contiguous run of functions and its own kernel and thread (the
 caller's first), so a table's values do not depend on the CPU count.
-Every kernel is bit-identical to the index-table form kept in
-tests/oracles.py, the magnitude kernel up to the ifftshift along xi.
+_sup_stft takes the sup over translates for both sjostrand_norm paths:
+it streams the products through ft_along in fixed-size blocks and
+keeps one running maximum of the weighted magnitudes; the dense path
+runs it along xi, over leading axis x, once per x translate, and
+tests/oracles.direct_sjostrand checks both paths by brute force.  Both
+kernels are bit-identical to the index-table form kept in
+tests/oracles.py, _spectra up to the ifftshift along xi.
 """
 
 import contextvars
@@ -95,8 +95,7 @@ def _windowed_spectra(f, g):
     grid = require_same_grid(f, g)
     if not np.any(g.values):
         raise ZeroWindow("window is identically zero")
-    translates = _translates(np.conj(g.values), grid.points_per_axis // 2)
-    return grid.axis_points(), ft_along(translates * f.values, -1, grid.spacing)
+    return grid.axis_points(), np.fft.fftshift(next(_spectra([f], g.values)), axes=1)
 
 
 def stft(f, g):
@@ -114,42 +113,37 @@ def lp_norm(f, p):
 def sobolev_norm(f, p, s):
     """L^p_s norm: lp_norm of <D>^s f.
 
-    The Bessel multiplier is <xi>^s = (1 + |xi|^2)^(s/2), matching the
-    bracket convention used everywhere else in the package.
+    The multiplier <xi>^s = (1 + |xi|^2)^(s/2) is bessel_weights', as in
+    the amalgam and Sjostrand norms; s_seminorms weights by (1 + |xi|).
     """
     return lp_norm(bessel_potential(f, s), p)
 
 
-def _stft_magnitudes(fs):
-    """|V_g f| against the default window g, axes (x, xi) with xi in FFT
-    order (frequency 0 first), for each f of fs (a list on one grid) in
-    turn.
+def _spectra(fs, window):
+    """V_window f, axes (x, xi) with xi in FFT order (frequency 0
+    first), for each f of fs (a list on one grid) in turn.
 
-    A generator that owns one complex vector and one complex and one
-    real (N, N) array for the whole run and yields the real one,
-    overwritten with each function's magnitudes, so a caller is done
-    with an array before it asks for the next.  Each product is formed
-    in FFT order (the translates starting at shift 0 times f rolled by
-    N/2, the roll two slice copies into the owned vector) and its
-    spectrum's magnitudes are taken in one pass, left in FFT order.
-    The operands and operations are those of stft, so the values are
-    the ifftshift of |stft(f, g)| along xi, to the bit.
+    A generator that owns one complex vector and one complex (N, N)
+    array for the whole run and yields the array, overwritten with each
+    function's spectra, so a caller is done with it before it asks for
+    the next.  Each product is the translates starting at shift 0 times
+    f rolled by N/2 (two slice copies into the owned vector), and its
+    FFT is taken in place, so the values are the ifftshift along xi of
+    the centered V_window f, to the bit.
     """
     grid = fs[0].grid
     n = grid.points_per_axis
     half = n // 2
-    translates = _translates(np.conj(_gaussian(grid.axis_points())), 0)
+    translates = _translates(np.conj(window), 0)
     rolled = np.empty(n, dtype=complex)
     spectra = np.empty((n, n), dtype=complex)
-    mags = np.empty((n, n))
     for f in fs:
         rolled[:half] = f.values[half:]
         rolled[half:] = f.values[:half]
         np.multiply(translates, rolled, out=spectra)
         np.fft.fft(spectra, axis=1, out=spectra)
         spectra *= grid.spacing
-        np.abs(spectra, out=mags)
-        yield mags
+        yield spectra
 
 
 def _usable_cpus():
@@ -195,8 +189,9 @@ def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
     on the stacked inner norms.
 
     The functions are split into one contiguous run per usable CPU (at
-    most one per function); each run has its own magnitude kernel and
-    fills its own rows, the first in the calling thread.  Every row is
+    most one per function); each run has its own _spectra kernel and
+    magnitude array and fills its own rows, the first in the calling
+    thread.  Every row is
     computed by one thread with the same operations, so the tables do
     not depend on the CPU count."""
     fs = list(fs)
@@ -209,10 +204,13 @@ def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
     inner_cell, outer_cell = cells[inner_axis], cells[1 - inner_axis]
     # the magnitudes come in FFT order along xi, so the weights do too
     weights = np.fft.ifftshift(bessel_weights(grid, s)) if s != 0.0 else None
+    window = _gaussian(grid.axis_points())
     tables = np.empty((len(fs), len(outers), len(inners)))
 
     def fill(rows):
-        for k, mags in zip(rows, _stft_magnitudes([fs[k] for k in rows])):
+        mags = np.empty((grid.points_per_axis,) * 2)
+        for k, spectra in zip(rows, _spectra([fs[k] for k in rows], window)):
+            np.abs(spectra, out=mags)
             if weights is not None:
                 mags *= weights
             inner_norms = np.array([power_mean(mags, e, inner_cell, inner_axis) for e in inners])

@@ -1,13 +1,14 @@
 """Lebesgue exponents stored by reciprocal.
 
 An exponent p in [1, inf] is represented by u = 1/p in [0, 1], with
-u = 0 standing for p = inf.  The reciprocal scale makes the two
-operations this package needs exact and total: the conjugate exponent
-is 1 - u, and the geometry of embedding regions lives naturally on the
-unit square of (1/p, 1/q) pairs.
+u = 0 standing for p = inf.  On the reciprocal scale the conjugate
+exponent is 1 - u, which is exact for 1 <= p <= 2 (Sterbenz) and
+rounded once for p > 2, and the geometry of embedding regions lives
+naturally on the unit square of (1/p, 1/q) pairs.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,8 @@ class ExponentValue:
 
     @property
     def conjugate(self):
-        """The Holder conjugate, exact on the reciprocal scale."""
+        """The Holder conjugate 1 - u: exact for 1 <= p <= 2, rounded
+        once for p > 2."""
         return ExponentValue(1.0 - self.u)
 
     @property
@@ -59,8 +61,9 @@ class ExponentValue:
 def from_p(p):
     """The ExponentValue of p: a number, 'inf', or an 'a/b' string; an
     ExponentValue is returned as it is.  p = inf is spelled 'inf',
-    'infinity', 'oo' or math.inf; a bool or any other value that is not
-    finite (nan, -inf, '1e309') raises UnsupportedExponent."""
+    'infinity', 'oo' or math.inf; a bool, a value that is not a real
+    scalar (None, a list, a complex number) or one that is not finite
+    (nan, -inf, '1e309') raises UnsupportedExponent."""
     if isinstance(p, ExponentValue):
         return p
     if isinstance(p, (bool, np.bool_)):
@@ -77,6 +80,8 @@ def from_p(p):
         if not math.isfinite(value):
             raise UnsupportedExponent(f"exponent {p!r} is not finite; write 'inf' for p = inf")
         return from_p(value)
+    if not isinstance(p, numbers.Real):
+        raise UnsupportedExponent(f"exponent must be a real number or a string, got {p!r}")
     if p == math.inf:
         return ExponentValue(0.0)
     if not (math.isfinite(p) and p >= 1.0):

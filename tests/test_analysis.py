@@ -57,21 +57,22 @@ def _bits(values):
 KERNEL_GRIDS = [(8, 4.0), (64, 7.3), (256, 16.0), (128, 12.345)]
 
 
-def _gather_magnitudes(fs):
-    """The magnitude kernel's oracle: |gather_stft| of each function, in
-    FFT order along xi as the kernel yields it."""
-    g = default_window(fs[0].grid)
+def _gather_spectra(fs, window):
+    """The spectra kernel's oracle: gather_stft of each function, in FFT
+    order along xi as the kernel yields it."""
     for f in fs:
-        oracle = np.abs(oracles.gather_stft(f.values, g.values, f.grid.spacing))
-        yield np.fft.ifftshift(oracle, axes=1)
+        yield np.fft.ifftshift(oracles.gather_stft(f.values, window, f.grid.spacing), axes=1)
 
 
 @pytest.mark.parametrize("n, extent", KERNEL_GRIDS)
 def test_magnitude_kernel_matches_gather_oracle_bitwise(n, extent):
     grid = UniformGrid(1, n, extent)
     fs = [make_bandlimited(grid, seed=seed, modes=min(3, n // 4)) for seed in (7, 8, 9)]
+    window = default_window(grid).values
     # the kernel overwrites one array per function, so compare each as it comes
-    for got, want in zip(analysis._stft_magnitudes(fs), _gather_magnitudes(fs), strict=True):
+    got_spectra, want_spectra = analysis._spectra(fs, window), _gather_spectra(fs, window)
+    for got, want in zip(got_spectra, want_spectra, strict=True):
+        assert got.dtype == np.complex128
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -99,9 +100,9 @@ def test_strided_kernel_matches_gather_oracle_bitwise(monkeypatch, n, extent):
     # three translates per block leave a partial last block at every n here
     monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", 3 * n)
     blocked = tables()
-    # the same tables with the gather oracle in the magnitude kernel (the
+    # the same tables with the gather oracle in the spectra kernel (the
     # norm tables) and in the sup-STFT kernel (the factored sjostrand_norm)
-    monkeypatch.setattr(analysis, "_stft_magnitudes", _gather_magnitudes)
+    monkeypatch.setattr(analysis, "_spectra", _gather_spectra)
     monkeypatch.setattr(analysis, "_sup_stft", _gather_sup_stft)
     want = tables()
     for got in (fast, blocked):
@@ -150,33 +151,26 @@ def test_sjostrand_memory_is_bounded_by_the_block():
 def test_stft_and_tables_run_their_kernels_once_per_function(monkeypatch, tiny_grid):
     n = tiny_grid.points_per_axis
     fs = [make_bandlimited(tiny_grid, seed=seed, modes=3) for seed in (2, 3, 4)]
-    spectra, magnitudes = [], []
-    windowed_spectra, stft_magnitudes = analysis._windowed_spectra, analysis._stft_magnitudes
+    spectra = []  # (shape, dtype) of each array the kernel yields
+    kernel = analysis._spectra
 
-    def counted_spectra(f, g):
-        result = windowed_spectra(f, g)
-        spectra.append(result[1])
-        return result
+    def counted_spectra(fs, window):
+        for values in kernel(fs, window):
+            spectra.append((values.shape, values.dtype))
+            yield values
 
-    def counted_magnitudes(fs):
-        for mags in stft_magnitudes(fs):
-            magnitudes.append(mags.shape)
-            yield mags
-
-    monkeypatch.setattr(analysis, "_windowed_spectra", counted_spectra)
-    monkeypatch.setattr(analysis, "_stft_magnitudes", counted_magnitudes)
+    monkeypatch.setattr(analysis, "_spectra", counted_spectra)
+    # stft and both tables read the one kernel, once per function
     stft(fs[0], default_window(tiny_grid))
-    assert len(spectra) == 1 and not magnitudes
-    assert spectra[0].shape == (n, n) and spectra[0].dtype == np.complex128
+    assert spectra == [((n, n), np.complex128)]
     for k in (1, 3):
         for call in (
             lambda: modulation_norms(fs[:k], ["1", "2"], ["2", "inf"]),
             lambda: amalgam_norms(fs[:k], ["1", "2"], ["2", "inf"], 0.5),
         ):
             spectra.clear()
-            magnitudes.clear()
             assert call().shape == (k, 2, 2)
-            assert not spectra and magnitudes == [(n, n)] * k
+            assert spectra == [((n, n), np.complex128)] * k
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5])
@@ -201,12 +195,12 @@ def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, tiny_grid):
     # five functions split unevenly over two and three CPUs
     fs = [make_bandlimited(tiny_grid, seed, modes=3) for seed in range(5)]
     names = [name for name, _ in EXPONENTS]
-    runs = []  # (first function, functions, thread) per magnitude kernel
-    stft_magnitudes = analysis._stft_magnitudes
+    runs = []  # (first function, functions, thread) per spectra kernel
+    kernel = analysis._spectra
 
-    def recorded_magnitudes(chunk):
+    def recorded_spectra(chunk, window):
         runs.append((fs.index(chunk[0]), len(chunk), threading.current_thread()))
-        yield from stft_magnitudes(chunk)
+        yield from kernel(chunk, window)
 
     def chunks(call):
         runs.clear()
@@ -218,7 +212,7 @@ def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, tiny_grid):
         assert min(runs)[2] is threading.current_thread()
         return result, [size for _, size, _ in sorted(runs)]
 
-    monkeypatch.setattr(analysis, "_stft_magnitudes", recorded_magnitudes)
+    monkeypatch.setattr(analysis, "_spectra", recorded_spectra)
     tables = {}
     for cpus, sizes in ((1, [5]), (2, [2, 3]), (3, [1, 2, 2])):
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
@@ -250,12 +244,12 @@ def test_tables_run_workers_in_the_callers_errstate(monkeypatch, tiny_grid):
     with np.errstate(over="ignore"):
         assert np.isinf(modulation_norms(fs, ["2"], ["2"])[2, 0, 0])
 
-    def failing_magnitudes(chunk):
+    def failing_spectra(chunk, window):
         if chunk[0] is not fs[0]:
             raise ZeroWindow("raised in a worker")
         yield from ()
 
-    monkeypatch.setattr(analysis, "_stft_magnitudes", failing_magnitudes)
+    monkeypatch.setattr(analysis, "_spectra", failing_spectra)
     with pytest.raises(ZeroWindow, match="raised in a worker"):
         amalgam_norms(fs, ["2"], ["2"])
 
@@ -568,7 +562,7 @@ def test_weight_order_must_be_finite(monkeypatch, tiny_grid, s):
     # must raise rather than warn and return nan
     monkeypatch.setattr(analysis, "_windowed_spectra", None)
     monkeypatch.setattr(analysis, "_sup_stft", None)
-    monkeypatch.setattr(analysis, "_stft_magnitudes", None)
+    monkeypatch.setattr(analysis, "_spectra", None)
     monkeypatch.setattr(grid_module, "forward_ft", None)
     f = make_bandlimited(tiny_grid, seed=1, modes=3)
     with pytest.raises(InvalidValue, match=f"s={s!r}"):

@@ -34,6 +34,14 @@ def test_conjugate_is_involution():
         assert abs(e.u + e.conjugate.u - 1.0) == 0.0
     assert from_p(1).conjugate.u == 0.0
     assert from_p(2).conjugate.u == 0.5
+    # 1 - u is exact for 1 <= p <= 2 (Sterbenz) and rounded once for p > 2,
+    # so twice conjugating is off by at most half an ulp of 1 - u there
+    for p in ("4/3", "3/2", "2", "5/2", "3", "5", "6", "7", "10"):
+        e = from_p(p)
+        if e.p <= 2:
+            assert e.conjugate.conjugate.u == e.u
+        assert abs(e.conjugate.conjugate.u - e.u) <= 2.0**-54
+    assert from_p(3).conjugate.conjugate.u != from_p(3).u
 
 
 def test_out_of_range_rejected():
@@ -45,6 +53,12 @@ def test_out_of_range_rejected():
     for value in ("-inf", -math.inf, "-1e309", "1e309", "nan", math.nan, True, np.True_, False):
         with pytest.raises(UnsupportedExponent):
             from_p(value)
+    # a value that is not a real scalar is named, not a bare TypeError
+    for value in (None, [2], (2,), 2 + 0j, np.array([2.0])):
+        with pytest.raises(UnsupportedExponent):
+            from_p(value)
+    with pytest.raises(UnsupportedExponent):
+        power_mean(np.ones(3), None, 1.0)
     with pytest.raises(UnsupportedExponent):
         ExponentValue(1.5)
     with pytest.raises(UnsupportedExponent):

@@ -87,3 +87,20 @@ def test_tracer_counters_read_what_the_layers_return(tmp_path):
     assert counts[("analysis.stft", "bytes_computed")] == 16 * 16 * np.dtype(complex).itemsize
     # a closed-form estimate is exact, so it never counts as a lower bound
     assert {k: v for k, v in counts.items() if not v > 0} == {("opnorm.exact_norm", "lower_bound"): 0}
+
+
+def test_factored_sjostrand_norm_records_a_grid_ft_span():
+    # the benchmark's own suite pins a grid.ft span under the factored
+    # sjostrand_norm; a sup-STFT kernel that stopped calling ft_along would
+    # break that pin, so it fails here too
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        modop.cli.sjostrand_norm(modop.constant_symbol(modop.UniformGrid(1, 64, 8.0)))
+    finally:
+        tracer.restore()
+    names = [span.name for span in tracer.spans]
+    assert "analysis.sjostrand_norm" in names and "grid.ft" in names
+    norm = names.index("analysis.sjostrand_norm")
+    assert any(s.name == "grid.ft" and s.parent == norm for s in tracer.spans)
