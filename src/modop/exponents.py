@@ -63,7 +63,8 @@ def from_p(p):
     ExponentValue is returned as it is.  p = inf is spelled 'inf',
     'infinity', 'oo' or math.inf; a bool, a value that is not a real
     scalar (None, a list, a complex number) or one that is not finite
-    (nan, -inf, '1e309') raises UnsupportedExponent."""
+    (nan, -inf, '1e309', a number past the float range) raises
+    UnsupportedExponent."""
     if isinstance(p, ExponentValue):
         return p
     if isinstance(p, (bool, np.bool_)):
@@ -84,9 +85,13 @@ def from_p(p):
         raise UnsupportedExponent(f"exponent must be a real number or a string, got {p!r}")
     if p == math.inf:
         return ExponentValue(0.0)
-    if not (math.isfinite(p) and p >= 1.0):
+    try:
+        value = float(p)
+    except OverflowError as exc:
+        raise UnsupportedExponent("exponent is past the float range") from exc
+    if not (math.isfinite(value) and value >= 1.0):
         raise UnsupportedExponent(f"exponent must be finite with p >= 1, or inf, got {p}")
-    return ExponentValue(1.0 / float(p))
+    return ExponentValue(1.0 / value)
 
 
 def power_mean(magnitudes, exponent, cell_measure, axis=None):

@@ -13,11 +13,20 @@ two-dimensional transform of the symbol (omega dual to x, u dual to xi),
 
     (KN symbol)_hat(omega, u) = e^{+pi i omega u} (Weyl symbol)_hat(omega, u)
 
-which u_transform applies on the centered dual lattice.  Half-lattice
-evaluations (the Weyl midpoints and the kernel shear below) are
-resolved by trigonometric interpolation: a spectral phase shift on the
-same centered lattice, exact for band-limited data and consistent with
-the multiplier above, as the round-trip and oracle tests check.
+which u_transform applies.  Half-lattice evaluations (the Weyl
+midpoints and the kernel shear below) are resolved by trigonometric
+interpolation: a spectral phase shift, exact for band-limited data and
+consistent with the multiplier above, as the round-trip and oracle
+tests check.
+
+Both phases are one chirp e^{+/- pi i j k / N} in signed lattice
+indices j, k (omega u = j k / N, and a shift by t half steps is
+e^{-2 pi i k t / (2N)} at frequency k / L), so _chirp_multiply reads
+it from a table of the 2N-th roots of unity at (j k) mod 2N instead of
+taking N^2 complex exponentials of arguments up to pi N / 4.  It runs
+the transforms in place on one array in FFT order: the fftshift that
+would end the forward transform and the ifftshift that would start the
+inverse cancel, so one ifftshift comes in and one fftshift goes out.
 
 Kernels: the Weyl symbol and the Schwartz kernel K determine each other
 through the shear tau K(x, y) = K(x + y/2, x - y/2) followed by a
@@ -54,6 +63,9 @@ KOHN_NIRENBERG = "kn"
 WEYL = "weyl"
 
 _MATRIX_LIMIT = 1024
+# chirp entries _chirp_multiply forms at once (256 KiB), so it never holds
+# an N x N phase beside its work array
+_CHIRP_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,10 +224,46 @@ def weyl_apply(symbol, f):
     return kn_apply(u_transform(symbol, "to_KN"), f)
 
 
-def _symbol_dual_mesh(grid):
-    omega = grid.axis_frequencies()  # dual of the x axis, step 1/L
-    u = grid.axis_points()  # dual of the xi axis, step L/N
-    return omega[:, None], u[None, :]
+def _signed(n):
+    """The signed lattice indices k - N/2, k = 0..N-1, in FFT order."""
+    return np.fft.ifftshift(np.arange(n) - n // 2)
+
+
+def _roots(n):
+    """The 2N-th roots of unity e^{i pi r / N}, r = 0..2N-1, each taken
+    at its angle reduced to [-pi, pi)."""
+    return np.exp(1j * np.pi / n * _signed(2 * n))
+
+
+def _chirp_multiply(values, spacings, j):
+    """Centered-lattice values, shape (m, N), transformed along their
+    trailing axes (one forward transform per spacing, as in ft_along),
+    row r multiplied by the chirp e^{i pi j[r] k / N}, k the signed
+    index of the last axis, and transformed back as in ift_along.
+
+    The transforms run in place on one FFT-order copy, so the values
+    equal the four-call composition ift_along(ft_along(values) * the
+    centered chirp), axis by axis in the same order, to the bit.  The
+    chirp is the root of unity at (j[r] k) mod 2N, formed a block of
+    rows at a time.
+    """
+    n = values.shape[-1]
+    axes = tuple(range(-len(spacings), 0))
+    # C order, so the transforms along the last axis read contiguous rows
+    work = np.ascontiguousarray(np.fft.ifftshift(values, axes=axes), dtype=complex)
+    for axis, spacing in zip(axes, spacings):
+        np.fft.fft(work, axis=axis, out=work)
+        work *= spacing
+    roots, k = _roots(n), _signed(n)
+    rows = max(1, _CHIRP_ENTRIES // n)
+    for start in range(0, len(j), rows):
+        index = np.multiply.outer(j[start:start + rows], k)
+        index %= 2 * n
+        work[start:start + rows] *= roots[index]
+    for axis, spacing in zip(axes, spacings):
+        np.fft.ifft(work, axis=axis, out=work)
+        work /= spacing
+    return np.fft.fftshift(work, axes=axes)
 
 
 def u_transform(symbol, direction):
@@ -223,24 +271,21 @@ def u_transform(symbol, direction):
 
     direction is 'to_KN' (input must be Weyl) or 'to_Weyl' (input must
     be KN).  The conversion multiplies the symbol's two-dimensional
-    transform by e^{+/- pi i omega u} on the centered dual lattice and
-    flips the tag; the two directions are exact mutual inverses.
+    transform by e^{+/- pi i omega u} (the chirp e^{+/- pi i j k / N} in
+    the signed indices of omega and u) and flips the tag.  The two
+    directions are inverses up to roundoff.
     """
     grid = symbol.grid
     if direction == "to_KN":
         _require_tag(symbol, WEYL)
-        sign, new_tag = +1.0, KOHN_NIRENBERG
+        sign, new_tag = 1, KOHN_NIRENBERG
     elif direction == "to_Weyl":
         _require_tag(symbol, KOHN_NIRENBERG)
-        sign, new_tag = -1.0, WEYL
+        sign, new_tag = -1, WEYL
     else:
         raise InvalidValue(f"direction must be 'to_KN' or 'to_Weyl', got {direction!r}")
-    h = grid.spacing
-    dual = grid.dual_spacing
-    omega, u = _symbol_dual_mesh(grid)
-    spectrum = ft_along(ft_along(symbol.values, 0, h), 1, dual)
-    spectrum = spectrum * np.exp(sign * 1j * np.pi * omega * u)
-    values = ift_along(ift_along(spectrum, 0, h), 1, dual)
+    omega = sign * _signed(grid.points_per_axis)
+    values = _chirp_multiply(symbol.values, (grid.spacing, grid.dual_spacing), omega)
     return PhaseSpaceSymbol(grid, values, new_tag)
 
 
@@ -262,24 +307,21 @@ def lift_symbol(symbol, s):
 def _half_shift_rows(rows, shifts, spacing, extent):
     """Spectrally translate rows[i] by shifts[i] * spacing / 2.
 
-    rows is (m, N) of periodic samples with the given spacing; the
-    shift is exact trigonometric interpolation on the centered dual
-    lattice, one half-step unit per count in `shifts`.
+    rows is (m, N) of periodic samples with the given spacing and
+    extent N * spacing; the shift is exact trigonometric interpolation,
+    one half-step per count in the integer `shifts`: the chirp
+    e^{-pi i shifts[i] k / N} on the row's transform.
     """
-    n = rows.shape[1]
-    freqs = (np.arange(n) - n // 2) / extent
-    spectra = ft_along(rows, 1, spacing)
-    phase = np.exp(-2j * np.pi * freqs[None, :] * (shifts[:, None] * spacing / 2.0))
-    return ift_along(spectra * phase, 1, spacing)
+    return _chirp_multiply(rows, (spacing,), -shifts)
 
 
-def _diagonals(n):
-    """The centered differences t and the index of the kernel's
-    diagonals: entry [t_pos, u] of the index is (u, (u - t) % N), the
-    point u on the diagonal x - y = t h."""
-    t = np.arange(n) - n // 2
+def _diagonals(t):
+    """The index of the kernel's diagonals at the centered differences t:
+    entry [t_pos, u] is (u, (u - t) % N), the point u on the diagonal
+    x - y = t h."""
+    n = len(t)
     u = np.arange(n)
-    return t, (u, (u - t[:, None]) % n)
+    return u, (u - t[:, None]) % n
 
 
 def weyl_to_kernel(symbol):
@@ -288,13 +330,15 @@ def weyl_to_kernel(symbol):
     grid = symbol.grid
     n = grid.points_per_axis
     h = grid.spacing
+    t = np.arange(n) - n // 2
     # sheared kernel G(x, t) = K(x + t h/2, x + t h/2 - t h) for the
-    # centered difference t; its y-transform is the symbol, so invert:
-    sheared = ift_along(symbol.values, 1, h)  # G[x_idx, t_pos]
-    t, diagonals = _diagonals(n)
-    # diagonal slices: D_t(u) = K(u, u - t h) = G(u - t h/2, t)
+    # centered difference t; its y-transform is the symbol, so invert it
+    # (G[x_idx, t_pos]) and shift each t row to the diagonal slice
+    # D_t(u) = K(u, u - t h) = G(u - t h/2, t), (t_pos, u_idx)
+    slices = _half_shift_rows(ift_along(symbol.values, 1, h).T, t, h, grid.extent)
     kernel = np.empty((n, n), dtype=complex)
-    kernel[diagonals] = _half_shift_rows(sheared.T, t, h, grid.extent)  # (t_pos, u_idx)
+    kernel[_diagonals(t)] = slices
+    del slices  # before KernelRep copies the kernel
     return KernelRep(grid, kernel)
 
 
@@ -302,10 +346,13 @@ def kernel_to_weyl(kernel):
     """Invert weyl_to_kernel: Weyl symbol from a sampled kernel."""
     grid = kernel.grid
     h = grid.spacing
-    t, diagonals = _diagonals(grid.points_per_axis)
-    slices = kernel.values[diagonals]  # (t_pos, u_idx)
-    sheared = _half_shift_rows(slices, -t, h, grid.extent).T  # G[x_idx, t_pos]
-    values = ft_along(sheared, 1, h)
+    n = grid.points_per_axis
+    t = np.arange(n) - n // 2
+    # the diagonal slices (t_pos, u_idx) shifted back are G[x_idx, t_pos]
+    # transposed, and G's transform along t is the symbol
+    sheared = _half_shift_rows(kernel.values[_diagonals(t)], -t, h, grid.extent)
+    values = ft_along(sheared, 0, h).T
+    del sheared  # before PhaseSpaceSymbol copies the values
     return PhaseSpaceSymbol(grid, values, WEYL)
 
 

@@ -26,6 +26,16 @@ def weyl_grid():
     return UniformGrid(1, 64, 8.0)
 
 
+# grids of the bitwise kernel checks: N from 8 to 256, and extents that
+# are not powers of two
+KERNEL_GRIDS = [(8, 4.0), (64, 7.3), (256, 16.0), (128, 12.345)]
+
+
+def bits(values):
+    """The bit patterns of complex values, for comparing them exactly."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
 def make_bandlimited(grid, seed, modes=8):
     """Random trig polynomial under a Gaussian envelope, well below 1e-12 at the boundary."""
     rng = np.random.default_rng(seed)

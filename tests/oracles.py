@@ -3,10 +3,16 @@
 Everything here is written against the definitions directly, with plain
 loops or einsums and no calls into modop's transform internals, so that
 agreement between a library routine and its oracle is meaningful.  All
-of these are O(N^2) or worse and meant for small N only.
+of these are O(N^2) or worse and meant for small N only.  The one
+exception is the section of centered compositions, which calls
+grid.ft_along and ift_along on purpose: it keeps the shift round trips
+that quantize's FFT-order transforms drop, to check that dropping them
+moves no bit.
 """
 
 import numpy as np
+
+from modop.grid import ft_along, ift_along
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +101,25 @@ def kernel_diagonals(kernel_values):
 def gauss_stft_magnitude(x, xi):
     """|V_g g| for the L^2-normalized Gaussian g(t) = 2^{1/4} e^{-pi t^2}, d=1."""
     return np.exp(-np.pi * (x**2 + xi**2) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# centered compositions
+
+
+def centered_u_multiplier(values, grid, phase):
+    """The Weyl/KN multiplier as four centered transforms: ft_along over
+    x (cell h) then xi (cell 1/L), times phase (centered on both axes),
+    then ift_along over x then xi."""
+    h, dual = grid.spacing, grid.dual_spacing
+    spectrum = ft_along(ft_along(values, 0, h), 1, dual) * phase
+    return ift_along(ift_along(spectrum, 0, h), 1, dual)
+
+
+def centered_half_shift(rows, spacing, phase):
+    """Each row's centered transform times its row of phase (centered
+    along the row), transformed back: a spectral shift of the rows."""
+    return ift_along(ft_along(rows, 1, spacing) * phase, 1, spacing)
 
 
 # ---------------------------------------------------------------------------

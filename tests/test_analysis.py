@@ -37,7 +37,7 @@ from modop import grid as grid_module
 from modop.exponents import from_p
 
 import oracles
-from conftest import make_bandlimited, rel_err, unit_gaussian
+from conftest import KERNEL_GRIDS, bits, make_bandlimited, rel_err, unit_gaussian
 
 TWO = from_p(2)
 
@@ -48,13 +48,6 @@ def test_stft_matches_direct_quadrature(tiny_grid):
     got = stft(f, g)
     want = oracles.direct_stft(f.values, g.values, tiny_grid)
     assert rel_err(got, want) <= 1e-12
-
-
-def _bits(values):
-    return np.asarray(values, dtype=complex).view(np.uint64)
-
-
-KERNEL_GRIDS = [(8, 4.0), (64, 7.3), (256, 16.0), (128, 12.345)]
 
 
 def _gather_spectra(fs, window):
@@ -82,7 +75,7 @@ def test_strided_kernel_matches_gather_oracle_bitwise(monkeypatch, n, extent):
     f = make_bandlimited(grid, seed=7, modes=min(3, n // 4))
     g = default_window(grid)
     got = stft(f, g)
-    assert np.array_equal(_bits(got), _bits(oracles.gather_stft(f.values, g.values, grid.spacing)))
+    assert np.array_equal(bits(got), bits(oracles.gather_stft(f.values, g.values, grid.spacing)))
 
     fs = [f, make_bandlimited(grid, seed=8, modes=min(3, n // 4))]
     names = [name for name, _ in EXPONENTS]
@@ -107,7 +100,7 @@ def test_strided_kernel_matches_gather_oracle_bitwise(monkeypatch, n, extent):
     want = tables()
     for got in (fast, blocked):
         for got_table, want_table in zip(got, want, strict=True):
-            assert np.array_equal(_bits(got_table), _bits(want_table))
+            assert np.array_equal(bits(got_table), bits(want_table))
 
 
 def _gather_sup_stft(values, window, spacing, weight):
@@ -186,9 +179,9 @@ def test_tables_of_a_run_match_one_function_tables(tiny_grid, s):
         assert modulation.shape == amalgam.shape == (3, len(names), len(names))
         for k, f in enumerate(order):
             alone = modulation_norms([f], names, names)[0]
-            assert np.array_equal(_bits(modulation[k]), _bits(alone))
+            assert np.array_equal(bits(modulation[k]), bits(alone))
             alone = amalgam_norms([f], names, names, s)[0]
-            assert np.array_equal(_bits(amalgam[k]), _bits(alone))
+            assert np.array_equal(bits(amalgam[k]), bits(alone))
 
 
 def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, tiny_grid):
@@ -226,7 +219,7 @@ def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, tiny_grid):
             tables[cpus].append(table)
     for cpus in (2, 3):
         for got, want in zip(tables[cpus], tables[1], strict=True):
-            assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(bits(got), bits(want))
     # never more chunks than functions
     assert chunks(lambda: modulation_norms(fs[:2], names, names))[1] == [1, 1]
 

@@ -50,7 +50,8 @@ def test_out_of_range_rejected():
     with pytest.raises(UnsupportedExponent):
         from_p(0.5)
     # only the inf spellings and math.inf read as p = inf; no bool reads as p = 1
-    for value in ("-inf", -math.inf, "-1e309", "1e309", "nan", math.nan, True, np.True_, False):
+    for value in ("-inf", -math.inf, "-1e309", "1e309", "nan", math.nan, True, np.True_, False,
+                  10**400, -10**400):
         with pytest.raises(UnsupportedExponent):
             from_p(value)
     # a value that is not a real scalar is named, not a bare TypeError

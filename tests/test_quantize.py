@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from modop import (
 from modop import quantize
 
 import oracles
-from conftest import make_bandlimited, rel_err
+from conftest import KERNEL_GRIDS, bits, make_bandlimited, rel_err
 
 
 def random_symbol(grid, seed, quantization="kn"):
@@ -216,6 +218,49 @@ def test_u_transform_direction_validation(default_grid):
         u_transform(sigma, "sideways")
 
 
+def _signed(n):
+    return np.fft.ifftshift(np.arange(n) - n // 2)
+
+
+def _chirp(j, n):
+    """e^{i pi j k / N} read from the root table at (j k) mod 2N, k the
+    signed index in FFT order."""
+    return quantize._roots(n)[np.multiply.outer(j, _signed(n)) % (2 * n)]
+
+
+@pytest.mark.parametrize("n, extent", KERNEL_GRIDS)
+def test_fft_order_transforms_match_the_centered_compositions_bitwise(n, extent):
+    # the fftshift that ends each forward transform and the ifftshift that
+    # starts the inverse cancel exactly, so dropping them moves no bit
+    grid = UniformGrid(1, n, extent)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for sign, direction, tag in ((1, "to_KN", "weyl"), (-1, "to_Weyl", "kn")):
+        phase = np.fft.fftshift(_chirp(sign * _signed(n), n))
+        got = u_transform(PhaseSpaceSymbol(grid, values, tag), direction).values
+        want = oracles.centered_u_multiplier(values, grid, phase)
+        assert np.array_equal(bits(got), bits(want))
+    t = np.arange(n) - n // 2
+    # weyl_to_kernel hands _half_shift_rows a transposed view
+    for rows, shifts in ((values, t), (values, -t), (values.T, t)):
+        phase = np.fft.fftshift(_chirp(-shifts, n), axes=1)
+        got = quantize._half_shift_rows(rows, shifts, grid.spacing, grid.extent)
+        want = oracles.centered_half_shift(rows, grid.spacing, phase)
+        assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024])
+def test_chirp_matches_the_exactly_reduced_phase(n):
+    # the reference reduces j k mod 2N in integers and takes the angle
+    # pi r / N in extended precision
+    k = _signed(n)
+    reduced = np.multiply.outer(k, k) % (2 * n)
+    angle = 4 * np.arctan(np.longdouble(1)) * reduced.astype(np.longdouble) / n
+    chirp = _chirp(k, n)
+    assert np.abs(chirp.real - np.cos(angle)).max() <= 1e-15
+    assert np.abs(chirp.imag - np.sin(angle)).max() <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # kernel correspondence
 
@@ -276,6 +321,30 @@ def test_rank_one_kernel_pairing(small_grid):
     lhs = small_grid.spacing * (weyl_apply(sigma, f).values @ np.conj(g.values))
     rhs = oracles.rank_one_pairing(kernel.values, f.values, g.values, small_grid)
     assert abs(lhs - rhs) <= 1e-8 * max(abs(rhs), 1.0)
+
+
+def test_weyl_transforms_memory_is_bounded():
+    # u_transform holds its FFT-order work array and the centered copy it
+    # returns, then that copy and the symbol's frozen one; the kernel
+    # shear also holds the rows it hands _half_shift_rows (or the kernel
+    # it fills).  1 MiB covers the chirp blocks, the finiteness mask and
+    # the O(N) vectors.
+    n = 512
+    sigma = random_symbol(UniformGrid(1, n, 16.0), seed=81, quantization="weyl")
+    kernel = weyl_to_kernel(sigma)
+    calls = [
+        (lambda: u_transform(sigma, "to_KN"), 2),
+        (lambda: weyl_to_kernel(sigma), 3),
+        (lambda: kernel_to_weyl(kernel), 3),
+    ]
+    for call, arrays in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * 16 * n * n + 2**20
 
 
 # ---------------------------------------------------------------------------
