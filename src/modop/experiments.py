@@ -788,11 +788,11 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
 
 
 def _auto_size(extent, n_modes):
-    """Smallest power-of-two N giving the mode sum a two-octave window."""
-    n = 64
-    while n < 4.0 * extent * max(n_modes, 1):
-        n *= 2
-    return n
+    """Smallest power of two N >= 64 with N >= 4 L max(N_modes, 1), giving
+    the mode sum a two-octave window; a bound past the largest float reads
+    as that float (UniformGrid refuses any N past its cap)."""
+    bound = min(4.0 * extent * max(n_modes, 1), np.finfo(float).max)
+    return max(64, 1 << (math.ceil(bound) - 1).bit_length())
 
 
 def _slope_fit(log_m, log_v):

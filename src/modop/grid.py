@@ -33,9 +33,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionUnsupported, FileFormatError, GridMismatch, InvalidValue, OffLattice
+from .errors import (
+    DimensionUnsupported,
+    FileFormatError,
+    GridMismatch,
+    InvalidValue,
+    OffLattice,
+    TooLarge,
+)
 
 _LATTICE_RTOL = 1e-9
+_MAX_POINTS = 2**30
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,9 @@ class UniformGrid:
         Side length L > 0 of the periodic box, finite.
 
     A bool, a non-integer, a dim below 1 or an N below 2 raises
-    InvalidValue, as does an odd N; numpy integers are accepted.  An
-    extent that is a bool, a str or any other non-real value raises
+    InvalidValue, as does an odd N, and an N above 2**30 (16 GiB a
+    complex vector) TooLarge; numpy integers are accepted.  An extent
+    that is a bool, a str or any other non-real value raises
     InvalidValue; ints and numpy reals (0-d arrays too) are accepted and
     stored as float.
 
@@ -80,6 +89,8 @@ class UniformGrid:
             raise DimensionUnsupported(f"only dimension 1 is supported, got {self.dim}")
         if self.points_per_axis % 2 != 0:
             raise InvalidValue(f"points_per_axis must be even, got {self.points_per_axis}")
+        if n > _MAX_POINTS:
+            raise TooLarge(f"points_per_axis is limited to {_MAX_POINTS}, got {n}")
         if not (math.isfinite(self.extent) and self.extent > 0):
             raise InvalidValue(f"extent must be finite and positive, got {self.extent}")
 

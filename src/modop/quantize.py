@@ -32,7 +32,10 @@ Kernels: the Weyl symbol and the Schwartz kernel K determine each other
 through the shear tau K(x, y) = K(x + y/2, x - y/2) followed by a
 Fourier transform in y.  On the periodic grid the slice at fixed
 difference t = x - y is an exact lattice gather, so the shear needs
-interpolation only for the half-step t/2, again done spectrally.
+interpolation only for the half-step t/2, again done spectrally.  One
+layout, _skew, holds the diagonals of the kernel (from its slices at
+shift N/2, and back, being its own inverse) and of as_matrix (from
+its difference table at shift 0).
 
 Operators: kn_operator is the one place that says which operator a
 Kohn-Nirenberg symbol denotes.  kn_apply uses its apply, and every
@@ -304,24 +307,15 @@ def lift_symbol(symbol, s):
     return symbol.with_values(symbol.values * weights[None, :])
 
 
-def _half_shift_rows(rows, shifts, spacing, extent):
-    """Spectrally translate rows[i] by shifts[i] * spacing / 2.
-
-    rows is (m, N) of periodic samples with the given spacing and
-    extent N * spacing; the shift is exact trigonometric interpolation,
-    one half-step per count in the integer `shifts`: the chirp
-    e^{-pi i shifts[i] k / N} on the row's transform.
-    """
-    return _chirp_multiply(rows, (spacing,), -shifts)
-
-
-def _diagonals(t):
-    """The index of the kernel's diagonals at the centered differences t:
-    entry [t_pos, u] is (u, (u - t) % N), the point u on the diagonal
-    x - y = t h."""
-    n = len(t)
-    u = np.arange(n)
-    return u, (u - t[:, None]) % n
+def _skew(values, shift):
+    """Entry [j, m] is values[j, (j - m + shift) % N]: it moves values,
+    does no arithmetic and is its own inverse.  A view of one (N, 2N)
+    gather, row j holding values[j, (shift - c) % N] at column c, read in
+    rows of 2N - 1 that start row j at column N - j.  np.take copies
+    values that are not C-contiguous first, so callers hand it rows."""
+    n = len(values)
+    doubled = np.take(values, (shift - np.arange(2 * n)) % n, axis=1)
+    return doubled.reshape(-1)[n:n + n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, :n]
 
 
 def weyl_to_kernel(symbol):
@@ -334,12 +328,10 @@ def weyl_to_kernel(symbol):
     # sheared kernel G(x, t) = K(x + t h/2, x + t h/2 - t h) for the
     # centered difference t; its y-transform is the symbol, so invert it
     # (G[x_idx, t_pos]) and shift each t row to the diagonal slice
-    # D_t(u) = K(u, u - t h) = G(u - t h/2, t), (t_pos, u_idx)
-    slices = _half_shift_rows(ift_along(symbol.values, 1, h).T, t, h, grid.extent)
-    kernel = np.empty((n, n), dtype=complex)
-    kernel[_diagonals(t)] = slices
-    del slices  # before KernelRep copies the kernel
-    return KernelRep(grid, kernel)
+    # D_t(u) = K(u, u - t h) = G(u - t h/2, t), (t_pos, u_idx); K is _skew
+    # of D copied to columns, in one expression to free each array early
+    return KernelRep(grid, _skew(np.ascontiguousarray(
+        _chirp_multiply(ift_along(symbol.values, 1, h).T, (h,), -t).T), n // 2))
 
 
 def kernel_to_weyl(kernel):
@@ -348,12 +340,10 @@ def kernel_to_weyl(kernel):
     h = grid.spacing
     n = grid.points_per_axis
     t = np.arange(n) - n // 2
-    # the diagonal slices (t_pos, u_idx) shifted back are G[x_idx, t_pos]
-    # transposed, and G's transform along t is the symbol
-    sheared = _half_shift_rows(kernel.values[_diagonals(t)], -t, h, grid.extent)
-    values = ft_along(sheared, 0, h).T
-    del sheared  # before PhaseSpaceSymbol copies the values
-    return PhaseSpaceSymbol(grid, values, WEYL)
+    # the diagonal slices (t_pos, u_idx), copied to rows, shifted back are
+    # G[x_idx, t_pos] transposed, and G's transform along t is the symbol
+    sheared = _chirp_multiply(np.ascontiguousarray(_skew(kernel.values, n // 2).T), (h,), t)
+    return PhaseSpaceSymbol(grid, ft_along(sheared, 0, h).T, WEYL)
 
 
 def as_matrix(symbol):
@@ -370,12 +360,10 @@ def as_matrix(symbol):
         symbol = u_transform(symbol, "to_KN")
     h = grid.spacing
     # A[j, j'] = (h/L) sum_k sigma[j, k] e^{2 pi i xi_k (x_j - x_j')}
-    #          = D[j, (j - j') mod N] with D the alternating inverse DFT
-    signs = (-1.0) ** np.arange(n)
-    diff_table = (h / grid.extent) * n * np.fft.ifft(symbol.values, axis=1) * signs[None, :]
-    j = np.arange(n)
-    entries = diff_table[j[:, None], (j[:, None] - j[None, :]) % n]
-    return OperatorMatrix(entries)
+    #          = D[j, (j - j') mod N] with D the alternating inverse DFT,
+    # freed before OperatorMatrix copies A
+    scale, signs = (h / grid.extent) * n, (-1.0) ** np.arange(n)
+    return OperatorMatrix(_skew(scale * np.fft.ifft(symbol.values, axis=1) * signs, 0))
 
 
 def write_pss(symbol, path):

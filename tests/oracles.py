@@ -92,7 +92,7 @@ def direct_sjostrand(sigma_values, grid, s=0.0):
 def kernel_diagonals(kernel_values):
     """Row t_pos is the kernel's diagonal x - y = t h, t = t_pos - N/2:
     entry u is kernel_values[u, (u - t) % N].  One loop step per
-    diagonal, the form the library's index gather replaced."""
+    diagonal."""
     n = len(kernel_values)
     u = np.arange(n)
     return np.array([kernel_values[u, (u - t) % n] for t in np.arange(n) - n // 2])

@@ -48,6 +48,31 @@ def test_module_entry_point_exit_codes():
         assert shown in proc.stdout + proc.stderr
 
 
+def test_sizes_past_the_grid_cap_end_with_too_large(tmp_path):
+    # in a subprocess with a timeout: the auto size once looped forever
+    # when 4 L N_modes overflowed to inf
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    configs = [{"L": 1e308}, {"L": 1e290}, {"N": [2**40], "n_modes": [4]}]
+    runs = []
+    for i, fields in enumerate(configs):
+        config = tmp_path / f"huge{i}.json"
+        config.write_text(json.dumps({"experiment": "threshold", **fields}))
+        runs.append((["threshold", "--config", str(config)], 1))
+    runs.append((["gen", "--kind", "constant", "--n", str(2**40), "--extent", "8",
+                  "--out", str(tmp_path / "huge.pss")], 2))
+    for argv, code in runs:
+        proc = subprocess.run([sys.executable, "-m", "modop.cli", *argv], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == code, proc.stderr
+        if code == 1:
+            rows = proc.stdout.splitlines()[1:]
+            assert rows and all(row.endswith(",error=TooLarge") for row in rows)
+        else:
+            assert proc.stderr.startswith("error: points_per_axis is limited to")
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "huge.pss").exists()
+
+
 def test_regions_golden_row():
     proc = run_cli("regions", "--p", "1", "--q", "2", "--s", "0.5")
     assert proc.returncode == 0

@@ -413,3 +413,18 @@ def test_threshold_grid_sizes_follow_modes():
     raw = {r.n_modes: r.N for r in records if r.method != "slope-fit"}
     assert raw[4] == 128
     assert raw[16] == 512
+
+
+def test_auto_size_is_the_doubling_loop_in_closed_form():
+    def doubling(extent, n_modes):
+        n = 64
+        while n < 4.0 * extent * max(n_modes, 1):
+            n *= 2
+        return n
+
+    for extent in (0.1, 1.0, 8.0, 12.8, 16.0, 1e-300, 1e290):
+        for n_modes in (0, 1, 4, 10, 33, 2**40):
+            assert experiments._auto_size(extent, n_modes) == doubling(extent, n_modes)
+    # the loop never ends once 4 L N_modes overflows to inf
+    assert experiments._auto_size(1e308, 4) == 2**1024
+

@@ -9,6 +9,7 @@ from modop import (
     InvalidValue,
     OffLattice,
     SampledFunction,
+    TooLarge,
     UniformGrid,
     bessel_potential,
     forward_ft,
@@ -44,6 +45,11 @@ def test_grid_rejects_bad_sizes():
     for extent in (math.inf, math.nan):
         with pytest.raises(ValueError):
             UniformGrid(1, 8, extent)
+    # no array is formed, so a grid at the cap is cheap to build
+    assert UniformGrid(1, 2**30, 1.0).points_per_axis == 2**30
+    for n in (2**30 + 2, 2**40, 2**1024):
+        with pytest.raises(TooLarge, match="limited to 1073741824"):
+            UniformGrid(1, n, 1.0)
     # int() would truncate 4.5 to a 4-point grid
     for dim, n in ((1, 4.5), (1, "8"), (1.5, 8), (True, 8), (1, np.float64(8))):
         with pytest.raises(InvalidValue, match="must be an integer"):

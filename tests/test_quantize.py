@@ -241,10 +241,11 @@ def test_fft_order_transforms_match_the_centered_compositions_bitwise(n, extent)
         want = oracles.centered_u_multiplier(values, grid, phase)
         assert np.array_equal(bits(got), bits(want))
     t = np.arange(n) - n // 2
-    # weyl_to_kernel hands _half_shift_rows a transposed view
+    # the half-step shift of the kernel shear; weyl_to_kernel hands it a
+    # transposed view
     for rows, shifts in ((values, t), (values, -t), (values.T, t)):
         phase = np.fft.fftshift(_chirp(-shifts, n), axes=1)
-        got = quantize._half_shift_rows(rows, shifts, grid.spacing, grid.extent)
+        got = quantize._chirp_multiply(rows, (grid.spacing,), -shifts)
         want = oracles.centered_half_shift(rows, grid.spacing, phase)
         assert np.array_equal(bits(got), bits(want))
 
@@ -272,23 +273,34 @@ def test_kernel_roundtrip(small_grid):
 
 
 @pytest.mark.parametrize("n", [8, 64])
-def test_kernel_diagonals_match_the_loop_oracle(monkeypatch, n):
-    # the diagonal slices are moved in and out of the kernel without
-    # arithmetic, so the gathers must agree with the loop to the bit
-    grid = UniformGrid(1, n, 8.0)
+def test_kernel_diagonals_match_the_loop_oracle(n):
+    # _skew moves values without arithmetic, so the kernel shear's layout
+    # must agree with the loop to the bit, both ways: the slices of a
+    # kernel are _skew of it at shift N/2, transposed, and a kernel is _skew
+    # of its transposed slices
     rng = np.random.default_rng(n)
-    slices = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    seen = []
+    kernel, slices = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    got = quantize._skew(kernel, n // 2).T
+    assert np.array_equal(bits(got), bits(oracles.kernel_diagonals(kernel)))
+    built = quantize._skew(np.ascontiguousarray(slices.T), n // 2)
+    assert np.array_equal(bits(oracles.kernel_diagonals(built)), bits(slices))
+    # and it is its own inverse
+    for shift in (0, n // 2, n - 1):
+        twice = quantize._skew(np.ascontiguousarray(quantize._skew(kernel, shift)), shift)
+        assert np.array_equal(bits(twice), bits(kernel))
 
-    def shift(rows, *args):
-        seen.append(rows)
-        return slices
 
-    monkeypatch.setattr(quantize, "_half_shift_rows", shift)
-    kernel = weyl_to_kernel(random_symbol(grid, seed=n, quantization="weyl")).values
-    assert np.array_equal(oracles.kernel_diagonals(kernel), slices)
-    kernel_to_weyl(KernelRep(grid, kernel))
-    assert np.array_equal(seen[-1], slices)
+def test_matrix_layout_matches_the_loop():
+    # as_matrix's entry [j, j'] is entry [j, (j - j') mod N] of its
+    # difference table, D = (h/L) N ifft(sigma) times (-1)^k along xi: the
+    # layout of _skew at shift 0, checked against a loop to the bit
+    n = 16
+    grid = UniformGrid(1, n, 4.0)
+    sigma = random_symbol(grid, seed=n)
+    table = (grid.spacing / grid.extent) * n * np.fft.ifft(sigma.values, axis=1)
+    table = table * (-1.0) ** np.arange(n)
+    want = np.array([[table[j, (j - m) % n] for m in range(n)] for j in range(n)])
+    assert np.array_equal(bits(as_matrix(sigma).entries), bits(want))
 
 
 def test_identity_kernel_gives_constant_symbol(small_grid):
@@ -326,9 +338,9 @@ def test_rank_one_kernel_pairing(small_grid):
 def test_weyl_transforms_memory_is_bounded():
     # u_transform holds its FFT-order work array and the centered copy it
     # returns, then that copy and the symbol's frozen one; the kernel
-    # shear also holds the rows it hands _half_shift_rows (or the kernel
-    # it fills).  1 MiB covers the chirp blocks, the finiteness mask and
-    # the O(N) vectors.
+    # shear also holds the rows it hands _chirp_multiply, or the (N, 2N)
+    # gather of _skew.  1 MiB covers the chirp blocks, the finiteness mask
+    # and the O(N) vectors.
     n = 512
     sigma = random_symbol(UniformGrid(1, n, 16.0), seed=81, quantization="weyl")
     kernel = weyl_to_kernel(sigma)
