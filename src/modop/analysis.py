@@ -34,7 +34,9 @@ turn, in FFT order along xi, from buffers it owns for the whole run;
 stft fftshifts its one array, and the norm tables take |V_g f| in
 place (the Bessel weights are ifftshifted to match), then one
 power_mean per inner exponent and one per outer exponent on the
-stacked inner norms.  _norm_tables gives each CPU the process may use
+stacked inner norms.  Those shifts stay: the tables sum along xi in
+FFT order, and a centered _spectra would reorder the sums and move
+entries at roundoff.  _norm_tables gives each CPU the process may use
 one contiguous run of functions and its own kernel and thread (the
 caller's first), so a table's values do not depend on the CPU count.
 _sup_stft takes the sup over translates for both sjostrand_norm paths:

@@ -443,7 +443,10 @@ def _weyl_direct_apply(symbol, f):
     mid = (2 * j[:, None] - t) % (2 * n)
     # the phase e^{2 pi i (x - y) xi} is waves[x, xi] conj(waves[y, xi])
     waves = np.exp(2j * np.pi * np.outer(grid.axis_points(), grid.axis_frequencies()))
-    kernel = np.einsum("xyk,xk,yk->xy", fine[mid, :], waves, waves.conj()) / grid.extent
+    # x rows a block: gathers of 2**14 values of fine (256 KiB), not one N^3 array
+    kernel, rows = np.empty((n, n), dtype=complex), max(1, 2**14 // (n * n))
+    for b in (slice(x, x + rows) for x in range(0, n, rows)):
+        kernel[b] = np.einsum("xyk,xk,yk->xy", fine[mid[b], :], waves[b], waves.conj()) / grid.extent
     return SampledFunction(grid, h * (kernel @ f.values))
 
 

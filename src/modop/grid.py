@@ -9,17 +9,17 @@ transform pair is
 
 for which the unit Gaussian exp(-pi x^2) is a fixed point.  With grid
 points x_j = -L/2 + j h (h = L/N) and dual lattice xi_k = k/L for
-k = -N/2 .. N/2-1, the Riemann sum of the forward integral factors
-through an FFT conjugated by index shifts:
+k = -N/2 .. N/2-1, the Riemann sum of the forward integral is an FFT
+conjugated by the sign modulation S = diag((-1)^j):
 
-    F f(xi_k) = h * fftshift(fft(ifftshift(f)))
+    F f(xi_k) = h * (-1)^(N/2) S fft(S f)
 
-The inner ifftshift moves the sample at x = 0 to index 0 (where the FFT
-expects the origin), and the outer fftshift moves frequency 0 back to
-the middle so spectra are stored in natural ascending order, never in
-FFT-wrapped order.  The inverse transform carries the dual cell measure
-1/L, making inverse_ft(forward_ft(f)) == f in exact arithmetic, and
-Parseval exact:  h sum|f|^2 = (1/L) sum|f_hat|^2.
+the lattice identity for h * fftshift(fft(ifftshift(f))): each
+half-period shift is a sign modulation on the other side of the FFT,
+and at power-of-two N the two agree to the bit, up to the sign of an
+exact zero.  Spectra are in ascending order.  The inverse transform
+carries the dual cell measure 1/L, making inverse_ft(forward_ft(f)) ==
+f in exact arithmetic, and Parseval exact:  h sum|f|^2 = (1/L) sum|f_hat|^2.
 
 Functions whose mass does not decay below roundoff at the box boundary
 are silently periodized; callers choose L large enough that this is a
@@ -153,6 +153,18 @@ class SampledFunction:
         object.__setattr__(self, "values", values)
 
 
+def _centered(values, axis, transform, scale, spacing):
+    """transform (np.fft.fft or ifft) along a centered axis, then scale
+    (np.multiply or divide) by spacing: (-1)^(n/2) S transform(S values)."""
+    work = np.array(values, dtype=complex)
+    lines = np.moveaxis(work, axis, -1)
+    lines[..., 1::2] *= -1
+    transform(work, axis=axis, out=work)
+    scale(work, spacing, out=work)
+    lines[..., (lines.shape[-1] // 2 + 1) % 2::2] *= -1
+    return work
+
+
 def ft_along(values, axis, spacing):
     """Forward transform along one axis of a centered-lattice array.
 
@@ -160,18 +172,12 @@ def ft_along(values, axis, spacing):
     result is indexed by the centered dual lattice of that axis and
     carries the quadrature measure `spacing`.
     """
-    spectrum = np.fft.ifftshift(values, axes=axis).astype(complex, copy=False)
-    np.fft.fft(spectrum, axis=axis, out=spectrum)
-    spectrum *= spacing
-    return np.fft.fftshift(spectrum, axes=axis)
+    return _centered(values, axis, np.fft.fft, np.multiply, spacing)
 
 
 def ift_along(values, axis, spacing):
     """Inverse of ft_along (same `spacing` as the forward call)."""
-    samples = np.fft.ifftshift(values, axes=axis).astype(complex, copy=False)
-    np.fft.ifft(samples, axis=axis, out=samples)
-    samples /= spacing
-    return np.fft.fftshift(samples, axes=axis)
+    return _centered(values, axis, np.fft.ifft, np.divide, spacing)
 
 
 def forward_ft(f):

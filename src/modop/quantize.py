@@ -23,10 +23,9 @@ Both phases are one chirp e^{+/- pi i j k / N} in signed lattice
 indices j, k (omega u = j k / N, and a shift by t half steps is
 e^{-2 pi i k t / (2N)} at frequency k / L), so _chirp_multiply reads
 it from a table of the 2N-th roots of unity at (j k) mod 2N instead of
-taking N^2 complex exponentials of arguments up to pi N / 4.  It runs
-the transforms in place on one array in FFT order: the fftshift that
-would end the forward transform and the ifftshift that would start the
-inverse cancel, so one ifftshift comes in and one fftshift goes out.
+taking N^2 complex exponentials of arguments up to pi N / 4.  The
+chirp commutes with the half-period shift that centers the lattice, so
+_chirp_multiply runs plain FFTs in place on one copy of the values.
 
 Kernels: the Weyl symbol and the Schwartz kernel K determine each other
 through the shear tau K(x, y) = K(x + y/2, x - y/2) followed by a
@@ -244,16 +243,16 @@ def _chirp_multiply(values, spacings, j):
     row r multiplied by the chirp e^{i pi j[r] k / N}, k the signed
     index of the last axis, and transformed back as in ift_along.
 
-    The transforms run in place on one FFT-order copy, so the values
-    equal the four-call composition ift_along(ft_along(values) * the
-    centered chirp), axis by axis in the same order, to the bit.  The
-    chirp is the root of unity at (j[r] k) mod 2N, formed a block of
-    rows at a time.
+    The chirp commutes with the half-period shift that centers each
+    axis, so plain FFTs run in place on one copy of the values and equal
+    ift_along(ft_along(values) * the centered chirp), axis by axis, to
+    the bit at power-of-two N.  The chirp is the root of unity at
+    (j[r] k) mod 2N, formed a block of rows at a time.
     """
     n = values.shape[-1]
     axes = tuple(range(-len(spacings), 0))
     # C order, so the transforms along the last axis read contiguous rows
-    work = np.ascontiguousarray(np.fft.ifftshift(values, axes=axes), dtype=complex)
+    work = np.array(values, dtype=complex, order="C")
     for axis, spacing in zip(axes, spacings):
         np.fft.fft(work, axis=axis, out=work)
         work *= spacing
@@ -266,7 +265,7 @@ def _chirp_multiply(values, spacings, j):
     for axis, spacing in zip(axes, spacings):
         np.fft.ifft(work, axis=axis, out=work)
         work /= spacing
-    return np.fft.fftshift(work, axes=axes)
+    return work
 
 
 def u_transform(symbol, direction):

@@ -4,15 +4,13 @@ Everything here is written against the definitions directly, with plain
 loops or einsums and no calls into modop's transform internals, so that
 agreement between a library routine and its oracle is meaningful.  All
 of these are O(N^2) or worse and meant for small N only.  The one
-exception is the section of centered compositions, which calls
-grid.ft_along and ift_along on purpose: it keeps the shift round trips
-that quantize's FFT-order transforms drop, to check that dropping them
-moves no bit.
+exception is the section of centered compositions: it centers each FFT
+with numpy's fftshift/ifftshift, the half-period shift form that
+grid's sign modulation and quantize's shift-free chirp replace, to
+check that replacing it moves no bit.
 """
 
 import numpy as np
-
-from modop.grid import ft_along, ift_along
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +105,36 @@ def gauss_stft_magnitude(x, xi):
 # centered compositions
 
 
+def shift_ft_along(values, axis, spacing):
+    """grid.ft_along in the half-period shift form: ifftshift, FFT,
+    times spacing, fftshift."""
+    spectrum = np.fft.ifftshift(values, axes=axis).astype(complex, copy=False)
+    np.fft.fft(spectrum, axis=axis, out=spectrum)
+    spectrum *= spacing
+    return np.fft.fftshift(spectrum, axes=axis)
+
+
+def shift_ift_along(values, axis, spacing):
+    """grid.ift_along in the half-period shift form."""
+    samples = np.fft.ifftshift(values, axes=axis).astype(complex, copy=False)
+    np.fft.ifft(samples, axis=axis, out=samples)
+    samples /= spacing
+    return np.fft.fftshift(samples, axes=axis)
+
+
 def centered_u_multiplier(values, grid, phase):
-    """The Weyl/KN multiplier as four centered transforms: ft_along over
-    x (cell h) then xi (cell 1/L), times phase (centered on both axes),
-    then ift_along over x then xi."""
+    """The Weyl/KN multiplier as four centered transforms: shift_ft_along
+    over x (cell h) then xi (cell 1/L), times phase (centered on both
+    axes), then shift_ift_along over x then xi."""
     h, dual = grid.spacing, grid.dual_spacing
-    spectrum = ft_along(ft_along(values, 0, h), 1, dual) * phase
-    return ift_along(ift_along(spectrum, 0, h), 1, dual)
+    spectrum = shift_ft_along(shift_ft_along(values, 0, h), 1, dual) * phase
+    return shift_ift_along(shift_ift_along(spectrum, 0, h), 1, dual)
 
 
 def centered_half_shift(rows, spacing, phase):
     """Each row's centered transform times its row of phase (centered
     along the row), transformed back: a spectral shift of the rows."""
-    return ift_along(ft_along(rows, 1, spacing) * phase, 1, spacing)
+    return shift_ift_along(shift_ft_along(rows, 1, spacing) * phase, 1, spacing)
 
 
 # ---------------------------------------------------------------------------

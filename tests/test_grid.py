@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from modop import (
     write_sfn,
 )
 from modop.exponents import from_p
+from modop.grid import ft_along, ift_along
 
 import oracles
 from conftest import make_bandlimited, rel_err, unit_gaussian
@@ -122,6 +124,22 @@ def test_translation_covariance(default_grid):
     xi = default_grid.axis_frequencies()
     rhs = np.exp(-2j * np.pi * a * xi) * forward_ft(f).values
     assert rel_err(lhs.values, rhs) <= 1e-12
+
+
+def test_centered_transforms_hold_one_array():
+    # the sign form transforms in place in the one complex array it
+    # returns; 1 MiB covers the FFT's line buffers
+    n = 1024
+    values = np.random.default_rng(17).standard_normal((n, n)) + 0j
+    for transform in (ft_along, ift_along):
+        for axis in (0, 1):
+            tracemalloc.start()
+            try:
+                transform(values, axis, 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * n * n + 2**20
 
 
 def test_translate_trivia(default_grid):

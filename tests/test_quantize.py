@@ -34,6 +34,7 @@ from modop import (
 )
 
 from modop import quantize
+from modop.grid import ft_along, ift_along
 
 import oracles
 from conftest import KERNEL_GRIDS, bits, make_bandlimited, rel_err
@@ -218,25 +219,21 @@ def test_u_transform_direction_validation(default_grid):
         u_transform(sigma, "sideways")
 
 
-def _signed(n):
-    return np.fft.ifftshift(np.arange(n) - n // 2)
-
-
 def _chirp(j, n):
     """e^{i pi j k / N} read from the root table at (j k) mod 2N, k the
     signed index in FFT order."""
-    return quantize._roots(n)[np.multiply.outer(j, _signed(n)) % (2 * n)]
+    return quantize._roots(n)[np.multiply.outer(j, quantize._signed(n)) % (2 * n)]
 
 
 @pytest.mark.parametrize("n, extent", KERNEL_GRIDS)
 def test_fft_order_transforms_match_the_centered_compositions_bitwise(n, extent):
-    # the fftshift that ends each forward transform and the ifftshift that
-    # starts the inverse cancel exactly, so dropping them moves no bit
+    # the chirp commutes with the half-period shift that centers each
+    # axis, so running plain FFTs with no shift in or out moves no bit
     grid = UniformGrid(1, n, extent)
     rng = np.random.default_rng(n)
     values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for sign, direction, tag in ((1, "to_KN", "weyl"), (-1, "to_Weyl", "kn")):
-        phase = np.fft.fftshift(_chirp(sign * _signed(n), n))
+        phase = np.fft.fftshift(_chirp(sign * quantize._signed(n), n))
         got = u_transform(PhaseSpaceSymbol(grid, values, tag), direction).values
         want = oracles.centered_u_multiplier(values, grid, phase)
         assert np.array_equal(bits(got), bits(want))
@@ -250,11 +247,41 @@ def test_fft_order_transforms_match_the_centered_compositions_bitwise(n, extent)
         assert np.array_equal(bits(got), bits(want))
 
 
+@pytest.mark.parametrize("n", [2**e for e in range(1, 13)])
+def test_sign_form_matches_the_shift_form_bitwise(n):
+    # (-1)^(N/2) S fft(S x) is fftshift(fft(ifftshift(x))) to the bit at
+    # power-of-two N, and the chirp commutes with the half-period shift.
+    # The sign form may flip the sign of an exact zero, so + 0.0 first.
+    def same(got, want):
+        return np.array_equal(bits(got + 0.0), bits(want + 0.0))
+
+    rng = np.random.default_rng(n)
+    line = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tall = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    pairs = ((ft_along, oracles.shift_ft_along), (ift_along, oracles.shift_ift_along))
+    for values, axis in ((line, 0), (line.real, 0), (tall, 0), (tall.T, 1)):
+        for ours, shift_form in pairs:
+            assert same(ours(values, axis, 0.3), shift_form(values, axis, 0.3))
+    rows = tall.T.copy()
+    shifts = rng.integers(-n // 2, n // 2, len(rows), endpoint=True)
+    phase = np.fft.fftshift(_chirp(-shifts, n), axes=1)
+    for values in (rows, rows.real):
+        got = quantize._chirp_multiply(values, (0.3,), -shifts)
+        assert same(got, oracles.centered_half_shift(values, 0.3, phase))
+    if n <= 1024:
+        grid = UniformGrid(1, n, 8.0)
+        square = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for sign, direction, tag in ((1, "to_KN", "weyl"), (-1, "to_Weyl", "kn")):
+            phase = np.fft.fftshift(_chirp(sign * quantize._signed(n), n))
+            got = u_transform(PhaseSpaceSymbol(grid, square, tag), direction).values
+            assert same(got, oracles.centered_u_multiplier(square, grid, phase))
+
+
 @pytest.mark.parametrize("n", [8, 256, 1024])
 def test_chirp_matches_the_exactly_reduced_phase(n):
     # the reference reduces j k mod 2N in integers and takes the angle
     # pi r / N in extended precision
-    k = _signed(n)
+    k = quantize._signed(n)
     reduced = np.multiply.outer(k, k) % (2 * n)
     angle = 4 * np.arctan(np.longdouble(1)) * reduced.astype(np.longdouble) / n
     chirp = _chirp(k, n)
@@ -336,11 +363,10 @@ def test_rank_one_kernel_pairing(small_grid):
 
 
 def test_weyl_transforms_memory_is_bounded():
-    # u_transform holds its FFT-order work array and the centered copy it
-    # returns, then that copy and the symbol's frozen one; the kernel
-    # shear also holds the rows it hands _chirp_multiply, or the (N, 2N)
-    # gather of _skew.  1 MiB covers the chirp blocks, the finiteness mask
-    # and the O(N) vectors.
+    # u_transform holds the one work array _chirp_multiply returns and
+    # the symbol's frozen copy of it; the kernel shear also holds the rows
+    # it hands _chirp_multiply, or the (N, 2N) gather of _skew.  1 MiB
+    # covers the chirp blocks, the finiteness mask and the O(N) vectors.
     n = 512
     sigma = random_symbol(UniformGrid(1, n, 16.0), seed=81, quantization="weyl")
     kernel = weyl_to_kernel(sigma)
