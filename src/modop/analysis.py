@@ -25,7 +25,9 @@ The modulation and amalgam norms use the default Gaussian window and
 the cells h and 1/L.  modulation_norms and amalgam_norms tabulate them
 for a sequence of functions on one grid over lists of exponents, as a
 (functions, ps, qs) array; the single-pair functions are one-function,
-one-entry tables.
+one-entry tables.  Every row is computed on its own, so a table over
+more functions changes no row: an embedding task makes one amalgam_norms
+pass over its test functions and every symbol's outputs on them.
 
 There is one kernel per job, both on a strided view of every window
 translate (_translates, so no index table or stack of translates is

@@ -21,7 +21,10 @@ which no config can change.
 
 Each runner builds a table of tasks, `partial(_task, stub, fn, *args)`
 over module-level functions, and hands it to one executor that runs the
-tasks in order in the calling thread.
+tasks in order in the calling thread.  An embedding task makes one
+amalgam_norms pass, over its test functions and each standard symbol's
+outputs on them, so a task sets up the tables' buffers once, not once per
+symbol.
 """
 
 import json
@@ -609,11 +612,11 @@ def _check_kernel_roundtrip(grid, seed):
 def _check_kernel_identity(grid, seed):
     probe = UniformGrid(1, min(grid.points_per_axis, 256), grid.extent)
     n = probe.points_per_axis
-    eye = np.eye(n, dtype=complex) / probe.spacing
-    sym = kernel_to_weyl(KernelRep(probe, eye))
-    err1 = float(np.max(np.abs(sym.values - 1.0)))
-    ones = PhaseSpaceSymbol(probe, np.ones((n, n)), WEYL)
-    err2 = _rel_max(weyl_to_kernel(ones).values, eye)
+    eye = np.eye(n, dtype=complex)
+    eye /= probe.spacing
+    # each symbol and kernel is dropped once its error is read
+    err1 = float(np.max(np.abs(kernel_to_weyl(KernelRep(probe, eye)).values - 1.0)))
+    err2 = _rel_max(weyl_to_kernel(PhaseSpaceSymbol(probe, np.ones((n, n)), WEYL)).values, eye)
     return max(err1, err2)
 
 
@@ -644,8 +647,8 @@ def _check_matrix_intertwine(grid, seed):
     # shear route does not, so the two sides are independent
     probe = UniformGrid(1, min(grid.points_per_axis, 256), grid.extent)
     symbol = _weyl_test_symbol(probe)
-    kernel = weyl_to_kernel(symbol).values
-    return _rel_max(as_matrix(symbol).entries, probe.spacing * kernel)
+    kernel = probe.spacing * weyl_to_kernel(symbol).values
+    return _rel_max(as_matrix(symbol).entries, kernel)
 
 
 # (name, check, tolerance): a check maps (grid, seed) to an error
@@ -738,9 +741,15 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
         _test_function(grid, derive_seed(seed, _FUNCTION_SALT, i))
         for i in range(functions)
     ]
-    # amalgam[i, pi, qi]: function i, outer exponent p, inner exponent q;
-    # sobolev[i, si, pi]: the L^p norm of <D>^s applied to function i
-    amalgam = amalgam_norms(fs, ps, qs)
+    suite = standard_suite(grid, seed=derive_seed(seed, 0x5E))
+    # one table pass over the functions, then each symbol's outputs on
+    # them: amalgam = tables[0], with amalgam[i, pi, qi] for function i,
+    # outer exponent p, inner exponent q, and tables[b] the same for
+    # symbol b - 1; sobolev[i, si, pi]: the L^p norm of <D>^s applied to
+    # function i
+    outputs = [kn_apply(symbol, f) for _, symbol in suite for f in fs]
+    tables = amalgam_norms(fs + outputs, ps, qs).reshape(len(suite) + 1, len(fs), len(ps), len(qs))
+    amalgam = tables[0]
     sobolev = np.array([
         [[lp_norm(g, p) for p in ps] for g in (bessel_potential(f, s) for s in svals)]
         for f in fs
@@ -768,8 +777,8 @@ def _embedding_records(stub, n, extent, seed, ps, qs, svals, functions):
                         )
                     )
 
-    for name, symbol in standard_suite(grid, seed=derive_seed(seed, 0x5E)):
-        ratios = amalgam_norms([kn_apply(symbol, f) for f in fs], ps, qs) / amalgam
+    for (name, _), table in zip(suite, tables[1:]):
+        ratios = table / amalgam
         for pi, p in enumerate(ps):
             for qi, q in enumerate(qs):
                 spread = _max_over_median(ratios[:, pi, qi])

@@ -25,16 +25,21 @@ e^{-2 pi i k t / (2N)} at frequency k / L), so _chirp_multiply reads
 it from a table of the 2N-th roots of unity at (j k) mod 2N instead of
 taking N^2 complex exponentials of arguments up to pi N / 4.  The
 chirp commutes with the half-period shift that centers the lattice, so
-_chirp_multiply runs plain FFTs in place on one copy of the values.
+_chirp_multiply runs plain FFTs in place on its caller's work array.
 
 Kernels: the Weyl symbol and the Schwartz kernel K determine each other
 through the shear tau K(x, y) = K(x + y/2, x - y/2) followed by a
 Fourier transform in y.  On the periodic grid the slice at fixed
 difference t = x - y is an exact lattice gather, so the shear needs
-interpolation only for the half-step t/2, again done spectrally.  One
-layout, _skew, holds the diagonals of the kernel (from its slices at
-shift N/2, and back, being its own inverse) and of as_matrix (from
-its difference table at shift 0).
+interpolation only for the half-step t/2, again done spectrally, along
+x of the sheared kernel G[x, t].  One layout, _skew, holds the
+diagonals of the kernel (from its slices D[u, t] at shift N/2, and
+back, being its own inverse) and of as_matrix (from its difference
+table at shift 0).  _skew permutes each row within itself, in place,
+a block of rows at a time.  So u_transform, weyl_to_kernel,
+kernel_to_weyl and as_matrix each transform, chirp and skew one work
+array in place, and the symbol, kernel or matrix they return adopts
+that array (grid._Owned) instead of copying it.
 
 Operators: kn_operator is the one place that says which operator a
 Kohn-Nirenberg symbol denotes.  kn_apply uses its apply, and every
@@ -53,11 +58,12 @@ from .errors import FileFormatError, GridMismatch, InvalidValue, TooLarge, Wrong
 from .grid import (
     SampledFunction,
     UniformGrid,
+    _centered,
     _frozen,
+    _Owned,
     _read_samples,
     _write_samples,
     bessel_weights,
-    ft_along,
     ift_along,
 )
 
@@ -65,9 +71,9 @@ KOHN_NIRENBERG = "kn"
 WEYL = "weyl"
 
 _MATRIX_LIMIT = 1024
-# chirp entries _chirp_multiply forms at once (256 KiB), so it never holds
-# an N x N phase beside its work array
-_CHIRP_ENTRIES = 2**14
+# entries a chirp block of _chirp_multiply or a gather of _skew forms at
+# once (256 KiB), so neither holds an N x N temporary beside its work array
+_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,34 +243,32 @@ def _roots(n):
     return np.exp(1j * np.pi / n * _signed(2 * n))
 
 
-def _chirp_multiply(values, spacings, j):
-    """Centered-lattice values, shape (m, N), transformed along their
-    trailing axes (one forward transform per spacing, as in ft_along),
-    row r multiplied by the chirp e^{i pi j[r] k / N}, k the signed
-    index of the last axis, and transformed back as in ift_along.
+def _chirp_multiply(work, spacings, a, b):
+    """In place on the complex centered-lattice array work, shape (N, m):
+    transform along its leading axes (one forward transform per spacing,
+    as in ft_along), multiply entry [r, c] by the chirp e^{i pi a[r] b[c]
+    / N}, and transform back as in ift_along.  Returns work.
 
     The chirp commutes with the half-period shift that centers each
-    axis, so plain FFTs run in place on one copy of the values and equal
-    ift_along(ft_along(values) * the centered chirp), axis by axis, to
-    the bit at power-of-two N.  The chirp is the root of unity at
-    (j[r] k) mod 2N, formed a block of rows at a time.
+    axis, so plain FFTs equal ift_along(ft_along(work) * the centered
+    chirp), axis by axis, to the bit at power-of-two N.  The chirp is the
+    root of unity at (a[r] b[c]) mod 2N, formed a block of rows at a
+    time, and the scale back is a multiply by 1 / spacing, as in
+    ift_along.
     """
-    n = values.shape[-1]
-    axes = tuple(range(-len(spacings), 0))
-    # C order, so the transforms along the last axis read contiguous rows
-    work = np.array(values, dtype=complex, order="C")
-    for axis, spacing in zip(axes, spacings):
+    n = len(work)
+    for axis, spacing in enumerate(spacings):
         np.fft.fft(work, axis=axis, out=work)
         work *= spacing
-    roots, k = _roots(n), _signed(n)
-    rows = max(1, _CHIRP_ENTRIES // n)
-    for start in range(0, len(j), rows):
-        index = np.multiply.outer(j[start:start + rows], k)
+    roots = _roots(n)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        index = np.multiply.outer(a[start:start + rows], b)
         index %= 2 * n
         work[start:start + rows] *= roots[index]
-    for axis, spacing in zip(axes, spacings):
+    for axis, spacing in enumerate(spacings):
         np.fft.ifft(work, axis=axis, out=work)
-        work /= spacing
+        work *= 1.0 / spacing
     return work
 
 
@@ -277,7 +281,6 @@ def u_transform(symbol, direction):
     the signed indices of omega and u) and flips the tag.  The two
     directions are inverses up to roundoff.
     """
-    grid = symbol.grid
     if direction == "to_KN":
         _require_tag(symbol, WEYL)
         sign, new_tag = 1, KOHN_NIRENBERG
@@ -286,9 +289,16 @@ def u_transform(symbol, direction):
         sign, new_tag = -1, WEYL
     else:
         raise InvalidValue(f"direction must be 'to_KN' or 'to_Weyl', got {direction!r}")
-    omega = sign * _signed(grid.points_per_axis)
-    values = _chirp_multiply(symbol.values, (grid.spacing, grid.dual_spacing), omega)
-    return PhaseSpaceSymbol(grid, values, new_tag)
+    return PhaseSpaceSymbol(symbol.grid, _u_chirp(symbol, sign).view(_Owned), new_tag)
+
+
+def _u_chirp(symbol, sign):
+    """A C-order copy of the symbol's values with the u_transform chirp
+    of the given sign applied (+1: Weyl to Kohn-Nirenberg)."""
+    grid = symbol.grid
+    k = _signed(grid.points_per_axis)
+    work = np.array(symbol.values, dtype=complex, order="C")
+    return _chirp_multiply(work, (grid.spacing, grid.dual_spacing), sign * k, k)
 
 
 def lift_symbol(symbol, s):
@@ -307,14 +317,22 @@ def lift_symbol(symbol, s):
 
 
 def _skew(values, shift):
-    """Entry [j, m] is values[j, (j - m + shift) % N]: it moves values,
-    does no arithmetic and is its own inverse.  A view of one (N, 2N)
-    gather, row j holding values[j, (shift - c) % N] at column c, read in
-    rows of 2N - 1 that start row j at column N - j.  np.take copies
-    values that are not C-contiguous first, so callers hand it rows."""
+    """Permute the square array values in place so that entry [j, m]
+    becomes values[j, (j - m + shift) % N]: row j is reversed and rolled
+    by j + shift + 1.  It moves values, does no arithmetic and is its own
+    inverse.  Each row stays in its row, so a block of r rows starting at
+    row j0 is gathered once into N + r columns, row j holding
+    values[j, (j0 + r - 1 + shift - c) % N] at column c, and read back in
+    rows of N + r - 1 that start row j at column j0 + r - 1 - j.  Returns
+    values."""
     n = len(values)
-    doubled = np.take(values, (shift - np.arange(2 * n)) % n, axis=1)
-    return doubled.reshape(-1)[n:n + n * (2 * n - 1)].reshape(n, 2 * n - 1)[:, :n]
+    rows = max(1, _BLOCK_ENTRIES // (2 * n))
+    for start in range(0, n, rows):
+        block = values[start:start + rows]
+        r = len(block)
+        gathered = np.take(block, (start + r - 1 + shift - np.arange(n + r)) % n, axis=1)
+        block[...] = gathered.reshape(-1)[r - 1:r - 1 + r * (n + r - 1)].reshape(r, -1)[:, :n]
+    return values
 
 
 def weyl_to_kernel(symbol):
@@ -326,11 +344,12 @@ def weyl_to_kernel(symbol):
     t = np.arange(n) - n // 2
     # sheared kernel G(x, t) = K(x + t h/2, x + t h/2 - t h) for the
     # centered difference t; its y-transform is the symbol, so invert it
-    # (G[x_idx, t_pos]) and shift each t row to the diagonal slice
-    # D_t(u) = K(u, u - t h) = G(u - t h/2, t), (t_pos, u_idx); K is _skew
-    # of D copied to columns, in one expression to free each array early
-    return KernelRep(grid, _skew(np.ascontiguousarray(
-        _chirp_multiply(ift_along(symbol.values, 1, h).T, (h,), -t).T), n // 2))
+    # (G[x_idx, t_pos]), shift each t column along x to the diagonal slice
+    # D_t(u) = K(u, u - t h) = G(u - t h/2, t), [u_idx, t_pos], and K is
+    # _skew of D, all in one array
+    work = ift_along(symbol.values, 1, h)
+    _chirp_multiply(work, (h,), _signed(n), -t)
+    return KernelRep(grid, _skew(work, n // 2).view(_Owned))
 
 
 def kernel_to_weyl(kernel):
@@ -339,10 +358,11 @@ def kernel_to_weyl(kernel):
     h = grid.spacing
     n = grid.points_per_axis
     t = np.arange(n) - n // 2
-    # the diagonal slices (t_pos, u_idx), copied to rows, shifted back are
-    # G[x_idx, t_pos] transposed, and G's transform along t is the symbol
-    sheared = _chirp_multiply(np.ascontiguousarray(_skew(kernel.values, n // 2).T), (h,), t)
-    return PhaseSpaceSymbol(grid, ft_along(sheared, 0, h).T, WEYL)
+    # the diagonal slices [u_idx, t_pos], shifted back along u, are
+    # G[x_idx, t_pos], and G's transform along t is the symbol
+    work = _skew(np.array(kernel.values, order="C"), n // 2)
+    _chirp_multiply(work, (h,), _signed(n), t)
+    return PhaseSpaceSymbol(grid, _centered(work, 1, np.fft.fft, h).view(_Owned), WEYL)
 
 
 def as_matrix(symbol):
@@ -355,14 +375,18 @@ def as_matrix(symbol):
     n = grid.points_per_axis
     if n > _MATRIX_LIMIT:
         raise TooLarge(f"as_matrix is limited to N <= {_MATRIX_LIMIT}, got {n}")
-    if symbol.quantization == WEYL:
-        symbol = u_transform(symbol, "to_KN")
     h = grid.spacing
     # A[j, j'] = (h/L) sum_k sigma[j, k] e^{2 pi i xi_k (x_j - x_j')}
-    #          = D[j, (j - j') mod N] with D the alternating inverse DFT,
-    # freed before OperatorMatrix copies A
-    scale, signs = (h / grid.extent) * n, (-1.0) ** np.arange(n)
-    return OperatorMatrix(_skew(scale * np.fft.ifft(symbol.values, axis=1) * signs, 0))
+    #          = D[j, (j - j') mod N] with D the alternating inverse DFT of
+    # the Kohn-Nirenberg symbol sigma (a Weyl symbol's u_transform)
+    if symbol.quantization == WEYL:
+        work = _u_chirp(symbol, 1)
+        np.fft.ifft(work, axis=1, out=work)
+    else:
+        work = np.fft.ifft(symbol.values, axis=1)
+    work *= (h / grid.extent) * n
+    work *= (-1.0) ** np.arange(n)
+    return OperatorMatrix(_skew(work, 0).view(_Owned))
 
 
 def write_pss(symbol, path):

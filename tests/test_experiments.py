@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -343,6 +344,26 @@ def test_embedding_sweep_records_predicates():
     for rec in corollary:
         assert "symbol=" in rec.flags
         assert rec.flags.endswith("pass"), rec
+
+
+def test_embedding_task_makes_one_table_pass(monkeypatch):
+    # the functions and every symbol's outputs on them share one
+    # amalgam_norms pass, and each table row is computed as before, so
+    # the default CSV keeps its bytes
+    calls = []
+    tables = experiments.amalgam_norms
+
+    def counted(fs, ps, qs):
+        calls.append(len(fs))
+        return tables(fs, ps, qs)
+
+    monkeypatch.setattr(experiments, "amalgam_norms", counted)
+    out = io.StringIO()
+    emit_csv(run_embedding_sweep(), out)
+    suite = experiments.standard_suite(UniformGrid(1, 256, 16.0))
+    assert calls == [50 * (1 + len(suite))]
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "175007647eaa0faa2c74328a3d27196775bf1b0d66e2049ec8c0b7e9d3097330"
 
 
 def test_embedding_sweep_deterministic_across_jobs():

@@ -238,12 +238,13 @@ def test_fft_order_transforms_match_the_centered_compositions_bitwise(n, extent)
         want = oracles.centered_u_multiplier(values, grid, phase)
         assert np.array_equal(bits(got), bits(want))
     t = np.arange(n) - n // 2
-    # the half-step shift of the kernel shear; weyl_to_kernel hands it a
-    # transposed view
-    for rows, shifts in ((values, t), (values, -t), (values.T, t)):
+    # the half-step shift of the kernel shear, along x of G[x, t], one
+    # shift per column
+    for columns, shifts in ((values, t), (values, -t), (values.T, t)):
         phase = np.fft.fftshift(_chirp(-shifts, n), axes=1)
-        got = quantize._chirp_multiply(rows, (grid.spacing,), -shifts)
-        want = oracles.centered_half_shift(rows, grid.spacing, phase)
+        work = np.array(columns, order="C")
+        got = quantize._chirp_multiply(work, (grid.spacing,), quantize._signed(n), -shifts)
+        want = oracles.centered_half_shift(columns.T, grid.spacing, phase).T
         assert np.array_equal(bits(got), bits(want))
 
 
@@ -252,6 +253,9 @@ def test_sign_form_matches_the_shift_form_bitwise(n):
     # (-1)^(N/2) S fft(S x) is fftshift(fft(ifftshift(x))) to the bit at
     # power-of-two N, and the chirp commutes with the half-period shift.
     # The sign form may flip the sign of an exact zero, so + 0.0 first.
+    # The shift form divides by the spacing where modop multiplies by its
+    # reciprocal, so it runs at 0.3 and at the two spacings of
+    # KERNEL_GRIDS that are not powers of two.
     def same(got, want):
         return np.array_equal(bits(got + 0.0), bits(want + 0.0))
 
@@ -259,22 +263,24 @@ def test_sign_form_matches_the_shift_form_bitwise(n):
     line = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     tall = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     pairs = ((ft_along, oracles.shift_ft_along), (ift_along, oracles.shift_ift_along))
-    for values, axis in ((line, 0), (line.real, 0), (tall, 0), (tall.T, 1)):
-        for ours, shift_form in pairs:
-            assert same(ours(values, axis, 0.3), shift_form(values, axis, 0.3))
-    rows = tall.T.copy()
-    shifts = rng.integers(-n // 2, n // 2, len(rows), endpoint=True)
+    shifts = rng.integers(-n // 2, n // 2, tall.shape[1], endpoint=True)
     phase = np.fft.fftshift(_chirp(-shifts, n), axes=1)
-    for values in (rows, rows.real):
-        got = quantize._chirp_multiply(values, (0.3,), -shifts)
-        assert same(got, oracles.centered_half_shift(values, 0.3, phase))
+    for spacing in (0.3, 7.3 / 64, 12.345 / 128):
+        for values, axis in ((line, 0), (line.real, 0), (tall, 0), (tall.T, 1)):
+            for ours, shift_form in pairs:
+                assert same(ours(values, axis, spacing), shift_form(values, axis, spacing))
+        for columns in (tall, tall.real):
+            work = np.array(columns, dtype=complex)
+            got = quantize._chirp_multiply(work, (spacing,), quantize._signed(n), -shifts)
+            assert same(got, oracles.centered_half_shift(columns.T, spacing, phase).T)
     if n <= 1024:
-        grid = UniformGrid(1, n, 8.0)
         square = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for sign, direction, tag in ((1, "to_KN", "weyl"), (-1, "to_Weyl", "kn")):
-            phase = np.fft.fftshift(_chirp(sign * quantize._signed(n), n))
-            got = u_transform(PhaseSpaceSymbol(grid, square, tag), direction).values
-            assert same(got, oracles.centered_u_multiplier(square, grid, phase))
+        for extent in (8.0, n * 7.3 / 64, n * 12.345 / 128):
+            grid = UniformGrid(1, n, extent)
+            for sign, direction, tag in ((1, "to_KN", "weyl"), (-1, "to_Weyl", "kn")):
+                phase = np.fft.fftshift(_chirp(sign * quantize._signed(n), n))
+                got = u_transform(PhaseSpaceSymbol(grid, square, tag), direction).values
+                assert same(got, oracles.centered_u_multiplier(square, grid, phase))
 
 
 @pytest.mark.parametrize("n", [8, 256, 1024])
@@ -300,21 +306,25 @@ def test_kernel_roundtrip(small_grid):
 
 
 @pytest.mark.parametrize("n", [8, 64])
-def test_kernel_diagonals_match_the_loop_oracle(n):
-    # _skew moves values without arithmetic, so the kernel shear's layout
-    # must agree with the loop to the bit, both ways: the slices of a
-    # kernel are _skew of it at shift N/2, transposed, and a kernel is _skew
-    # of its transposed slices
+def test_kernel_diagonals_match_the_loop_oracle(n, monkeypatch):
+    # _skew moves values without arithmetic, in place, so the kernel
+    # shear's layout must agree with the loop to the bit, both ways: the
+    # slices of a kernel are _skew of it at shift N/2, transposed, and a
+    # kernel is _skew of its transposed slices.  48 block entries make
+    # blocks of 3 rows at n = 8 (the last one short) and of 1 row at n = 64.
     rng = np.random.default_rng(n)
     kernel, slices = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-    got = quantize._skew(kernel, n // 2).T
-    assert np.array_equal(bits(got), bits(oracles.kernel_diagonals(kernel)))
-    built = quantize._skew(np.ascontiguousarray(slices.T), n // 2)
-    assert np.array_equal(bits(oracles.kernel_diagonals(built)), bits(slices))
-    # and it is its own inverse
-    for shift in (0, n // 2, n - 1):
-        twice = quantize._skew(np.ascontiguousarray(quantize._skew(kernel, shift)), shift)
-        assert np.array_equal(bits(twice), bits(kernel))
+    for entries in (quantize._BLOCK_ENTRIES, 48):
+        monkeypatch.setattr(quantize, "_BLOCK_ENTRIES", entries)
+        work = kernel.copy()
+        assert quantize._skew(work, n // 2) is work
+        assert np.array_equal(bits(work.T), bits(oracles.kernel_diagonals(kernel)))
+        built = quantize._skew(np.ascontiguousarray(slices.T), n // 2)
+        assert np.array_equal(bits(oracles.kernel_diagonals(built)), bits(slices))
+        # and it is its own inverse
+        for shift in (0, n // 2, n - 1):
+            twice = quantize._skew(quantize._skew(kernel.copy(), shift), shift)
+            assert np.array_equal(bits(twice), bits(kernel))
 
 
 def test_matrix_layout_matches_the_loop():
@@ -363,26 +373,59 @@ def test_rank_one_kernel_pairing(small_grid):
 
 
 def test_weyl_transforms_memory_is_bounded():
-    # u_transform holds the one work array _chirp_multiply returns and
-    # the symbol's frozen copy of it; the kernel shear also holds the rows
-    # it hands _chirp_multiply, or the (N, 2N) gather of _skew.  1 MiB
-    # covers the chirp blocks, the finiteness mask and the O(N) vectors.
+    # each function transforms, chirps and skews one work array in place
+    # and its result adopts that array, so it holds one N^2 array beside
+    # its input.  1 MiB covers the chirp and _skew blocks, the finiteness
+    # mask and the O(N) vectors.
     n = 512
-    sigma = random_symbol(UniformGrid(1, n, 16.0), seed=81, quantization="weyl")
+    grid = UniformGrid(1, n, 16.0)
+    sigma = random_symbol(grid, seed=81, quantization="weyl")
+    kn = random_symbol(grid, seed=82)
     kernel = weyl_to_kernel(sigma)
     calls = [
-        (lambda: u_transform(sigma, "to_KN"), 2),
-        (lambda: weyl_to_kernel(sigma), 3),
-        (lambda: kernel_to_weyl(kernel), 3),
+        lambda: u_transform(sigma, "to_KN"),
+        lambda: weyl_to_kernel(sigma),
+        lambda: kernel_to_weyl(kernel),
+        lambda: as_matrix(kn),
+        lambda: as_matrix(sigma),
     ]
-    for call, arrays in calls:
+    for call in calls:
         tracemalloc.start()
         try:
             call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= arrays * 16 * n * n + 2**20
+        assert peak <= 16 * n * n + 2**20
+
+
+def test_weyl_transforms_return_c_order_arrays_of_their_own():
+    # a caller's array, here a Fortran-order one, is still copied; the
+    # results adopt the functions' work arrays: read-only, complex, C
+    # order (an adopted Fortran-order array would change the order of
+    # later axis reductions) and shared with nothing
+    grid = UniformGrid(1, 16, 4.0)
+    rng = np.random.default_rng(16)
+    given = (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))).T
+    weyl, kn = PhaseSpaceSymbol(grid, given, "weyl"), PhaseSpaceSymbol(grid, given, "kn")
+    kernel = KernelRep(grid, given)
+    held = [weyl.values, kn.values, kernel.values, OperatorMatrix(given).entries,
+            SampledFunction(grid, given[:, 0]).values]
+    snapshot = [a.copy() for a in held]
+    given[...] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(held, snapshot))
+    results = [
+        (weyl, u_transform(weyl, "to_KN").values),
+        (kn, u_transform(kn, "to_Weyl").values),
+        (weyl, weyl_to_kernel(weyl).values),
+        (kernel, kernel_to_weyl(kernel).values),
+        (kn, as_matrix(kn).entries),
+        (weyl, as_matrix(weyl).entries),
+    ]
+    for source, values in results:
+        assert values.dtype == complex and values.flags.c_contiguous
+        assert not values.flags.writeable
+        assert not np.shares_memory(values, source.values)
 
 
 # ---------------------------------------------------------------------------
