@@ -271,6 +271,14 @@ def _sup_stft(values, window, spacing, weight):
     return best
 
 
+def _factor_sup(values, window, spacing, weight):
+    """_sup_stft of a product's factor, or for None, a factor identically 1
+    with the same |V| at every translate, |ft of conj(window)| max(weight)."""
+    if values is None:
+        return np.abs(ft_along(np.conj(window), 0, spacing)) * weight.max()
+    return _sup_stft(values, window, spacing, weight)
+
+
 def sjostrand_norm(symbol, s=0.0):
     """The (weighted) Sjostrand-class norm of a phase-space symbol.
 
@@ -282,11 +290,11 @@ def sjostrand_norm(symbol, s=0.0):
     paths run the one-axis sup-STFT kernel _sup_stft.  For a symbol
     built from factors, sigma = a (x) b, the transform factors too,
     V_Phi(sigma) = V_phi1(a) (x) V_phi2(b), and the norm is the product
-    of two one-dimensional sums of sup-STFTs, O(N^2 log N).  Any other
-    symbol takes the dense O(N^4 log N) path, which its time, not its
-    memory, limits to N <= 256: for each x translate z1 it transforms
-    conj(phi1)(. - z1) sigma along x, and the sup over z2 at that z1 is
-    _sup_stft of the result along xi.
+    of two one-dimensional sums of sup-STFTs, O(N^2 log N), or O(N log N)
+    for a factor that _only marks identically 1 (_factor_sup).  Any other
+    symbol takes the dense O(N^4 log N) path, limited by its time to
+    N <= 256: for each x translate z1 it transforms conj(phi1)(. - z1)
+    sigma along x, and the sup over z2 at that z1 is _sup_stft along xi.
     The dense path is the reference path: every generator builds
     rank-one symbols, so only tests and hand-made dense symbols reach
     it, and it agrees with the factored one to roundoff.
@@ -303,8 +311,8 @@ def sjostrand_norm(symbol, s=0.0):
 
     if symbol.factors is not None:
         a, b = symbol.factors
-        first = _sup_stft(a, window1, grid.spacing, np.ones(n))
-        second = _sup_stft(b, window2, grid.dual_spacing, zweight2)
+        first = _factor_sup(None if symbol._only == "xi" else a, window1, grid.spacing, np.ones(n))
+        second = _factor_sup(None if symbol._only == "x" else b, window2, grid.dual_spacing, zweight2)
         return float(zeta_cell * first.sum() * second.sum())
 
     if n > _SJOSTRAND_DENSE_LIMIT:

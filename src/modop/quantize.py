@@ -85,16 +85,17 @@ class PhaseSpaceSymbol:
 
     A symbol built by `product` is rank one, sigma(x, xi) = a(x) b(xi),
     and keeps factors = (a, b); its values are np.outer(a, b), computed
-    on first use and cached.  Fast paths (the factored Sjostrand norm,
-    the FFT operator of kn_operator) are chosen from factors alone.  A
-    symbol built from values has factors None; when factors are given,
-    values are formed from them and any values passed are not read.
+    on first use and cached.  A factor given as None is stored as ones,
+    and _only names the one variable, "x" or "xi", the symbol depends
+    on.  Fast paths are chosen from factors and _only, never from values;
+    a symbol built from values has factors None.
     """
 
     grid: UniformGrid
     _values: np.ndarray = field(repr=False)
     quantization: str
     factors: tuple = field(default=None, repr=False, kw_only=True)
+    _only: str = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         if self.quantization not in (KOHN_NIRENBERG, WEYL):
@@ -110,8 +111,10 @@ class PhaseSpaceSymbol:
 
     @classmethod
     def product(cls, grid, a, b, quantization=KOHN_NIRENBERG):
-        """The rank-one symbol sigma(x_j, xi_k) = a[j] * b[k]."""
-        return cls(grid, None, quantization, factors=(a, b))
+        """The rank-one symbol a[j] b[k]; a factor given as None is identically 1."""
+        only = "xi" if a is None else "x" if b is None else None
+        factors = [np.ones(grid.points_per_axis) if f is None else f for f in (a, b)]
+        return cls(grid, None, quantization, factors=factors, _only=only)
 
     @property
     def values(self):
@@ -164,16 +167,17 @@ def kn_operator(source):
     its work only when called.  A symbol with factors (a, b) is diag(a) C,
     C the circulant whose eigenvalues are b in FFT order (the centering
     shifts and cell measures of forward_ft and inverse_ft cancel around a
-    Fourier multiplier): it applies by FFT at any N, its column sums are
-    a circular correlation of |a| with |c| (c = ifft of those
-    eigenvalues), its row sums |a| sum|c|, and its exact_2 max|a| max|b|
-    when |a| or |b| is constant (C's singular values are |b|).  Any other
-    symbol is its as_matrix, N <= 1024, with exact_2 None.
+    Fourier multiplier): it applies by FFT at any N, its row sums are
+    |a| sum|c| (c = ifft of those eigenvalues), and so are the column
+    sums of a multiplier (_only "xi"); any other product's are a circular
+    correlation of |a| with |c|.  exact_2 is max|a| max|b| (C's singular
+    values are |b|) when _only marks a factor identically 1, else None.
+    Any other symbol is its as_matrix, N <= 1024, with exact_2 None.
     """
     if isinstance(source, PhaseSpaceSymbol):
         _require_tag(source, KOHN_NIRENBERG)
         if source.factors is not None:
-            return _rank_one_operator(*source.factors)
+            return _rank_one_operator(*source.factors, source._only)
         source = as_matrix(source)
     a = source.entries
     # the conjugate is formed on the first adjoint call, once per operator
@@ -188,30 +192,30 @@ def kn_operator(source):
     )
 
 
-def _rank_one_operator(a, b):
-    """kn_operator of the symbol a(x) b(xi)."""
-    eig = np.fft.ifftshift(b)
+def _rank_one_operator(a, b, only):
+    """kn_operator of the symbol a(x) b(xi) whose _only is only."""
+    eig = functools.cache(lambda: np.fft.ifftshift(b))  # formed on the first apply
 
     def abs_c():
-        # |c|, c the circulant's first column; each norm reads it at most once
-        return np.abs(np.fft.ifft(eig))
+        # |c|, c the circulant's first column: b's half-period shift signs
+        # c by (-1)^j, which |.| drops to the bit; read once per norm
+        return np.abs(np.fft.ifft(b))
 
     # x.T batches a block's columns along axis 0; a vector is unchanged
     def apply(x):
-        return (a * np.fft.ifft(eig * np.fft.fft(x.T))).T
+        return (a * np.fft.ifft(eig() * np.fft.fft(x.T))).T
 
     def adjoint(y):
-        return np.fft.ifft(eig.conj() * np.fft.fft(a.conj() * y.T)).T
+        return np.fft.ifft(eig().conj() * np.fft.fft(a.conj() * y.T)).T
 
     def column_sums():
+        if only == "xi":  # a circulant's column sums are its row sums
+            return np.abs(a) * abs_c().sum()
         # sum_j |a_j| |c_{j - j'}|
         return np.fft.irfft(np.fft.rfft(np.abs(a)) * np.fft.rfft(abs_c()).conj(), len(a))
 
     def exact_2():
-        abs_a, abs_b = np.abs(a), np.abs(b)
-        if np.all(abs_a == abs_a[0]) or np.all(abs_b == abs_b[0]):
-            return abs_a.max() * abs_b.max()
-        return None
+        return np.abs(a).max() * np.abs(b).max() if only else None
 
     return len(a), apply, adjoint, column_sums, lambda: np.abs(a) * abs_c().sum(), exact_2
 
@@ -312,6 +316,7 @@ def lift_symbol(symbol, s):
     weights = bessel_weights(symbol.grid, s)
     if symbol.factors is not None:
         a, b = symbol.factors
+        a = None if symbol._only == "xi" else a  # a multiplier stays one
         return PhaseSpaceSymbol.product(symbol.grid, a, b * weights, symbol.quantization)
     return symbol.with_values(symbol.values * weights[None, :])
 
@@ -391,28 +396,31 @@ def as_matrix(symbol):
 
 def write_pss(symbol, path):
     """Write a PhaseSpaceSymbol as a PSS v2 text file: magic line
-    ``PSS 2``, header fields ``quant=<kn|weyl> factors=<0|1>`` after
-    extent, then for factors (a, b) 2N sample lines, a then b, and for
-    any other symbol its N^2 values in x-major order."""
-    factored = symbol.factors is not None
-    values = np.concatenate(symbol.factors) if factored else symbol.values
-    extra = f" quant={symbol.quantization} factors={int(factored)}"
+    ``PSS 2``, header fields ``quant=<kn|weyl> factors=<0|1|x|xi>`` after
+    extent, then for factors=1 (a product) 2N sample lines, a then b, for
+    x or xi (a symbol of that variable alone) that factor's N lines, and
+    for factors=0 (any other symbol) its N^2 values in x-major order."""
+    factors = "0" if symbol.factors is None else symbol._only or "1"
+    held = {"0": (), "1": (0, 1), "x": (0,), "xi": (1,)}[factors]
+    values = np.concatenate([symbol.factors[i] for i in held]) if held else symbol.values
+    extra = f" quant={symbol.quantization} factors={factors}"
     _write_samples(path, "PSS 2", symbol.grid, extra, values)
 
 
 def read_pss(path):
-    """Read a PSS v2 file back into a PhaseSpaceSymbol: a factors=1
-    file as PhaseSpaceSymbol.product(a, b), a factors=0 file dense."""
+    """Read a PSS v2 file back into a PhaseSpaceSymbol: factors=0 dense,
+    1, x or xi by PhaseSpaceSymbol.product, the factor not held None."""
 
     def shape(header, grid):
         if header["quant"] not in (KOHN_NIRENBERG, WEYL):
             raise FileFormatError(f"{path}: quant must be 'kn' or 'weyl', got {header['quant']!r}")
-        if header["factors"] not in ("0", "1"):
-            raise FileFormatError(f"{path}: factors must be 0 or 1, got {header['factors']!r}")
+        if header["factors"] not in ("0", "1", "x", "xi"):
+            raise FileFormatError(f"{path}: factors must be 0, 1, x or xi, got {header['factors']!r}")
         n = grid.points_per_axis
-        return (2, n) if header["factors"] == "1" else (n, n)
+        return {"0": (n, n), "1": (2, n)}.get(header["factors"], (1, n))
 
     header, grid, values = _read_samples(path, "PSS 2", ["quant", "factors"], shape)
-    if header["factors"] == "1":
-        return PhaseSpaceSymbol.product(grid, values[0], values[1], header["quant"])
-    return PhaseSpaceSymbol(grid, values, header["quant"])
+    if header["factors"] == "0":
+        return PhaseSpaceSymbol(grid, values, header["quant"])
+    a, b = {"1": values, "x": (values[0], None), "xi": (None, values[0])}[header["factors"]]
+    return PhaseSpaceSymbol.product(grid, a, b, header["quant"])

@@ -62,13 +62,12 @@ def random_phase_multiplier(grid, n_modes, seed):
     # adding into zeros gives +0, never -0, where the bump vanishes
     row = np.zeros(grid.points_per_axis, dtype=complex)
     row[inside] += term
-    return PhaseSpaceSymbol.product(grid, np.ones(grid.points_per_axis), row)
+    return PhaseSpaceSymbol.product(grid, None, row)
 
 
 def constant_symbol(grid):
     """sigma(x, xi) = 1; quantizes to the identity."""
-    n = grid.points_per_axis
-    return PhaseSpaceSymbol.product(grid, np.ones(n, dtype=complex), np.ones(n))
+    return PhaseSpaceSymbol.product(grid, None, np.ones(grid.points_per_axis))
 
 
 def multiplication_symbol(grid, m_values):
@@ -77,7 +76,7 @@ def multiplication_symbol(grid, m_values):
     col = np.asarray(m_values, dtype=complex).ravel()
     if col.shape != (n,):
         raise InvalidValue(f"m must have {n} samples, got {col.shape}")
-    return PhaseSpaceSymbol.product(grid, col, np.ones(n))
+    return PhaseSpaceSymbol.product(grid, col, None)
 
 
 def multiplication_profile(grid):
@@ -89,14 +88,12 @@ def translation_symbol(grid, a):
     """sigma(x, xi) = e^{-2 pi i a xi}; quantizes to f(. - a) for
     lattice a."""
     xi = grid.axis_frequencies()
-    return PhaseSpaceSymbol.product(
-        grid, np.ones(grid.points_per_axis), np.exp(-2j * np.pi * a * xi)
-    )
+    return PhaseSpaceSymbol.product(grid, None, np.exp(-2j * np.pi * a * xi))
 
 
 def bessel_symbol(grid, s):
     """sigma(x, xi) = <xi>^s; quantizes to the Bessel potential."""
-    return PhaseSpaceSymbol.product(grid, np.ones(grid.points_per_axis), bessel_weights(grid, s))
+    return PhaseSpaceSymbol.product(grid, None, bessel_weights(grid, s))
 
 
 def gaussian_bump_symbol(grid):

@@ -102,6 +102,16 @@ def gauss_stft_magnitude(x, xi):
 
 
 # ---------------------------------------------------------------------------
+# sample files
+
+
+def loop_sample_lines(values):
+    """The ``re im`` sample lines of an SFN/PSS file, one f-string per
+    numpy complex scalar, in row-major order."""
+    return "".join(f"{z.real:.17g} {z.imag:.17g}\n" for z in np.asarray(values).ravel())
+
+
+# ---------------------------------------------------------------------------
 # centered compositions
 
 

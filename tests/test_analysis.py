@@ -8,6 +8,7 @@ from modop import (
     DimensionUnsupported,
     GridMismatch,
     InvalidValue,
+    PhaseSpaceSymbol,
     SampledFunction,
     TooLarge,
     UniformGrid,
@@ -545,6 +546,41 @@ def test_sjostrand_paths_match_brute_force_oracle(monkeypatch, n, s):
             assert twin.factors is None
             for got in (sjostrand_norm(sigma, s), sjostrand_norm(twin, s)):
                 assert abs(got - wants[name]) <= 1e-12 * wants[name], (n, s, name, block)
+
+
+def _marked_symbols(grid):
+    """Products with a factor marked identically 1 (product's None):
+    three multipliers and a multiplication."""
+    return {
+        "constant": constant_symbol(grid),
+        "bessel": bessel_symbol(grid, -1.0),
+        "phases-1": random_phase_multiplier(grid, 1, seed=0),
+        "multiplication": multiplication_symbol(
+            grid, 1.0 + 0.5 * np.exp(-np.pi * grid.axis_points() ** 2)
+        ),
+    }
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("s", [0.0, 0.5])
+def test_marked_sjostrand_path_matches_brute_force_oracle(n, s):
+    grid = UniformGrid(1, n, n / 4.0)
+    for name, sigma in _marked_symbols(grid).items():
+        assert sigma._only is not None, name
+        want = oracles.direct_sjostrand(sigma.values, grid, s)
+        assert abs(sjostrand_norm(sigma, s) - want) <= 1e-12 * want, (n, s, name)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_marked_sjostrand_path_matches_the_sup_over_translates(n):
+    # the same factors unmarked take every translate through _sup_stft
+    grid = UniformGrid(1, n, n / 16.0)
+    for name, sigma in _marked_symbols(grid).items():
+        unmarked = PhaseSpaceSymbol.product(grid, *sigma.factors)
+        assert unmarked._only is None
+        for s in (0.0, 0.5):
+            want = sjostrand_norm(unmarked, s)
+            assert abs(sjostrand_norm(sigma, s) - want) <= 1e-14 * want, (n, name, s)
 
 
 @pytest.mark.filterwarnings("error")

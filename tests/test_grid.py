@@ -22,6 +22,7 @@ from modop import (
     write_sfn,
 )
 from modop.exponents import from_p
+from modop import grid as grid_module
 from modop.grid import ft_along, ift_along
 
 import oracles
@@ -221,6 +222,9 @@ _SAMPLE_FORMATS = {
     "pss": (read_pss, "PSS 2", " quant=kn factors=0", 4),
     # at n=2 the 2N factor samples happen to number N^2 as well
     "pss-factors": (read_pss, "PSS 2", " quant=kn factors=1", 4),
+    # one factor of a symbol of one variable: N samples
+    "pss-x": (read_pss, "PSS 2", " quant=kn factors=x", 2),
+    "pss-xi": (read_pss, "PSS 2", " quant=weyl factors=xi", 2),
 }
 
 
@@ -286,6 +290,26 @@ def test_sample_round_trip_is_bit_exact_at_the_float_extremes(tmp_path):
     write_sfn(f, path)
     back = read_sfn(path).values
     assert np.array_equal(back.view(np.uint64), f.values.view(np.uint64))
+
+
+def test_sample_lines_match_the_per_value_loop_bytewise(tmp_path, monkeypatch):
+    # signed zeros, subnormals, the largest float, values with no short
+    # repr and random magnitudes over the float range, written in one
+    # block, in the default blocks and in blocks of 3 lines, which leave
+    # a partial last block
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+             0.1, 1 / 3, -2 / 3, 2.2250738585072014e-308]
+    rng = np.random.default_rng(40)
+    parts = rng.standard_normal((2, 4096)) * 10.0 ** rng.integers(-300, 300, (2, 4096))
+    parts[0, : len(edges)] = edges
+    parts[1, : len(edges)] = edges[::-1]
+    f = SampledFunction(UniformGrid(1, 4096, 16.0), parts[0] + 1j * parts[1])
+    want = oracles.loop_sample_lines(f.values)
+    path = tmp_path / "f.sfn"
+    for lines in (4096, grid_module._WRITE_LINES, 3):
+        monkeypatch.setattr(grid_module, "_WRITE_LINES", lines)
+        write_sfn(f, path)
+        assert path.read_text().split("\n", 2)[2] == want
 
 
 def test_values_must_match_grid(default_grid):

@@ -343,7 +343,8 @@ def test_rank_one_path_has_no_matrix_limit():
 
 def test_lifted_random_phase_multipliers_have_equal_1_and_inf_norms():
     # a lifted multiplier is a circulant, whose column and row sums of |A|
-    # coincide: the threshold sweep's p = 1 and p = inf rows are one norm
+    # coincide: the threshold sweep's p = 1 and p = inf rows are one norm,
+    # computed once as the row sums, so they agree to the bit
     cfg = default_config("threshold")
     for n_modes, seed in itertools.product(cfg.n_modes, cfg.seeds):
         grid = UniformGrid(1, _auto_size(cfg.L, n_modes), cfg.L)
@@ -352,4 +353,23 @@ def test_lifted_random_phase_multipliers_have_equal_1_and_inf_norms():
             one = sobolev_opnorm(symbol, from_p(1), s)
             inf = sobolev_opnorm(symbol, from_p("inf"), s)
             assert (one.method, inf.method) == ("exact_1", "exact_inf")
-            assert abs(one.value - inf.value) <= 1e-14 * inf.value, (n_modes, seed, s)
+            assert one.value == inf.value, (n_modes, seed, s)
+
+
+def test_exact_2_comes_from_the_mark_not_the_values():
+    # the same values, marked or not: only product's None makes a factor
+    # identically 1, so an unmarked unit a gets power iteration
+    grid = UniformGrid(1, 64, 4.0)
+    n = grid.points_per_axis
+    b = random_phase_multiplier(grid, 4, seed=0).factors[1]
+    marked = PhaseSpaceSymbol.product(grid, None, b)
+    unmarked = PhaseSpaceSymbol.product(grid, np.ones(n), b)
+    assert np.array_equal(marked.values, unmarked.values)
+    exact, power = norm_2(marked), norm_2(unmarked)
+    assert (exact.method, power.method) == ("exact_2", "power_2")
+    assert exact.value == np.abs(b).max()
+    assert abs(power.value - exact.value) <= 1e-8 * exact.value
+    # a marked b = 1 (a multiplication) has the closed form too
+    x = grid.axis_points()
+    multiplication = PhaseSpaceSymbol.product(grid, 1.0 + np.exp(-x**2), None)
+    assert norm_2(multiplication).method == "exact_2"

@@ -382,12 +382,22 @@ def test_weyl_transforms_memory_is_bounded():
     sigma = random_symbol(grid, seed=81, quantization="weyl")
     kn = random_symbol(grid, seed=82)
     kernel = weyl_to_kernel(sigma)
+    # Fortran-order twins: the values types copy them to C order, so the
+    # transforms' work arrays are C order too and are adopted uncopied
+    f_sigma = PhaseSpaceSymbol(grid, np.asfortranarray(sigma.values), "weyl")
+    f_kn = PhaseSpaceSymbol(grid, np.asfortranarray(kn.values), "kn")
+    f_kernel = KernelRep(grid, np.asfortranarray(kernel.values))
     calls = [
         lambda: u_transform(sigma, "to_KN"),
         lambda: weyl_to_kernel(sigma),
         lambda: kernel_to_weyl(kernel),
         lambda: as_matrix(kn),
         lambda: as_matrix(sigma),
+        lambda: u_transform(f_sigma, "to_KN"),
+        lambda: weyl_to_kernel(f_sigma),
+        lambda: kernel_to_weyl(f_kernel),
+        lambda: as_matrix(f_kn),
+        lambda: as_matrix(f_sigma),
     ]
     for call in calls:
         tracemalloc.start()
@@ -430,6 +440,21 @@ def test_weyl_transforms_return_c_order_arrays_of_their_own():
 
 # ---------------------------------------------------------------------------
 # symbol lift
+
+
+def test_lift_keeps_the_multiplier_mark_only(default_grid):
+    # b <xi>^s still depends on xi alone; a(x) <xi>^s no longer on x alone
+    x = default_grid.axis_points()
+    multiplier = bessel_symbol(default_grid, -1.0)
+    multiplication = PhaseSpaceSymbol.product(default_grid, np.exp(-x**2), None)
+    assert (multiplier._only, multiplication._only) == ("xi", "x")
+    lifted = lift_symbol(multiplier, 0.7)
+    assert lifted._only == "xi"
+    assert np.array_equal(lifted.factors[0], np.ones(default_grid.points_per_axis))
+    dropped = lift_symbol(multiplication, 0.7)
+    assert dropped._only is None and dropped.factors is not None
+    assert np.array_equal(dropped.factors[0], multiplication.factors[0])
+    assert lift_symbol(multiplication, 0.0)._only == "x"
 
 
 def test_lift_keeps_factors(default_grid):
@@ -529,18 +554,22 @@ def test_pss_roundtrip(tmp_path, tiny_grid):
 
 
 def test_pss_header_rule(tmp_path, tiny_grid):
-    # the factors field, not the sample values, decides how a file loads
+    # the factors field, not the sample values, decides how a file loads:
+    # x and xi hold the one factor of a symbol of that variable alone
     n = tiny_grid.points_per_axis
     rng = np.random.default_rng(97)
     a, b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     cases = dict(standard_suite(tiny_grid))
     cases["weyl-product"] = PhaseSpaceSymbol.product(tiny_grid, a, b, "weyl")
+    expected = {"constant": "xi", "multiplication": "x", "translation": "xi", "bessel": "xi",
+                "gaussian-bump": "1", "weyl-product": "1"}
+    assert set(expected) == set(cases)
     for name, sigma in cases.items():
         path = tmp_path / f"{name}.pss"
         write_pss(sigma, path)
         lines = path.read_text().splitlines()
-        assert lines[1].endswith(f"quant={sigma.quantization} factors=1"), name
-        assert len(lines) == 2 + 2 * n, name
+        assert lines[1].endswith(f"quant={sigma.quantization} factors={expected[name]}"), name
+        assert len(lines) == 2 + (2 if expected[name] == "1" else 1) * n, name
         back = read_pss(path)
         assert back.quantization == sigma.quantization, name
         for got, want in zip(back.factors, sigma.factors):
@@ -570,6 +599,7 @@ def test_pss_header_validation(tmp_path):
     for fields, message in [
         ("quant=sideways factors=0", "quant must be"),
         ("quant=kn factors=2", "factors must be"),
+        ("quant=kn factors=y", "factors must be"),
     ]:
         path.write_text(f"PSS 2\ndim=1 n=4 extent=2 {fields}\n")
         with pytest.raises(FileFormatError, match=message):
@@ -582,6 +612,43 @@ def test_pss_header_validation(tmp_path):
     path.write_text("PSS 2\ndim=1 n=4 extent=2 quant=kn factors=1\n" + "0 0\n" * 16)
     with pytest.raises(FileFormatError, match="trailing content"):
         read_pss(path)
+    # and a one-variable file N lines, not 2N
+    path.write_text("PSS 2\ndim=1 n=4 extent=2 quant=kn factors=xi\n" + "0 0\n" * 8)
+    with pytest.raises(FileFormatError, match="trailing content"):
+        read_pss(path)
+
+
+@pytest.mark.parametrize("quantization", ["kn", "weyl"])
+def test_pss_round_trips_the_one_variable_mark(tmp_path, quantization):
+    # a multiplier (a=None) and a multiplication (b=None) come back marked,
+    # with every factor bit, the stored ones included
+    grid = UniformGrid(1, 16, 4.0)
+    rng = np.random.default_rng(98)
+    c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    for a, b, only in ((None, c, "xi"), (c, None, "x"), (c, c, None)):
+        sigma = PhaseSpaceSymbol.product(grid, a, b, quantization)
+        assert sigma._only == only
+        path = tmp_path / "marked.pss"
+        write_pss(sigma, path)
+        back = read_pss(path)
+        assert (back._only, back.quantization) == (only, quantization)
+        for got, want in zip(back.factors, sigma.factors, strict=True):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_pss_factors_1_with_unit_a_reads_as_a_general_product(tmp_path, tiny_grid):
+    # a multiplier written as a product of two factors, as earlier gen
+    # files were, carries no mark: the values it holds do not make one
+    n = tiny_grid.points_per_axis
+    path = tmp_path / "phases.pss"
+    b = bessel_symbol(tiny_grid, -1.0).factors[1]
+    lines = [f"{z.real:.17g} {z.imag:.17g}" for z in np.concatenate([np.ones(n), b])]
+    head = f"PSS 2\ndim=1 n={n} extent={tiny_grid.extent:.17g} quant=kn factors=1\n"
+    path.write_text(head + "\n".join(lines) + "\n")
+    back = read_pss(path)
+    assert back._only is None
+    assert np.array_equal(back.factors[0], np.ones(n))
+    assert np.array_equal(back.factors[1].view(np.uint64), b.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
