@@ -29,25 +29,26 @@ one-entry tables.  Every row is computed on its own, so a table over
 more functions changes no row: an embedding task makes one amalgam_norms
 pass over its test functions and every symbol's outputs on them.
 
-There is one kernel per job, both on a strided view of every window
+There is one STFT kernel, _spectra, on a strided view of every window
 translate (_translates, so no index table or stack of translates is
-built).  _spectra yields the full-lattice V_g f of each function in
-turn, in FFT order along xi, from buffers it owns for the whole run;
-stft fftshifts its one array, and the norm tables take |V_g f| in
-place (the Bessel weights are ifftshifted to match), then one
-power_mean per inner exponent and one per outer exponent on the
-stacked inner norms.  Those shifts stay: the tables sum along xi in
-FFT order, and a centered _spectra would reorder the sums and move
-entries at roundoff.  _norm_tables gives each CPU the process may use
-one contiguous run of functions and its own kernel and thread (the
-caller's first), so a table's values do not depend on the CPU count.
-_sup_stft takes the sup over translates for both sjostrand_norm paths:
-it streams the products through ft_along in fixed-size blocks and
-keeps one running maximum of the weighted magnitudes; the dense path
-runs it along xi, over leading axis x, once per x translate, and
-tests/oracles.direct_sjostrand checks both paths by brute force.  Both
-kernels are bit-identical to the index-table form kept in
-tests/oracles.py, _spectra up to the ifftshift along xi.
+built).  It yields V_g of each array in turn, a block of translates at
+a time with the array's leading axes kept and xi in FFT order, from
+buffers it owns for the whole run.  stft and the norm tables take a
+function's N translates as one block: stft fftshifts it, and the
+tables take |V_g f| in place (the Bessel weights are ifftshifted to
+match), then one power_mean per inner exponent and one per outer
+exponent on the stacked inner norms; a centered block would reorder
+their sums along xi and move entries at roundoff.  _norm_tables gives
+each CPU the process may use one contiguous run of functions and its
+own kernel and thread (the caller's first), so a table's values do not
+depend on the CPU count.  _sup_stft takes the sup over translates for
+both sjostrand_norm paths: it folds the weighted magnitudes of
+fixed-size blocks into one running maximum and fftshifts that; the
+dense path runs it along xi of each _spectra block of sigma along x,
+one x translate per block.  tests/oracles.direct_sjostrand checks both
+paths by brute force.  The kernel is bit-identical to the index-table
+form of tests/oracles.py up to the ifftshift along xi, and at
+power-of-two N to the centered ft_along form it replaced.
 """
 
 import contextvars
@@ -82,15 +83,13 @@ def default_window(grid):
     return SampledFunction(grid, _gaussian(grid.axis_points()))
 
 
-def _translates(window, shift):
+def _translates(window):
     """Every lattice translate of the one-axis window, as a strided
-    (N, N) view: entry [i, j] is window[(j - i + shift) % N].  The view
-    reads a wrapped copy of window twice its length, so no index table
-    or stack of translates is ever built."""
+    (N, N) view: entry [i, j] is window[(j - i) % N].  The view reads a
+    wrapped copy of window twice its length, so no index table or stack
+    of translates is ever built."""
     n = len(window)
-    before = -shift % n
-    doubled = np.pad(window, (before, n - before), mode="wrap")
-    return sliding_window_view(doubled, n)[n:0:-1]
+    return sliding_window_view(np.concatenate((window, window)), n)[n:0:-1]
 
 
 def _windowed_spectra(f, g):
@@ -99,7 +98,8 @@ def _windowed_spectra(f, g):
     grid = require_same_grid(f, g)
     if not np.any(g.values):
         raise ZeroWindow("window is identically zero")
-    return grid.axis_points(), np.fft.fftshift(next(_spectra([f], g.values)), axes=1)
+    _, spectra = next(_spectra([f.values], g.values, grid.spacing, grid.points_per_axis))
+    return grid.axis_points(), np.fft.fftshift(spectra, axes=1)
 
 
 def stft(f, g):
@@ -123,31 +123,32 @@ def sobolev_norm(f, p, s):
     return lp_norm(bessel_potential(f, s), p)
 
 
-def _spectra(fs, window):
-    """V_window f, axes (x, xi) with xi in FFT order (frequency 0
-    first), for each f of fs (a list on one grid) in turn.
-
-    A generator that owns one complex vector and one complex (N, N)
-    array for the whole run and yields the array, overwritten with each
-    function's spectra, so a caller is done with it before it asks for
-    the next.  Each product is the translates starting at shift 0 times
-    f rolled by N/2 (two slice copies into the owned vector), and its
-    FFT is taken in place, so the values are the ifftshift along xi of
-    the centered V_window f, to the bit.
+def _spectra(arrays, window, spacing, rows):
+    """V_window of each array of arrays (one shape, last axis periodic
+    with cell spacing) in turn, rows translates at a time: yields
+    (start, block), block the translates start to start + rows (fewer at
+    the end), axes (..., z, zeta) with zeta in FFT order (frequency 0
+    first).  The generator owns the block and the array rolled by N/2
+    for the whole run and yields views of the block, so a caller is done
+    with one before it asks for the next.  A block is the translates at
+    shift 0 times the rolled array, transformed in place and scaled by
+    spacing: the centered transform of the translates at shift N/2 times
+    the array, ifftshifted along zeta, to the bit.
     """
-    grid = fs[0].grid
-    n = grid.points_per_axis
+    n = len(window)
     half = n // 2
-    translates = _translates(np.conj(window), 0)
-    rolled = np.empty(n, dtype=complex)
-    spectra = np.empty((n, n), dtype=complex)
-    for f in fs:
-        rolled[:half] = f.values[half:]
-        rolled[half:] = f.values[:half]
-        np.multiply(translates, rolled, out=spectra)
-        np.fft.fft(spectra, axis=1, out=spectra)
-        spectra *= grid.spacing
-        yield spectra
+    translates = _translates(np.conj(window))
+    rolled = np.empty(arrays[0].shape, dtype=complex)
+    buffer = np.empty(rolled.shape[:-1] + (min(rows, n), n), dtype=complex)
+    for values in arrays:
+        rolled[..., :half] = values[..., half:]
+        rolled[..., half:] = values[..., :half]
+        for start in range(0, n, rows):
+            block = buffer[..., :min(rows, n - start), :]
+            np.multiply(translates[start:start + rows], rolled[..., None, :], out=block)
+            np.fft.fft(block, axis=-1, out=block)
+            block *= spacing
+            yield start, block
 
 
 def _usable_cpus():
@@ -213,7 +214,8 @@ def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
 
     def fill(rows):
         mags = np.empty((grid.points_per_axis,) * 2)
-        for k, spectra in zip(rows, _spectra([fs[k] for k in rows], window)):
+        arrays = [fs[k].values for k in rows]
+        for k, (_, spectra) in zip(rows, _spectra(arrays, window, grid.spacing, len(window))):
             np.abs(spectra, out=mags)
             if weights is not None:
                 mags *= weights
@@ -255,20 +257,16 @@ def amalgam_norm(f, p, q, s=0.0):
 
 
 def _sup_stft(values, window, spacing, weight):
-    """max over lattice translates z of |V_window values(z, zeta)| weight(z),
-    for every dual point zeta of the last (periodic) axis, with the given
-    step; leading axes of values are kept.  The translates go through in
-    blocks of at most _BLOCK_ENTRIES products folded into one running
-    maximum, which is exact, so the block size moves no bit."""
-    n = values.shape[-1]
-    translates = _translates(np.conj(window), n // 2)
-    rows = max(1, _BLOCK_ENTRIES // values.size)
-    best = np.zeros(values.shape)
-    for start in range(0, n, rows):
-        mags = np.abs(ft_along(translates[start:start + rows] * values[..., None, :], -1, spacing))
-        mags *= weight[start:start + rows, None]
+    """max over lattice translates z of |V_window values(z, zeta)| weight(z)
+    for each zeta of the last (periodic) axis, cell spacing, leading axes
+    kept.  The magnitudes of _spectra's blocks (one real buffer) fold into
+    one exact running maximum, so no block size moves a bit, then fftshift."""
+    best, mags = np.zeros(values.shape), None
+    for start, block in _spectra([values], window, spacing, max(1, _BLOCK_ENTRIES // values.size)):
+        mags = np.abs(block, out=None if mags is None else mags[..., :block.shape[-2], :])
+        mags *= weight[start:start + mags.shape[-2], None]
         np.maximum(best, mags.max(axis=-2), out=best)
-    return best
+    return np.fft.fftshift(best, axes=-1)
 
 
 def _factor_sup(values, window, spacing, weight):
@@ -293,8 +291,8 @@ def sjostrand_norm(symbol, s=0.0):
     of two one-dimensional sums of sup-STFTs, O(N^2 log N), or O(N log N)
     for a factor that _only marks identically 1 (_factor_sup).  Any other
     symbol takes the dense O(N^4 log N) path, limited by its time to
-    N <= 256: for each x translate z1 it transforms conj(phi1)(. - z1)
-    sigma along x, and the sup over z2 at that z1 is _sup_stft along xi.
+    N <= 256: for each x translate z1, _spectra transforms
+    conj(phi1)(. - z1) sigma along x, and the sup over z2 is _sup_stft.
     The dense path is the reference path: every generator builds
     rank-one symbols, so only tests and hand-made dense symbols reach
     it, and it agrees with the factored one to roundoff.
@@ -322,8 +320,8 @@ def sjostrand_norm(symbol, s=0.0):
             "factored path"
         )
     best = np.zeros((n, n))
-    # row i1 of the translates is conj(phi1) shifted by z1 = i1 - N/2 steps
-    for translate1 in _translates(np.conj(window1), n // 2):
-        partial = ft_along(translate1[:, None] * symbol.values, 0, grid.spacing)
-        np.maximum(best, _sup_stft(partial, window2, grid.dual_spacing, zweight2), out=best)
-    return float(zeta_cell * best.sum())
+    # block i1: conj(phi1) shifted by z1 = i1 - N/2 steps times sigma along
+    # x, axes (xi, 1, omega), omega in FFT order until best is summed
+    for _, block in _spectra([symbol.values.T], window1, grid.spacing, 1):
+        np.maximum(best, _sup_stft(block[:, 0].T, window2, grid.dual_spacing, zweight2), out=best)
+    return float(zeta_cell * np.fft.fftshift(best, axes=0).sum())

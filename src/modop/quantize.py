@@ -50,7 +50,7 @@ N <= 1024.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -293,6 +293,8 @@ def u_transform(symbol, direction):
         sign, new_tag = -1, WEYL
     else:
         raise InvalidValue(f"direction must be 'to_KN' or 'to_Weyl', got {direction!r}")
+    if symbol._only is not None:  # the chirp is 1 on a symbol of x or xi alone
+        return replace(symbol, quantization=new_tag)
     return PhaseSpaceSymbol(symbol.grid, _u_chirp(symbol, sign).view(_Owned), new_tag)
 
 

@@ -6,11 +6,14 @@ agreement between a library routine and its oracle is meaningful.  All
 of these are O(N^2) or worse and meant for small N only.  The one
 exception is the section of centered compositions: it centers each FFT
 with numpy's fftshift/ifftshift, the half-period shift form that
-grid's sign modulation and quantize's shift-free chirp replace, to
-check that replacing it moves no bit.
+grid's sign modulation and quantize's shift-free chirp replace, or with
+grid.ft_along's sign modulation, the centered form that analysis' one
+FFT-order STFT kernel replaces, to check that replacing it moves no bit.
 """
 
 import numpy as np
+
+from modop.grid import ft_along
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +142,22 @@ def centered_u_multiplier(values, grid, phase):
     h, dual = grid.spacing, grid.dual_spacing
     spectrum = shift_ft_along(shift_ft_along(values, 0, h), 1, dual) * phase
     return shift_ift_along(shift_ift_along(spectrum, 0, h), 1, dual)
+
+
+def centered_sup_stft(values, window, spacing, weight, rows):
+    """max over translates z of |V_window values(z, zeta)| weight(z) along
+    the last axis, leading axes kept, in the centered form: blocks of
+    rows translates (row i shifted by i - N/2 steps, gathered) times
+    values, each through ft_along, folded into one running maximum."""
+    n = values.shape[-1]
+    best = np.zeros(values.shape)
+    for start in range(0, n, rows):
+        shifts = np.arange(start, min(start + rows, n)) - n // 2
+        translates = np.conj(window)[(np.arange(n)[None, :] - shifts[:, None]) % n]
+        mags = np.abs(ft_along(translates * values[..., None, :], -1, spacing))
+        mags *= weight[start:start + rows, None]
+        np.maximum(best, mags.max(axis=-2), out=best)
+    return best
 
 
 def centered_half_shift(rows, spacing, phase):

@@ -51,11 +51,14 @@ def test_stft_matches_direct_quadrature(tiny_grid):
     assert rel_err(got, want) <= 1e-12
 
 
-def _gather_spectra(fs, window):
-    """The spectra kernel's oracle: gather_stft of each function, in FFT
-    order along xi as the kernel yields it."""
-    for f in fs:
-        yield np.fft.ifftshift(oracles.gather_stft(f.values, window, f.grid.spacing), axes=1)
+def _gather_spectra(arrays, window, spacing, rows):
+    """The spectra kernel's oracle for one-axis arrays: gather_stft of
+    each, in FFT order along xi, rows translates at a time as the kernel
+    yields it."""
+    for values in arrays:
+        spectra = np.fft.ifftshift(oracles.gather_stft(values, window, spacing), axes=1)
+        for start in range(0, len(values), rows):
+            yield start, spectra[start:start + rows]
 
 
 @pytest.mark.parametrize("n, extent", KERNEL_GRIDS)
@@ -63,11 +66,15 @@ def test_magnitude_kernel_matches_gather_oracle_bitwise(n, extent):
     grid = UniformGrid(1, n, extent)
     fs = [make_bandlimited(grid, seed=seed, modes=min(3, n // 4)) for seed in (7, 8, 9)]
     window = default_window(grid).values
-    # the kernel overwrites one array per function, so compare each as it comes
-    got_spectra, want_spectra = analysis._spectra(fs, window), _gather_spectra(fs, window)
-    for got, want in zip(got_spectra, want_spectra, strict=True):
-        assert got.dtype == np.complex128
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the kernel overwrites one block at a time, so compare each as it
+    # comes: all N translates per function, then 7 (a partial last block)
+    arrays = [f.values for f in fs]
+    for rows in (n, 7):
+        got_spectra = analysis._spectra(arrays, window, grid.spacing, rows)
+        want_spectra = _gather_spectra(arrays, window, grid.spacing, rows)
+        for (got_start, got), (want_start, want) in zip(got_spectra, want_spectra, strict=True):
+            assert got.dtype == np.complex128 and got_start == want_start
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n, extent", KERNEL_GRIDS)
@@ -129,9 +136,95 @@ def test_sup_stft_is_bit_identical_for_any_block(monkeypatch, shape):
         assert np.array_equal(analysis._sup_stft(*args).view(np.uint64), want.view(np.uint64))
 
 
+def _ulps(got, want):
+    """The largest distance in units in the last place between two
+    arrays of non-negative floats."""
+    return int(np.max(np.abs(np.asarray(got).view(np.int64) - np.asarray(want).view(np.int64))))
+
+
+def _sup_stft_args(n, lead):
+    grid = UniformGrid(1, n, 8.0)
+    rng = np.random.default_rng(n + len(lead))
+    values = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
+    return (values, analysis._gaussian(grid.axis_frequencies()), grid.dual_spacing,
+            grid_module.bessel_weights(grid, 0.25))
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(1, 13)])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["1d", "2d"])
+def test_sup_stft_is_the_centered_form_bitwise(monkeypatch, n, lead):
+    # the FFT-order kernel against the centered ft_along form it replaced:
+    # at a power-of-two N the sign modulation is the half-period shift to
+    # the bit, so no value moves at any block; all N rows at N = 4096 would
+    # be a 256 MiB block, so the largest block is capped at 16 MiB
+    args = _sup_stft_args(n, lead)
+    size = args[0].size
+    want = oracles.centered_sup_stft(*args, max(1, 2**16 // size))
+    for rows in (1, 7, min(n, 2**20 // size)):
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", rows * size)
+        assert np.array_equal(analysis._sup_stft(*args).view(np.uint64), want.view(np.uint64))
+
+
+def _centered_dense_sjostrand(symbol, s):
+    """The dense sjostrand_norm in the centered form: for each x translate,
+    conj(phi1) shifted by i1 - N/2 steps times sigma through ft_along
+    along x, then oracles.centered_sup_stft along xi."""
+    grid = symbol.grid
+    n = grid.points_per_axis
+    window1 = np.conj(analysis._gaussian(grid.axis_points()))
+    window2 = analysis._gaussian(grid.axis_frequencies())
+    weight = grid_module.bessel_weights(grid, s)
+    best = np.zeros((n, n))
+    for i1 in range(n):
+        translate1 = window1[(np.arange(n) - i1 + n // 2) % n]
+        partial = grid_module.ft_along(translate1[:, None] * symbol.values, 0, grid.spacing)
+        sup = oracles.centered_sup_stft(partial, window2, grid.dual_spacing, weight, max(1, 2**16 // n**2))
+        np.maximum(best, sup, out=best)
+    return float(grid.dual_spacing * grid.spacing * best.sum())
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_dense_sjostrand_is_the_centered_form_bitwise(n):
+    # at N = 64 a dense call takes 0.2 s and its oracle 0.3 s, so there
+    # only the two symbols that have no factors are run
+    grid = UniformGrid(1, n, n / 4.0)
+    for name, sigma in _oracle_symbols(grid).items():
+        if n == 64 and sigma.factors is not None:
+            continue
+        dense = sigma.with_values(sigma.values)
+        for s in (0.0, 0.5):
+            got, want = sjostrand_norm(dense, s), _centered_dense_sjostrand(dense, s)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), (name, s)
+
+
+@pytest.mark.parametrize("n", [6, 12, 24, 96])
+def test_fft_order_kernel_moves_values_by_ulps_off_powers_of_two(monkeypatch, n):
+    # at other even N the sign modulation and the half-period shift round
+    # differently, so the sup-STFT and both Sjostrand paths move, but by a
+    # few units in the last place; at N = 96 the dense path and its oracle
+    # take 2 s a symbol, so there only the factored path is run
+    for lead in ((), (3,)):
+        args = _sup_stft_args(n, lead)
+        got, want = analysis._sup_stft(*args), oracles.centered_sup_stft(*args, n)
+        assert _ulps(got, want) <= 4, lead
+    grid = UniformGrid(1, n, n / 4.0)
+    symbols = {name: sigma for name, sigma in _oracle_symbols(grid).items()
+               if sigma.factors is not None or n < 96}
+    got = {(name, s): sjostrand_norm(sigma, s) for name, sigma in symbols.items() for s in (0.0, 0.5)}
+    # the factored path with the centered sup-STFT, and the dense one
+    monkeypatch.setattr(analysis, "_sup_stft", lambda *args: oracles.centered_sup_stft(*args, n))
+    for (name, s), value in got.items():
+        sigma = symbols[name]
+        if sigma.factors is None:
+            want = _centered_dense_sjostrand(sigma, s)
+        else:
+            want = sjostrand_norm(sigma, s)
+        assert _ulps(value, want) <= 4, (name, s)
+
+
 def test_sjostrand_memory_is_bounded_by_the_block():
-    # the block's product, its shifted transform and its magnitudes, plus
-    # 1 MiB for the O(N) vectors; every translate at once took 192 MB here
+    # the block's complex buffer and its real magnitudes, plus 1 MiB for
+    # the O(N) vectors; every translate at once took 192 MB here
     sigma = random_phase_multiplier(UniformGrid(1, 2048, 8.0), 64, 0)
     tracemalloc.start()
     try:
@@ -139,7 +232,7 @@ def test_sjostrand_memory_is_bounded_by_the_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 16 * analysis._BLOCK_ENTRIES + 2**20
+    assert peak <= 24 * analysis._BLOCK_ENTRIES + 2**20
 
 
 def test_stft_and_tables_run_their_kernels_once_per_function(monkeypatch, tiny_grid):
@@ -148,10 +241,10 @@ def test_stft_and_tables_run_their_kernels_once_per_function(monkeypatch, tiny_g
     spectra = []  # (shape, dtype) of each array the kernel yields
     kernel = analysis._spectra
 
-    def counted_spectra(fs, window):
-        for values in kernel(fs, window):
+    def counted_spectra(arrays, window, spacing, rows):
+        for start, values in kernel(arrays, window, spacing, rows):
             spectra.append((values.shape, values.dtype))
-            yield values
+            yield start, values
 
     monkeypatch.setattr(analysis, "_spectra", counted_spectra)
     # stft and both tables read the one kernel, once per function
@@ -192,9 +285,10 @@ def test_tables_do_not_depend_on_the_cpu_count(monkeypatch, tiny_grid):
     runs = []  # (first function, functions, thread) per spectra kernel
     kernel = analysis._spectra
 
-    def recorded_spectra(chunk, window):
-        runs.append((fs.index(chunk[0]), len(chunk), threading.current_thread()))
-        yield from kernel(chunk, window)
+    def recorded_spectra(chunk, window, spacing, rows):
+        first = next(k for k, f in enumerate(fs) if f.values is chunk[0])
+        runs.append((first, len(chunk), threading.current_thread()))
+        yield from kernel(chunk, window, spacing, rows)
 
     def chunks(call):
         runs.clear()
@@ -238,8 +332,8 @@ def test_tables_run_workers_in_the_callers_errstate(monkeypatch, tiny_grid):
     with np.errstate(over="ignore"):
         assert np.isinf(modulation_norms(fs, ["2"], ["2"])[2, 0, 0])
 
-    def failing_spectra(chunk, window):
-        if chunk[0] is not fs[0]:
+    def failing_spectra(chunk, window, spacing, rows):
+        if chunk[0] is not fs[0].values:
             raise ZeroWindow("raised in a worker")
         yield from ()
 

@@ -271,6 +271,17 @@ def test_sobolev_opnorm_accepts_weyl_symbols():
     assert abs(a.value - c.value) > 1e-4 * c.value
 
 
+def test_sobolev_opnorm_of_a_marked_weyl_multiplier_is_matrix_free():
+    # u_transform keeps a multiplier's mark, so past the dense limit its
+    # L^2 norm is still the closed form, not a TooLarge from as_matrix
+    grid = UniformGrid(1, 2048, 16.0)
+    rng = np.random.default_rng(59)
+    b = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+    est = sobolev_opnorm(PhaseSpaceSymbol.product(grid, None, b, "weyl"), from_p(2))
+    assert est.method == "exact_2"
+    assert est.value == np.abs(b).max()
+
+
 # ---------------------------------------------------------------------------
 # rank-one symbols: the matrix-free path against the dense path
 

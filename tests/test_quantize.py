@@ -211,6 +211,28 @@ def test_u_transform_matches_direct_multiplier(tiny_grid):
     assert rel_err(got_back.values, want_back) <= 1e-10
 
 
+@pytest.mark.parametrize("quantization, direction", [("weyl", "to_KN"), ("kn", "to_Weyl")])
+def test_u_transform_keeps_the_one_variable_mark(quantization, direction):
+    # the chirp is 1 on a symbol of x or xi alone: the marked symbol comes
+    # back with its factors and mark, as the dense transform of its
+    # unmarked twin gives to roundoff, and a round trip keeps the mark
+    grid = UniformGrid(1, 64, 8.0)
+    rng = np.random.default_rng(59)
+    c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    back_direction = "to_Weyl" if direction == "to_KN" else "to_KN"
+    for a, b, only in ((None, c, "xi"), (c, None, "x")):
+        sigma = PhaseSpaceSymbol.product(grid, a, b, quantization)
+        out = u_transform(sigma, direction)
+        assert out._only == only and out.quantization != quantization
+        for got, want in zip(out.factors, sigma.factors, strict=True):
+            assert np.array_equal(bits(got), bits(want))
+        dense = u_transform(sigma.with_values(sigma.values), direction)
+        assert dense.factors is None
+        assert np.abs(out.values - dense.values).max() <= 1e-14 * np.abs(dense.values).max()
+        back = u_transform(out, back_direction)
+        assert (back._only, back.quantization) == (only, quantization)
+
+
 def test_u_transform_direction_validation(default_grid):
     sigma = random_symbol(default_grid, seed=52, quantization="weyl")
     with pytest.raises(WrongQuantization):

@@ -91,8 +91,9 @@ def test_tracer_counters_read_what_the_layers_return(tmp_path):
 
 def test_factored_sjostrand_norm_records_a_grid_ft_span():
     # the benchmark's own suite pins a grid.ft span under the factored
-    # sjostrand_norm; a sup-STFT kernel that stopped calling ft_along would
-    # break that pin, so it fails here too
+    # sjostrand_norm; a factor marked identically 1 (constant_symbol's x
+    # factor) takes its one transform through ft_along in _factor_sup, so
+    # a change that dropped that call would break the pin and fail here too
     spans = _load_spans()
     tracer = spans.Tracer()
     tracer.install()
