@@ -31,24 +31,22 @@ pass over its test functions and every symbol's outputs on them.
 
 There is one STFT kernel, _spectra, on a strided view of every window
 translate (_translates, so no index table or stack of translates is
-built).  It yields V_g of each array in turn, a block of translates at
-a time with the array's leading axes kept and xi in FFT order, from
-buffers it owns for the whole run.  stft and the norm tables take a
-function's N translates as one block: stft fftshifts it, and the
-tables take |V_g f| in place (the Bessel weights are ifftshifted to
-match), then one power_mean per inner exponent and one per outer
-exponent on the stacked inner norms; a centered block would reorder
-their sums along xi and move entries at roundoff.  _norm_tables gives
-each CPU the process may use one contiguous run of functions and its
-own kernel and thread (the caller's first), so a table's values do not
-depend on the CPU count.  _sup_stft takes the sup over translates for
-both sjostrand_norm paths: it folds the weighted magnitudes of
-fixed-size blocks into one running maximum and fftshifts that; the
-dense path runs it along xi of each _spectra block of sigma along x,
-one x translate per block.  tests/oracles.direct_sjostrand checks both
-paths by brute force.  The kernel is bit-identical to the index-table
-form of tests/oracles.py up to the ifftshift along xi, and at
-power-of-two N to the centered ft_along form it replaced.
+built).  It yields V_g of each array in turn on the centered lattice
+(x_i, xi_k), a block of translates at a time with the array's leading
+axes kept, from buffers it owns for the whole run.  stft and the norm
+tables take a function's N translates as one block: stft returns it
+with no copy, and the tables take |V_g f| in place, then one power_mean
+per inner exponent and one per outer exponent on the stacked inner
+norms.  _norm_tables gives each CPU the process may use one contiguous
+run of functions and its own kernel and thread (the caller's first), so
+a table's values do not depend on the CPU count.  _sup_stft takes the
+sup over translates for both sjostrand_norm paths: it folds the
+weighted magnitudes of fixed-size blocks into one running maximum; the
+dense path runs it along xi of each _spectra block of sigma along x, one
+x translate per block.  tests/oracles.direct_sjostrand checks both paths
+by brute force.  At power-of-two N the kernel is bit-identical to the
+index-table form of tests/oracles.py and to the centered ft_along form
+it replaced; at other even N they differ at roundoff.
 """
 
 import contextvars
@@ -99,7 +97,7 @@ def _windowed_spectra(f, g):
     if not np.any(g.values):
         raise ZeroWindow("window is identically zero")
     _, spectra = next(_spectra([f.values], g.values, grid.spacing, grid.points_per_axis))
-    return grid.axis_points(), np.fft.fftshift(spectra, axes=1)
+    return grid.axis_points(), spectra
 
 
 def stft(f, g):
@@ -127,13 +125,13 @@ def _spectra(arrays, window, spacing, rows):
     """V_window of each array of arrays (one shape, last axis periodic
     with cell spacing) in turn, rows translates at a time: yields
     (start, block), block the translates start to start + rows (fewer at
-    the end), axes (..., z, zeta) with zeta in FFT order (frequency 0
-    first).  The generator owns the block and the array rolled by N/2
+    the end), axes (..., z, zeta) on the centered lattice.  The generator
+    owns the block and the array rolled by N/2 and times S = diag((-1)^j)
     for the whole run and yields views of the block, so a caller is done
     with one before it asks for the next.  A block is the translates at
-    shift 0 times the rolled array, transformed in place and scaled by
-    spacing: the centered transform of the translates at shift N/2 times
-    the array, ifftshifted along zeta, to the bit.
+    shift 0 times that array, transformed in place and scaled by spacing:
+    for even N, fft(S z) is fft(z) shifted by N/2 along zeta, so each row
+    is the centered transform of a translate at shift N/2 times the array.
     """
     n = len(window)
     half = n // 2
@@ -143,6 +141,7 @@ def _spectra(arrays, window, spacing, rows):
     for values in arrays:
         rolled[..., :half] = values[..., half:]
         rolled[..., half:] = values[..., :half]
+        rolled[..., 1::2] *= -1
         for start in range(0, n, rows):
             block = buffer[..., :min(rows, n - start), :]
             np.multiply(translates[start:start + rows], rolled[..., None, :], out=block)
@@ -190,8 +189,8 @@ def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
     """Entry [k, j, i]: the L^outers[j] norm over the other axis of the
     L^inners[i] norms over inner_axis (0: x, cell h; 1: xi, cell 1/L) of
     |V_g fs[k]|, weighted by <xi>^s along xi.  Per function that is one
-    reduction per inner exponent on |V_g f| and one per outer exponent
-    on the stacked inner norms.
+    reduction per inner exponent on _spectra's centered block, in place
+    as |V_g f|, and one per outer exponent on the stacked inner norms.
 
     The functions are split into one contiguous run per usable CPU (at
     most one per function); each run has its own _spectra kernel and
@@ -207,8 +206,7 @@ def _norm_tables(fs, inners, inner_axis, outers, s=0.0):
     grid = require_same_grid(*fs)
     cells = (grid.spacing, grid.dual_spacing)
     inner_cell, outer_cell = cells[inner_axis], cells[1 - inner_axis]
-    # the magnitudes come in FFT order along xi, so the weights do too
-    weights = np.fft.ifftshift(bessel_weights(grid, s)) if s != 0.0 else None
+    weights = bessel_weights(grid, s) if s != 0.0 else None
     window = _gaussian(grid.axis_points())
     tables = np.empty((len(fs), len(outers), len(inners)))
 
@@ -259,14 +257,14 @@ def amalgam_norm(f, p, q, s=0.0):
 def _sup_stft(values, window, spacing, weight):
     """max over lattice translates z of |V_window values(z, zeta)| weight(z)
     for each zeta of the last (periodic) axis, cell spacing, leading axes
-    kept.  The magnitudes of _spectra's blocks (one real buffer) fold into
-    one exact running maximum, so no block size moves a bit, then fftshift."""
+    kept, on the centered lattice.  The magnitudes of _spectra's blocks (one
+    real buffer) fold into one exact running maximum, so no block size moves a bit."""
     best, mags = np.zeros(values.shape), None
     for start, block in _spectra([values], window, spacing, max(1, _BLOCK_ENTRIES // values.size)):
         mags = np.abs(block, out=None if mags is None else mags[..., :block.shape[-2], :])
         mags *= weight[start:start + mags.shape[-2], None]
         np.maximum(best, mags.max(axis=-2), out=best)
-    return np.fft.fftshift(best, axes=-1)
+    return best
 
 
 def _factor_sup(values, window, spacing, weight):
@@ -320,8 +318,7 @@ def sjostrand_norm(symbol, s=0.0):
             "factored path"
         )
     best = np.zeros((n, n))
-    # block i1: conj(phi1) shifted by z1 = i1 - N/2 steps times sigma along
-    # x, axes (xi, 1, omega), omega in FFT order until best is summed
+    # block i1: conj(phi1) shifted by z1 = i1 - N/2 steps times sigma along x, axes (xi, 1, omega)
     for _, block in _spectra([symbol.values.T], window1, grid.spacing, 1):
         np.maximum(best, _sup_stft(block[:, 0].T, window2, grid.dual_spacing, zweight2), out=best)
-    return float(zeta_cell * np.fft.fftshift(best, axes=0).sum())
+    return float(zeta_cell * best.sum())

@@ -210,8 +210,10 @@ def _number_list(value, key, kind, ok, rule):
     """A number or non-empty list of numbers as a list of kind (int or
     float; kind int admits integers only), every entry meeting ok."""
     items = value if isinstance(value, list) else [value]
+    if not items:
+        raise ConfigError(f"config key {key!r} must not be empty")
     accepted = int if kind is int else (int, float)
-    if not items or not all(isinstance(v, accepted) and not isinstance(v, bool) for v in items):
+    if not all(isinstance(v, accepted) and not isinstance(v, bool) for v in items):
         noun = "an integer or list of integers" if kind is int else "a number or list of numbers"
         raise ConfigError(f"config key {key!r} must be {noun}")
     if not all(ok(v) for v in items):
@@ -647,8 +649,9 @@ def _check_matrix_intertwine(grid, seed):
     # shear route does not, so the two sides are independent
     probe = UniformGrid(1, min(grid.points_per_axis, 256), grid.extent)
     symbol = _weyl_test_symbol(probe)
-    kernel = probe.spacing * weyl_to_kernel(symbol).values
-    return _rel_max(as_matrix(symbol).entries, kernel)
+    kernel, matrix = probe.spacing * weyl_to_kernel(symbol).values, as_matrix(symbol).entries
+    del symbol  # held through _rel_max, it would be a fifth N^2 array
+    return _rel_max(matrix, kernel)
 
 
 # (name, check, tolerance): a check maps (grid, seed) to an error

@@ -54,8 +54,9 @@ def gather_stft(values, window, spacing):
     Row i is the centered transform (ifftshift, FFT, fftshift, times
     spacing) of values times conj(window)[(j - m_i) % N], m_i = i - N/2,
     stacked as one (N, N) array; the xi axis is ascending.  It forms the
-    same products and runs the same FFTs as the library's strided
-    kernel, so the two agree to the bit.
+    same products as the library's strided kernel, which takes the FFT
+    shift by sign modulation instead, so the two agree to the bit at
+    power-of-two N and to roundoff at other even N.
     """
     n = len(values)
     offsets = np.arange(n) - n // 2

@@ -53,10 +53,9 @@ def test_stft_matches_direct_quadrature(tiny_grid):
 
 def _gather_spectra(arrays, window, spacing, rows):
     """The spectra kernel's oracle for one-axis arrays: gather_stft of
-    each, in FFT order along xi, rows translates at a time as the kernel
-    yields it."""
+    each, rows translates at a time as the kernel yields it."""
     for values in arrays:
-        spectra = np.fft.ifftshift(oracles.gather_stft(values, window, spacing), axes=1)
+        spectra = oracles.gather_stft(values, window, spacing)
         for start in range(0, len(values), rows):
             yield start, spectra[start:start + rows]
 
@@ -198,8 +197,41 @@ def test_dense_sjostrand_is_the_centered_form_bitwise(n):
 
 
 @pytest.mark.parametrize("n", [6, 12, 24, 96])
+def test_centered_kernel_moves_spectra_and_tables_by_roundoff_off_powers_of_two(monkeypatch, n):
+    # at other even N the kernel's sign modulation and gather_stft's
+    # half-period shift round differently: every block and stft move by a
+    # few eps of max|V|, and the norm tables by a few units in the last place
+    grid = UniformGrid(1, n, n / 4.0)
+    fs = [make_bandlimited(grid, seed=seed, modes=min(3, n // 4)) for seed in (7, 8)]
+    window = default_window(grid)
+    arrays = [f.values for f in fs]
+    wants = [oracles.gather_stft(v, window.values, grid.spacing) for v in arrays]
+    bounds = [4 * np.finfo(float).eps * np.abs(want).max() for want in wants]
+    for f, want, bound in zip(fs, wants, bounds):
+        assert np.abs(stft(f, window) - want).max() <= bound
+    for rows in (n, 5):
+        per_function = -(-n // rows)  # blocks per function, the last may be partial
+        blocks = zip(analysis._spectra(arrays, window.values, grid.spacing, rows),
+                     _gather_spectra(arrays, window.values, grid.spacing, rows), strict=True)
+        for k, ((got_start, got), (want_start, want)) in enumerate(blocks):
+            assert got_start == want_start and got.shape == want.shape
+            assert np.abs(got - want).max() <= bounds[k // per_function]
+    names = [name for name, _ in EXPONENTS]
+
+    def tables():
+        return [modulation_norms(fs, names, names)] + [
+            amalgam_norms(fs, names, names, s) for s in (0.0, 0.5)]
+
+    got = tables()
+    monkeypatch.setattr(analysis, "_spectra", _gather_spectra)
+    for got_table, want_table in zip(got, tables(), strict=True):
+        assert _ulps(got_table, want_table) <= 4
+
+
+@pytest.mark.parametrize("n", [6, 12, 24, 96])
 def test_fft_order_kernel_moves_values_by_ulps_off_powers_of_two(monkeypatch, n):
-    # at other even N the sign modulation and the half-period shift round
+    # at other even N the kernel (the sign modulation of the array rolled
+    # by N/2) and the centered ft_along form of the oracle round
     # differently, so the sup-STFT and both Sjostrand paths move, but by a
     # few units in the last place; at N = 96 the dense path and its oracle
     # take 2 s a symbol, so there only the factored path is run
@@ -233,6 +265,22 @@ def test_sjostrand_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * analysis._BLOCK_ENTRIES + 2**20
+
+
+def test_stft_holds_one_array():
+    # stft returns the kernel's centered block with no copy; 1 MiB covers
+    # the O(N) vectors and the FFT's line buffers
+    n = 1024
+    grid = UniformGrid(1, n, 16.0)
+    f = make_bandlimited(grid, seed=5, modes=3)
+    g = default_window(grid)
+    tracemalloc.start()
+    try:
+        stft(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n * n + 2**20
 
 
 def test_stft_and_tables_run_their_kernels_once_per_function(monkeypatch, tiny_grid):

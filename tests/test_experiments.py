@@ -3,6 +3,7 @@ import io
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,9 @@ def test_config_validates_lists(tmp_path):
     path = write_config(tmp_path, {"experiment": "threshold", "n_modes": [0, 1, 2]})
     with pytest.raises(ConfigError, match="n_modes"):
         load_config(path)
+    for key in ("N", "s", "n_modes", "seeds"):
+        with pytest.raises(ConfigError, match=f"'{key}' must not be empty"):
+            SweepConfig("embedding" if key == "seeds" else "threshold", **{key: []})
 
 
 def test_config_rejects_non_finite_numbers(tmp_path):
@@ -258,6 +262,24 @@ def test_matrix_intertwine_compares_two_routes():
     cfg = SweepConfig("identity", N=[64], L=16.0)
     rows = [r for r in run_identity_suite(cfg) if r.method == "matrix-intertwine"]
     assert [r.flags for r in rows] == ["fail"] and rows[0].value > 1e-6
+
+
+def test_weyl_identity_checks_hold_at_most_three_and_a_half_arrays():
+    # each check's two N^2 complex results plus _rel_max's complex
+    # difference and real magnitudes, so no check may still hold its
+    # test symbol (or a third result) when _rel_max runs
+    grid = UniformGrid(1, 256, 16.0)
+    n = grid.points_per_axis
+    for name in ("u_roundtrip", "kernel_roundtrip", "kernel_identity", "weyl_adjoint",
+                 "matrix_intertwine"):
+        check = getattr(experiments, f"_check_{name}")
+        tracemalloc.start()
+        try:
+            check(grid, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 16 * n * n + 2**18, name
 
 
 def test_identity_suite_deterministic_across_jobs():
