@@ -45,8 +45,7 @@ weighted magnitudes of fixed-size blocks into one running maximum; the
 dense path runs it along xi of each _spectra block of sigma along x, one
 x translate per block.  tests/oracles.direct_sjostrand checks both paths
 by brute force.  At power-of-two N the kernel is bit-identical to the
-index-table form of tests/oracles.py and to the centered ft_along form
-it replaced; at other even N they differ at roundoff.
+index-table form of tests/oracles.py, and equal to roundoff at other even N.
 """
 
 import contextvars
@@ -287,7 +286,7 @@ def sjostrand_norm(symbol, s=0.0):
     built from factors, sigma = a (x) b, the transform factors too,
     V_Phi(sigma) = V_phi1(a) (x) V_phi2(b), and the norm is the product
     of two one-dimensional sums of sup-STFTs, O(N^2 log N), or O(N log N)
-    for a factor that _only marks identically 1 (_factor_sup).  Any other
+    for a None factor, identically 1 (_factor_sup).  Any other
     symbol takes the dense O(N^4 log N) path, limited by its time to
     N <= 256: for each x translate z1, _spectra transforms
     conj(phi1)(. - z1) sigma along x, and the sup over z2 is _sup_stft.
@@ -307,8 +306,8 @@ def sjostrand_norm(symbol, s=0.0):
 
     if symbol.factors is not None:
         a, b = symbol.factors
-        first = _factor_sup(None if symbol._only == "xi" else a, window1, grid.spacing, np.ones(n))
-        second = _factor_sup(None if symbol._only == "x" else b, window2, grid.dual_spacing, zweight2)
+        first = _factor_sup(a, window1, grid.spacing, np.ones(n))
+        second = _factor_sup(b, window2, grid.dual_spacing, zweight2)
         return float(zeta_cell * first.sum() * second.sum())
 
     if n > _SJOSTRAND_DENSE_LIMIT:

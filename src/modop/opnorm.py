@@ -21,8 +21,8 @@ An OperatorMatrix and a dense symbol act by their matrix and have no
 exact_2.  A rank-one symbol sigma = a(x) b(xi) acts as A = diag(a) C,
 C the circulant whose eigenvalues are b in FFT order, applied by FFT,
 so no N x N matrix is formed; C's singular values are |b|, so
-max|a| max|b| bounds the spectral norm, and it is exact_2 when the
-symbol says a factor is identically 1 (its _only), never from values.
+max|a| max|b| bounds the spectral norm, and it is exact_2 when a factor
+is None, identically 1, never from values.
 """
 
 from dataclasses import dataclass, fields
@@ -49,8 +49,8 @@ class NormEstimate:
 
     value is the estimate and method the estimator's name: exact_1 and
     exact_inf are the closed-form column and row sums, exact_2 the
-    closed form max|a| max|b| for a rank-one symbol marked as one of x or
-    xi alone (at p = 2 every entry point reports it wherever it applies),
+    closed form max|a| max|b| for a rank-one symbol with a None factor
+    (at p = 2 every entry point reports it wherever it applies),
     power_2 power iteration on A*A and boyd_p Boyd's method.
     iterations and residual describe the final sweep; lower_bound_only
     marks estimates that certify only a lower bound (always true for

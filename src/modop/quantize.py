@@ -83,19 +83,16 @@ class PhaseSpaceSymbol:
     values has shape (N, N): rows indexed by the spatial lattice,
     columns by the dual lattice.
 
-    A symbol built by `product` is rank one, sigma(x, xi) = a(x) b(xi),
-    and keeps factors = (a, b); its values are np.outer(a, b), computed
-    on first use and cached.  A factor given as None is stored as ones,
-    and _only names the one variable, "x" or "xi", the symbol depends
-    on.  Fast paths are chosen from factors and _only, never from values;
-    a symbol built from values has factors None.
+    factors says what the symbol is, and fast paths read it, never values:
+    None (dense), (a, b) (a(x) b(xi)), (a, None) (a multiplication) or
+    (None, b) (a multiplier), a None factor being identically 1 ((None,
+    None) is stored as (None, ones)); values is then np.outer(a, b), cached.
     """
 
     grid: UniformGrid
     _values: np.ndarray = field(repr=False)
     quantization: str
     factors: tuple = field(default=None, repr=False, kw_only=True)
-    _only: str = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         if self.quantization not in (KOHN_NIRENBERG, WEYL):
@@ -105,21 +102,24 @@ class PhaseSpaceSymbol:
             object.__setattr__(self, "_values", _frozen(self._values, shape * 2, "symbol"))
         else:
             a, b = self.factors
-            factors = (_frozen(a, shape, "x factor"), _frozen(b, shape, "xi factor"))
+            b = np.ones(shape) if a is None and b is None else b
+            factors = tuple(None if f is None else _frozen(f, shape, "factor") for f in (a, b))
             object.__setattr__(self, "factors", factors)
             object.__setattr__(self, "_values", None)
 
     @classmethod
     def product(cls, grid, a, b, quantization=KOHN_NIRENBERG):
         """The rank-one symbol a[j] b[k]; a factor given as None is identically 1."""
-        only = "xi" if a is None else "x" if b is None else None
-        factors = [np.ones(grid.points_per_axis) if f is None else f for f in (a, b)]
-        return cls(grid, None, quantization, factors=factors, _only=only)
+        return cls(grid, None, quantization, factors=(a, b))
+
+    def _factor_arrays(self):
+        """factors with ones in place of a None factor."""
+        return tuple(np.ones(self.grid.shape, dtype=complex) if f is None else f for f in self.factors)
 
     @property
     def values(self):
         if self._values is None:
-            values = np.outer(*self.factors)
+            values = np.outer(*self._factor_arrays())
             values.setflags(write=False)
             object.__setattr__(self, "_values", values)
         return self._values
@@ -169,15 +169,15 @@ def kn_operator(source):
     shifts and cell measures of forward_ft and inverse_ft cancel around a
     Fourier multiplier): it applies by FFT at any N, its row sums are
     |a| sum|c| (c = ifft of those eigenvalues), and so are the column
-    sums of a multiplier (_only "xi"); any other product's are a circular
+    sums of a multiplier (a None); any other product's are a circular
     correlation of |a| with |c|.  exact_2 is max|a| max|b| (C's singular
-    values are |b|) when _only marks a factor identically 1, else None.
+    values are |b|) when a factor is None, identically 1, else None.
     Any other symbol is its as_matrix, N <= 1024, with exact_2 None.
     """
     if isinstance(source, PhaseSpaceSymbol):
         _require_tag(source, KOHN_NIRENBERG)
         if source.factors is not None:
-            return _rank_one_operator(*source.factors, source._only)
+            return _rank_one_operator(source)
         source = as_matrix(source)
     a = source.entries
     # the conjugate is formed on the first adjoint call, once per operator
@@ -192,8 +192,9 @@ def kn_operator(source):
     )
 
 
-def _rank_one_operator(a, b, only):
-    """kn_operator of the symbol a(x) b(xi) whose _only is only."""
+def _rank_one_operator(symbol):
+    """kn_operator of a symbol with factors; a None factor applies as ones."""
+    a, b = symbol._factor_arrays()
     eig = functools.cache(lambda: np.fft.ifftshift(b))  # formed on the first apply
 
     def abs_c():
@@ -209,13 +210,13 @@ def _rank_one_operator(a, b, only):
         return np.fft.ifft(eig().conj() * np.fft.fft(a.conj() * y.T)).T
 
     def column_sums():
-        if only == "xi":  # a circulant's column sums are its row sums
+        if symbol.factors[0] is None:  # a multiplier: a circulant's column sums are its row sums
             return np.abs(a) * abs_c().sum()
         # sum_j |a_j| |c_{j - j'}|
         return np.fft.irfft(np.fft.rfft(np.abs(a)) * np.fft.rfft(abs_c()).conj(), len(a))
 
     def exact_2():
-        return np.abs(a).max() * np.abs(b).max() if only else None
+        return np.abs(a).max() * np.abs(b).max() if any(f is None for f in symbol.factors) else None
 
     return len(a), apply, adjoint, column_sums, lambda: np.abs(a) * abs_c().sum(), exact_2
 
@@ -293,7 +294,7 @@ def u_transform(symbol, direction):
         sign, new_tag = -1, WEYL
     else:
         raise InvalidValue(f"direction must be 'to_KN' or 'to_Weyl', got {direction!r}")
-    if symbol._only is not None:  # the chirp is 1 on a symbol of x or xi alone
+    if any(f is None for f in symbol.factors or ()):  # the chirp is 1 on a symbol of x or xi alone
         return replace(symbol, quantization=new_tag)
     return PhaseSpaceSymbol(symbol.grid, _u_chirp(symbol, sign).view(_Owned), new_tag)
 
@@ -318,8 +319,7 @@ def lift_symbol(symbol, s):
     weights = bessel_weights(symbol.grid, s)
     if symbol.factors is not None:
         a, b = symbol.factors
-        a = None if symbol._only == "xi" else a  # a multiplier stays one
-        return PhaseSpaceSymbol.product(symbol.grid, a, b * weights, symbol.quantization)
+        return replace(symbol, factors=(a, weights if b is None else b * weights))
     return symbol.with_values(symbol.values * weights[None, :])
 
 
@@ -402,9 +402,10 @@ def write_pss(symbol, path):
     extent, then for factors=1 (a product) 2N sample lines, a then b, for
     x or xi (a symbol of that variable alone) that factor's N lines, and
     for factors=0 (any other symbol) its N^2 values in x-major order."""
-    factors = "0" if symbol.factors is None else symbol._only or "1"
-    held = {"0": (), "1": (0, 1), "x": (0,), "xi": (1,)}[factors]
-    values = np.concatenate([symbol.factors[i] for i in held]) if held else symbol.values
+    a, b = symbol.factors or (None, None)
+    held = [f for f in (a, b) if f is not None]
+    factors = "0" if not held else "xi" if a is None else "x" if b is None else "1"
+    values = np.concatenate(held) if held else symbol.values
     extra = f" quant={symbol.quantization} factors={factors}"
     _write_samples(path, "PSS 2", symbol.grid, extra, values)
 

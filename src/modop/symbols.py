@@ -182,7 +182,7 @@ def s_seminorms(symbol, m=0.0, rho=1.0, delta=0.0, max_order=2):
             )
         ]
     else:
-        a, b = symbol.factors
+        a, b = symbol._factor_arrays()
         a_sups = [np.max(np.abs(d)) for d in _differences(a, 0, grid.spacing, max_order)]
         b_derivatives = list(_differences(b, 0, grid.dual_spacing, max_order))
         values = [

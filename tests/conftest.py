@@ -36,6 +36,15 @@ def bits(values):
     return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
 
 
+def same_factors(got, want):
+    """Whether two symbols' factors agree: None where the other is None,
+    the same bits elsewhere."""
+    return len(got) == len(want) and all(
+        g is w if g is None or w is None else np.array_equal(bits(g), bits(w))
+        for g, w in zip(got, want)
+    )
+
+
 def make_bandlimited(grid, seed, modes=8):
     """Random trig polynomial under a Gaussian envelope, well below 1e-12 at the boundary."""
     rng = np.random.default_rng(seed)

@@ -691,8 +691,8 @@ def test_sjostrand_paths_match_brute_force_oracle(monkeypatch, n, s):
 
 
 def _marked_symbols(grid):
-    """Products with a factor marked identically 1 (product's None):
-    three multipliers and a multiplication."""
+    """Products with a None factor, identically 1: three multipliers and
+    a multiplication."""
     return {
         "constant": constant_symbol(grid),
         "bessel": bessel_symbol(grid, -1.0),
@@ -708,18 +708,18 @@ def _marked_symbols(grid):
 def test_marked_sjostrand_path_matches_brute_force_oracle(n, s):
     grid = UniformGrid(1, n, n / 4.0)
     for name, sigma in _marked_symbols(grid).items():
-        assert sigma._only is not None, name
+        assert any(f is None for f in sigma.factors), name
         want = oracles.direct_sjostrand(sigma.values, grid, s)
         assert abs(sjostrand_norm(sigma, s) - want) <= 1e-12 * want, (n, s, name)
 
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_marked_sjostrand_path_matches_the_sup_over_translates(n):
-    # the same factors unmarked take every translate through _sup_stft
+    # the same factors with ones for None take every translate through _sup_stft
     grid = UniformGrid(1, n, n / 16.0)
     for name, sigma in _marked_symbols(grid).items():
-        unmarked = PhaseSpaceSymbol.product(grid, *sigma.factors)
-        assert unmarked._only is None
+        unmarked = PhaseSpaceSymbol.product(grid, *sigma._factor_arrays())
+        assert all(f is not None for f in unmarked.factors)
         for s in (0.0, 0.5):
             want = sjostrand_norm(unmarked, s)
             assert abs(sjostrand_norm(sigma, s) - want) <= 1e-14 * want, (n, name, s)

@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 import modop
-from modop import cli, read_pss, read_records, sjostrand_norm, sobolev_opnorm, write_pss
+from modop import (
+    PhaseSpaceSymbol,
+    cli,
+    read_pss,
+    read_records,
+    sjostrand_norm,
+    sobolev_opnorm,
+    write_pss,
+)
 from modop.experiments import CSV_HEADER
 from modop.exponents import from_p
 from modop.grid import UniformGrid
@@ -190,6 +198,28 @@ def test_opnorm_row_matches_library(tmp_path):
     assert float(residual) <= 1e-9
     assert int(restarts) == 0
     assert flagged == "false"
+
+
+def test_opnorm_of_a_weyl_product_file_matches_its_dense_twin(tmp_path):
+    # a Weyl factors=1 file goes to Kohn-Nirenberg by the dense chirp, as
+    # its factors=0 twin does, so both report the same estimates
+    bump = gaussian_bump_symbol(UniformGrid(1, 32, 4.0))
+    product = PhaseSpaceSymbol.product(bump.grid, *bump.factors, "weyl")
+    files = {"product": tmp_path / "product.pss", "dense": tmp_path / "dense.pss"}
+    write_pss(product, files["product"])
+    write_pss(product.with_values(product.values), files["dense"])
+    headers = {name: path.read_text().splitlines()[1] for name, path in files.items()}
+    assert headers["product"].endswith("quant=weyl factors=1")
+    assert headers["dense"].endswith("quant=weyl factors=0")
+    for p in ("1", "4/3", "2", "inf"):
+        rows = {}
+        for name, path in files.items():
+            proc = run_cli("opnorm", "--symbol", path, "--p", p, "--s", "0.25")
+            assert proc.returncode == 0, proc.stderr
+            rows[name] = proc.stdout.splitlines()[1].split(",")
+        (value, method, *_), (want, want_method, *_) = rows["product"], rows["dense"]
+        assert method == want_method, p
+        assert abs(float(value) - float(want)) <= 1e-12 * float(want), p
 
 
 def test_identity_cli_small_config(tmp_path):

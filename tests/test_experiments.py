@@ -65,6 +65,8 @@ def test_config_requires_experiment(tmp_path):
     path = write_config(tmp_path, {"experiment": "bogus"})
     with pytest.raises(ConfigError):
         load_config(path)
+    with pytest.raises(ConfigError, match="experiment must be one of"):
+        SweepConfig("bogus")
 
 
 def test_config_experiment_mismatch(tmp_path):
@@ -96,9 +98,13 @@ def test_config_validates_lists(tmp_path):
     path = write_config(tmp_path, {"experiment": "threshold", "n_modes": [0, 1, 2]})
     with pytest.raises(ConfigError, match="n_modes"):
         load_config(path)
-    for key in ("N", "s", "n_modes", "seeds"):
+    for key in ("N", "s", "n_modes", "seeds", "p"):
         with pytest.raises(ConfigError, match=f"'{key}' must not be empty"):
             SweepConfig("embedding" if key == "seeds" else "threshold", **{key: []})
+    with pytest.raises(ConfigError, match="'N' must be an integer or list of integers"):
+        SweepConfig("embedding", N=["a"])
+    with pytest.raises(ConfigError, match="'s' must be a number or list of numbers"):
+        SweepConfig("embedding", s="x")
 
 
 def test_config_rejects_non_finite_numbers(tmp_path):
@@ -184,6 +190,9 @@ def test_config_rejects_broken_json(tmp_path):
     path.write_bytes(b'{"experiment": "identity", "L": 8\xff}')
     with pytest.raises(ConfigError):
         load_config(path)
+    path.write_text('[{"experiment": "identity"}]')
+    with pytest.raises(ConfigError, match="top level must be a JSON object"):
+        load_config(path)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +224,9 @@ def test_csv_roundtrip_is_lossless(tmp_path):
             assert math.isnan(b.value)
         else:
             assert a.value == b.value
+    # blank lines are skipped
+    path.write_text(text.replace("\n", "\n\n"))
+    assert list(map(repr, read_records(path))) == list(map(repr, back))
 
 
 def test_emit_csv_to_stream():
@@ -230,6 +242,9 @@ def test_read_records_rejects_wrong_header(tmp_path):
         read_records(path)
     path.write_text(CSV_HEADER + "\nonly,three,fields\n")
     with pytest.raises(FileFormatError):
+        read_records(path)
+    path.write_text(CSV_HEADER + "\nidentity,two,,,,,,,,,\n")
+    with pytest.raises(FileFormatError, match="line 2: bad p value 'two'"):
         read_records(path)
     path.write_bytes(CSV_HEADER.encode() + b"\nidentity,\xc3\n")
     with pytest.raises(FileFormatError, match="non-ascii byte"):
@@ -259,6 +274,8 @@ def test_matrix_intertwine_compares_two_routes():
     # is resolved, a fail where N = 64 on L = 16 under-resolves it
     resolved = experiments._check_matrix_intertwine(UniformGrid(1, 64, 8.0), 0)
     assert 0.0 < resolved <= 1e-12
+    # against an all-zero reference the error is absolute
+    assert experiments._rel_max(np.array([3.0, -4.0]), np.zeros(2)) == 4.0
     cfg = SweepConfig("identity", N=[64], L=16.0)
     rows = [r for r in run_identity_suite(cfg) if r.method == "matrix-intertwine"]
     assert [r.flags for r in rows] == ["fail"] and rows[0].value > 1e-6

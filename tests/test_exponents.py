@@ -64,6 +64,8 @@ def test_out_of_range_rejected():
         ExponentValue(1.5)
     with pytest.raises(UnsupportedExponent):
         ExponentValue(-0.1)
+    with pytest.raises(UnsupportedExponent, match="must be finite"):
+        ExponentValue(float("nan"))
 
 
 def test_power_mean_matches_direct():

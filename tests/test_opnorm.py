@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -19,12 +20,13 @@ from modop import (
     norm_2,
     norm_p,
     random_phase_multiplier,
+    sjostrand_norm,
     sobolev_opnorm,
 )
 from modop import opnorm
 from modop.experiments import _auto_size, default_config
 from modop.exponents import from_p
-from modop.symbols import standard_suite
+from modop.symbols import multiplication_profile, standard_suite
 
 import oracles
 from conftest import near_degenerate_matrix
@@ -122,6 +124,12 @@ def test_norm_2_diagonal_and_unitary():
     # its entries scaled by sqrt((1/L) / h) have spectral norm 1
     m = OperatorMatrix(f * np.sqrt(grid.dual_spacing / grid.spacing))
     assert abs(norm_2(m).value - 1.0) <= 1e-8
+    # the zero operator: power iteration stops at sigma = 0, and Boyd's
+    # method resets its dead columns to ones and stops there too
+    zero = OperatorMatrix(np.zeros((4, 4)))
+    assert (norm_2(zero).value, norm_p(zero, 3).value) == (0.0, 0.0)
+    assert repr(norm_2(zero)) == "NormEstimate(0, power_2, iters=1)"
+    assert repr(norm_p(zero, 3)) == "NormEstimate(0, boyd_p, iters=2, lower bound)"
 
 
 def test_norm_2_flags_nonconvergence(monkeypatch):
@@ -384,3 +392,21 @@ def test_exact_2_comes_from_the_mark_not_the_values():
     x = grid.axis_points()
     multiplication = PhaseSpaceSymbol.product(grid, 1.0 + np.exp(-x**2), None)
     assert norm_2(multiplication).method == "exact_2"
+
+
+def test_replaced_factors_say_what_the_symbol_is():
+    # factors is the one record of a symbol's kind: a multiplier whose
+    # factors dataclasses.replace makes (a, b) with a non-constant a is a
+    # general product, with the estimates and Sjostrand norm of its twin
+    grid = UniformGrid(1, 128, 8.0)
+    multiplier = random_phase_multiplier(grid, 4, 0)
+    sigma = dataclasses.replace(
+        multiplier, factors=(multiplication_profile(grid), multiplier.factors[1])
+    )
+    twin = sigma.with_values(sigma.values)
+    for p in ("1", "2", "inf"):
+        got, want = estimate_norm(sigma, p), estimate_norm(twin, p)
+        assert got.method == want.method, p
+        assert abs(got.value - want.value) <= 1e-12 * want.value, p
+    want = sjostrand_norm(twin)
+    assert abs(sjostrand_norm(sigma) - want) <= 1e-12 * want

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from modop import (
     lift_symbol,
     multiplication_symbol,
     read_pss,
+    s_seminorms,
+    sjostrand_norm,
     standard_suite,
     translate,
     translation_symbol,
@@ -34,10 +37,10 @@ from modop import (
 )
 
 from modop import quantize
-from modop.grid import ft_along, ift_along
+from modop.grid import bessel_weights, ft_along, ift_along
 
 import oracles
-from conftest import KERNEL_GRIDS, bits, make_bandlimited, rel_err
+from conftest import KERNEL_GRIDS, bits, make_bandlimited, rel_err, same_factors
 
 
 def random_symbol(grid, seed, quantization="kn"):
@@ -61,6 +64,9 @@ def test_kn_constant_is_identity(default_grid):
     f = make_bandlimited(default_grid, seed=1)
     out = kn_apply(constant_symbol(default_grid), f)
     assert rel_err(out.values, f.values) <= 1e-12
+    # two None factors are the constant, kept as a multiplier of ones
+    one = PhaseSpaceSymbol.product(default_grid, None, None)
+    assert same_factors(one.factors, constant_symbol(default_grid).factors)
 
 
 def test_kn_multiplication_symbol(default_grid):
@@ -145,6 +151,8 @@ def test_kn_guards(default_grid, tiny_grid):
     # <xi>^s times a Weyl symbol is not its operator composed with <D>^s
     with pytest.raises(WrongQuantization):
         lift_symbol(weyl, 0.7)
+    with pytest.raises(WrongQuantization, match="unknown quantization tag 'wey'"):
+        PhaseSpaceSymbol(tiny_grid, weyl.values, "wey")
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +221,36 @@ def test_u_transform_matches_direct_multiplier(tiny_grid):
 
 @pytest.mark.parametrize("quantization, direction", [("weyl", "to_KN"), ("kn", "to_Weyl")])
 def test_u_transform_keeps_the_one_variable_mark(quantization, direction):
-    # the chirp is 1 on a symbol of x or xi alone: the marked symbol comes
-    # back with its factors and mark, as the dense transform of its
-    # unmarked twin gives to roundoff, and a round trip keeps the mark
+    # the chirp is 1 on a symbol of x or xi alone: it comes back with its
+    # factors, the None one still None, as the dense transform of its twin
+    # gives to roundoff, and a round trip keeps them
     grid = UniformGrid(1, 64, 8.0)
     rng = np.random.default_rng(59)
     c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     back_direction = "to_Weyl" if direction == "to_KN" else "to_KN"
-    for a, b, only in ((None, c, "xi"), (c, None, "x")):
+    for a, b in ((None, c), (c, None)):
         sigma = PhaseSpaceSymbol.product(grid, a, b, quantization)
         out = u_transform(sigma, direction)
-        assert out._only == only and out.quantization != quantization
-        for got, want in zip(out.factors, sigma.factors, strict=True):
-            assert np.array_equal(bits(got), bits(want))
+        assert out.quantization != quantization
+        assert same_factors(out.factors, sigma.factors)
         dense = u_transform(sigma.with_values(sigma.values), direction)
         assert dense.factors is None
         assert np.abs(out.values - dense.values).max() <= 1e-14 * np.abs(dense.values).max()
         back = u_transform(out, back_direction)
-        assert (back._only, back.quantization) == (only, quantization)
+        assert back.quantization == quantization
+        assert same_factors(back.factors, sigma.factors)
+
+
+def test_u_transform_of_a_product_is_that_of_its_dense_twin(weyl_grid):
+    # a product of two non-constant factors takes the dense chirp, in both
+    # directions, on the same values as its twin
+    bump = gaussian_bump_symbol(weyl_grid)
+    for quantization, direction in (("kn", "to_Weyl"), ("weyl", "to_KN")):
+        sigma = replace(bump, quantization=quantization)
+        got = u_transform(sigma, direction)
+        want = u_transform(sigma.with_values(sigma.values), direction)
+        assert got.factors is None
+        assert np.array_equal(bits(got.values), bits(want.values))
 
 
 def test_u_transform_direction_validation(default_grid):
@@ -467,16 +487,15 @@ def test_weyl_transforms_return_c_order_arrays_of_their_own():
 def test_lift_keeps_the_multiplier_mark_only(default_grid):
     # b <xi>^s still depends on xi alone; a(x) <xi>^s no longer on x alone
     x = default_grid.axis_points()
+    weights = bessel_weights(default_grid, 0.7)
     multiplier = bessel_symbol(default_grid, -1.0)
     multiplication = PhaseSpaceSymbol.product(default_grid, np.exp(-x**2), None)
-    assert (multiplier._only, multiplication._only) == ("xi", "x")
+    assert multiplier.factors[0] is None and multiplication.factors[1] is None
     lifted = lift_symbol(multiplier, 0.7)
-    assert lifted._only == "xi"
-    assert np.array_equal(lifted.factors[0], np.ones(default_grid.points_per_axis))
+    assert same_factors(lifted.factors, (None, multiplier.factors[1] * weights))
     dropped = lift_symbol(multiplication, 0.7)
-    assert dropped._only is None and dropped.factors is not None
-    assert np.array_equal(dropped.factors[0], multiplication.factors[0])
-    assert lift_symbol(multiplication, 0.0)._only == "x"
+    assert same_factors(dropped.factors, (multiplication.factors[0], weights))
+    assert lift_symbol(multiplication, 0.0) is multiplication
 
 
 def test_lift_keeps_factors(default_grid):
@@ -594,8 +613,7 @@ def test_pss_header_rule(tmp_path, tiny_grid):
         assert len(lines) == 2 + (2 if expected[name] == "1" else 1) * n, name
         back = read_pss(path)
         assert back.quantization == sigma.quantization, name
-        for got, want in zip(back.factors, sigma.factors):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+        assert same_factors(back.factors, sigma.factors), name
     # rows all equal, but built from values: it stays dense
     row = bessel_symbol(tiny_grid, -1.0).factors[1]
     dense = PhaseSpaceSymbol(tiny_grid, np.outer(np.ones(n), row), "kn")
@@ -642,25 +660,24 @@ def test_pss_header_validation(tmp_path):
 
 @pytest.mark.parametrize("quantization", ["kn", "weyl"])
 def test_pss_round_trips_the_one_variable_mark(tmp_path, quantization):
-    # a multiplier (a=None) and a multiplication (b=None) come back marked,
-    # with every factor bit, the stored ones included
+    # a multiplier (a None) and a multiplication (b None) come back with
+    # the same factor None and every bit of the other
     grid = UniformGrid(1, 16, 4.0)
     rng = np.random.default_rng(98)
     c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    for a, b, only in ((None, c, "xi"), (c, None, "x"), (c, c, None)):
+    for a, b in ((None, c), (c, None), (c, c)):
         sigma = PhaseSpaceSymbol.product(grid, a, b, quantization)
-        assert sigma._only == only
+        assert same_factors(sigma.factors, (a, b))
         path = tmp_path / "marked.pss"
         write_pss(sigma, path)
         back = read_pss(path)
-        assert (back._only, back.quantization) == (only, quantization)
-        for got, want in zip(back.factors, sigma.factors, strict=True):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert back.quantization == quantization
+        assert same_factors(back.factors, sigma.factors)
 
 
 def test_pss_factors_1_with_unit_a_reads_as_a_general_product(tmp_path, tiny_grid):
-    # a multiplier written as a product of two factors, as earlier gen
-    # files were, carries no mark: the values it holds do not make one
+    # a multiplier written as a product of two factors keeps both: the
+    # values it holds do not make a None factor
     n = tiny_grid.points_per_axis
     path = tmp_path / "phases.pss"
     b = bessel_symbol(tiny_grid, -1.0).factors[1]
@@ -668,9 +685,7 @@ def test_pss_factors_1_with_unit_a_reads_as_a_general_product(tmp_path, tiny_gri
     head = f"PSS 2\ndim=1 n={n} extent={tiny_grid.extent:.17g} quant=kn factors=1\n"
     path.write_text(head + "\n".join(lines) + "\n")
     back = read_pss(path)
-    assert back._only is None
-    assert np.array_equal(back.factors[0], np.ones(n))
-    assert np.array_equal(back.factors[1].view(np.uint64), b.view(np.uint64))
+    assert same_factors(back.factors, (np.ones(n), b))
 
 
 # ---------------------------------------------------------------------------
@@ -711,3 +726,80 @@ def test_value_types_are_immutable(name):
     snapshot = [np.copy(a) for a in held(value)]
     given[...] = 7.0
     assert all(np.array_equal(a, b) for a, b in zip(held(value), snapshot))
+
+
+# ---------------------------------------------------------------------------
+# every kind of symbol factors can name, against its dense twin
+
+# the factors of each kind, built from two arrays a and b
+_SHAPES = {
+    "dense": lambda a, b: None,
+    "product": lambda a, b: (a, b),
+    "multiplication": lambda a, b: (a, None),
+    "multiplier": lambda a, b: (None, b),
+}
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_every_factor_shape_matches_its_dense_twin(tmp_path, shape):
+    grid = UniformGrid(1, 16, 4.0)
+    rng = np.random.default_rng(67)
+    a, b = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    factors = _SHAPES[shape](a, b)
+    if factors is None:
+        sigma = PhaseSpaceSymbol(grid, np.outer(a, b), "kn")
+    else:
+        sigma = PhaseSpaceSymbol.product(grid, *factors)
+        assert same_factors(sigma.factors, factors)
+    one_variable = shape in ("multiplication", "multiplier")
+    twin = sigma.with_values(sigma.values)
+
+    # u_transform: a symbol of one variable keeps its factors
+    for quantization, direction in (("kn", "to_Weyl"), ("weyl", "to_KN")):
+        got = u_transform(replace(sigma, quantization=quantization), direction)
+        want = u_transform(replace(twin, quantization=quantization), direction)
+        if one_variable:
+            assert same_factors(got.factors, sigma.factors)
+            assert rel_err(got.values, want.values) <= 1e-14, direction
+        else:  # the dense chirp on the twin's values
+            assert got.factors is None
+            assert np.array_equal(bits(got.values), bits(want.values)), direction
+
+    # lift_symbol: <xi>^s multiplies b, so only a multiplier keeps a None factor
+    lifted, lifted_twin = lift_symbol(sigma, 0.7), lift_symbol(twin, 0.7)
+    assert rel_err(lifted.values, lifted_twin.values) <= 1e-15
+    if factors is not None:
+        assert (lifted.factors[0] is None) == (shape == "multiplier")
+        assert lifted.factors[1] is not None
+
+    # kn_operator: apply, adjoint, sums of |A| and exact_2
+    block = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+    n, apply, adjoint, column_sums, row_sums, exact_2 = quantize.kn_operator(sigma)
+    _, dense_apply, dense_adjoint, dense_columns, dense_rows, _ = quantize.kn_operator(twin)
+    assert n == 16
+    assert rel_err(apply(block), dense_apply(block)) <= 1e-13
+    assert rel_err(adjoint(block), dense_adjoint(block)) <= 1e-13
+    assert rel_err(column_sums(), dense_columns()) <= 1e-13
+    assert rel_err(row_sums(), dense_rows()) <= 1e-13
+    if one_variable:
+        want = np.linalg.norm(as_matrix(twin).entries, 2)
+        assert abs(exact_2() - want) <= 1e-13 * want
+    else:
+        assert exact_2() is None
+
+    # sjostrand_norm and s_seminorms
+    want = sjostrand_norm(twin, 0.5)
+    assert abs(sjostrand_norm(sigma, 0.5) - want) <= 1e-13 * want
+    got, want = s_seminorms(sigma, max_order=2), s_seminorms(twin, max_order=2)
+    assert got.orders == want.orders
+    assert rel_err(got.values, want.values) <= 1e-13
+
+    # a PSS round trip keeps the kind and every bit
+    path = tmp_path / f"{shape}.pss"
+    write_pss(sigma, path)
+    back = read_pss(path)
+    if factors is None:
+        assert back.factors is None
+        assert np.array_equal(bits(back.values), bits(sigma.values))
+    else:
+        assert same_factors(back.factors, sigma.factors)

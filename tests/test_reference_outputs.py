@@ -1,11 +1,14 @@
-"""The default sweeps against the benchmark's stored seed-0 outputs.
+"""The default sweeps and the symbol-file CLI against the benchmark's
+stored seed-0 outputs.
 
 perfbench/check.py holds every row of the default `identity`,
-`embedding` and `threshold` CSVs to its reference within 1e-6 relative
-(a certified lower bound may only rise), and fails any row with an
-error, a fail verdict or a missing verdict.  The benchmark runs that
-check on every pass; this runs it once here, with the checker and the
-references read in place from perfbench/."""
+`embedding` and `threshold` CSVs and of the `symbol-files` segment (the
+PSS `gen`, `opnorm` and `classify` commands and an SFN round trip) to
+its reference within 1e-6 relative (a certified lower bound may only
+rise), and fails any row with an error, a fail verdict or a missing
+verdict.  The benchmark runs that check on every pass; this runs it once
+here, with the checker, the segment and the references read in place
+from perfbench/."""
 
 import importlib.util
 import io
@@ -21,16 +24,25 @@ from modop.experiments import (
     run_threshold_sweep,
 )
 
-_CHECK = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "check.py"
-)
+_PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def _load_check():
-    spec = importlib.util.spec_from_file_location("modop_perfbench_check", _CHECK)
-    check = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check)
-    return check
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"modop_perfbench_{name}", os.path.join(_PERFBENCH, f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _check_against_reference(experiment, text):
+    check = _load("check")
+    reference = check.load_reference(experiment, 0)
+    assert reference is not None
+    attempted, failed, problems = check.check_output(experiment, text, reference)
+    assert problems == [] and failed == 0
+    assert attempted == len(reference.splitlines()) - 1
 
 
 @pytest.mark.parametrize(
@@ -42,11 +54,14 @@ def _load_check():
     ],
 )
 def test_default_sweep_matches_the_benchmark_reference(experiment, runner):
-    check = _load_check()
-    reference = check.load_reference(experiment, 0)
-    assert reference is not None
     out = io.StringIO()
     emit_csv(runner(default_config(experiment)), out)
-    attempted, failed, problems = check.check_output(experiment, out.getvalue(), reference)
-    assert problems == [] and failed == 0
-    assert attempted == len(reference.splitlines()) - 1
+    _check_against_reference(experiment, out.getvalue())
+
+
+def test_symbol_files_match_the_benchmark_reference(monkeypatch, tmp_path):
+    # workloads.py imports the tracer's spans module by its bare name
+    monkeypatch.syspath_prepend(_PERFBENCH)
+    segment = _load("workloads").SymbolFiles()
+    text = segment.run(segment.setup(0), str(tmp_path / "work"))
+    _check_against_reference("symbol-files", text)

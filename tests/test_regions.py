@@ -52,6 +52,7 @@ def test_region_labels():
     r = region(from_p(2), from_p(2))
     assert (r.family, r.index) == ("plain", 1)
     assert r.boundary == frozenset({2, 3})
+    assert str(r) == "I1 (tau=0)"
 
     r = region(from_p(2), from_p(1))
     assert (r.family, r.index, r.boundary) == ("plain", 1, frozenset())

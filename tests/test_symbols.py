@@ -166,7 +166,7 @@ def test_factored_seminorms_match_the_dense_twin(n, extent):
     xi = np.abs(grid.axis_frequencies())
     for name, sigma in standard_suite(grid, seed=4):
         twin = sigma.with_values(sigma.values)
-        a, b = sigma.factors
+        a, b = sigma._factor_arrays()
         scale = np.abs(a).max() * np.abs(b).max()
         for max_order in range(5):
             for m, rho, delta in ((0.0, 1.0, 0.0), (-1.0, 0.5, 0.25)):
@@ -233,6 +233,9 @@ def test_generator_values_match_dense_construction(default_grid):
         got = sym.values
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
+    # m takes one sample per grid point
+    with pytest.raises(InvalidValue, match="m must have 8 samples"):
+        multiplication_symbol(UniformGrid(1, 8, 4.0), np.ones(7))
 
 
 def test_standard_suite_contents(default_grid):
