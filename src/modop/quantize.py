@@ -193,32 +193,58 @@ def kn_operator(source):
 
 
 def _rank_one_operator(symbol):
-    """kn_operator of a symbol with factors; a None factor applies as ones."""
-    a, b = symbol._factor_arrays()
-    eig = functools.cache(lambda: np.fft.ifftshift(b))  # formed on the first apply
+    """kn_operator of a symbol with factors.  A None factor is identically
+    1 and is not applied: a multiplication (a, None) is diag(a), a
+    multiplier (None, b) the circulant alone.  The sums of |A| and
+    exact_2 read a None factor as ones."""
+    a, b = symbol.factors
+    # formed on the first apply, once per operator
+    eig = functools.cache(lambda: np.fft.ifftshift(b))
+
+    @functools.cache
+    def conj():  # formed on the first adjoint, once per operator
+        return None if a is None else a.conj(), None if b is None else eig().conj()
 
     def abs_c():
         # |c|, c the circulant's first column: b's half-period shift signs
         # c by (-1)^j, which |.| drops to the bit; read once per norm
-        return np.abs(np.fft.ifft(b))
+        return np.abs(np.fft.ifft(symbol._factor_arrays()[1]))
+
+    # in place on one work array; each product keeps its operand order,
+    # so the bits are those of eigenvalues * fft(rows) and a * ifft(...)
+    def circulant(rows, eigenvalues):
+        work = np.fft.fft(rows)
+        np.multiply(eigenvalues, work, out=work)
+        return np.fft.ifft(work, out=work)
 
     # x.T batches a block's columns along axis 0; a vector is unchanged
     def apply(x):
-        return (a * np.fft.ifft(eig() * np.fft.fft(x.T))).T
+        if b is None:
+            return (a * x.T).T
+        work = circulant(x.T, eig())
+        return (work if a is None else np.multiply(a, work, out=work)).T
 
     def adjoint(y):
-        return np.fft.ifft(eig().conj() * np.fft.fft(a.conj() * y.T)).T
+        a_conj, eig_conj = conj()
+        y = y.T if a is None else a_conj * y.T
+        return y.T if b is None else circulant(y, eig_conj).T
+
+    def row_sums():
+        return np.abs(symbol._factor_arrays()[0]) * abs_c().sum()
 
     def column_sums():
-        if symbol.factors[0] is None:  # a multiplier: a circulant's column sums are its row sums
-            return np.abs(a) * abs_c().sum()
+        if a is None:  # a multiplier: a circulant's column sums are its row sums
+            return row_sums()
         # sum_j |a_j| |c_{j - j'}|
         return np.fft.irfft(np.fft.rfft(np.abs(a)) * np.fft.rfft(abs_c()).conj(), len(a))
 
     def exact_2():
-        return np.abs(a).max() * np.abs(b).max() if any(f is None for f in symbol.factors) else None
+        if a is not None and b is not None:
+            return None
+        arrays = symbol._factor_arrays()
+        return np.abs(arrays[0]).max() * np.abs(arrays[1]).max()
 
-    return len(a), apply, adjoint, column_sums, lambda: np.abs(a) * abs_c().sum(), exact_2
+    return symbol.grid.points_per_axis, apply, adjoint, column_sums, row_sums, exact_2
 
 
 def kn_apply(symbol, f):

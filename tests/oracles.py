@@ -9,11 +9,18 @@ with numpy's fftshift/ifftshift, the half-period shift form that
 grid's sign modulation and quantize's shift-free chirp replace, or with
 grid.ft_along's sign modulation, the centered form that analysis' one
 FFT-order STFT kernel replaces, to check that replacing it moves no bit.
+The other is plain_boyd, Boyd's method as modop ran it before Anderson
+mixing: it reads an operator through its apply and adjoint and reduces
+with exponents.power_mean, and the mixed estimator must never fall
+below it.
 """
 
 import numpy as np
 
+from modop._rng import bulk_rng, derive_seed
+from modop.exponents import power_mean
 from modop.grid import ft_along
+from modop.opnorm import _BOYD_CAP, _BOYD_SALT, _RESTARTS, _TOL_P, NormEstimate
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +390,54 @@ def ascent_norm_p(entries, p, n_starts=400, iters=3000, seed=1):
     for _ in range(n_starts):
         best = max(best, polish(rng.standard_normal(n)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Boyd's method as it stood before Anderson mixing: the plain iteration,
+# whose values the accelerated estimator must never fall below
+
+
+def _psi(values, p):
+    """The duality map psi_p(v) = |v|^(p-1) sign(v), with sign(0) = 0."""
+    mags = np.abs(values)
+    phases = np.divide(values, mags, out=np.zeros_like(values), where=mags > 0)
+    return mags ** (p - 1.0) * phases
+
+
+def plain_boyd(apply, adjoint, column_sums, e, seed):
+    """Boyd's iteration on the (N, starts) block of start vectors; the
+    coordinate start sits at the largest of column_sums."""
+    pval = e.p
+    pconj = pval / (pval - 1.0)
+    n = column_sums.shape[0]
+    starts = [np.ones(n, dtype=complex)]
+    coord = np.zeros(n, dtype=complex)
+    coord[int(np.argmax(column_sums))] = 1.0
+    starts.append(coord)
+    for r in range(_RESTARTS):
+        rng = bulk_rng(derive_seed(seed, _BOYD_SALT, r))
+        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    x = np.stack(starts, axis=1)
+    x /= power_mean(np.abs(x), e, 1.0, axis=0)[None, :]
+    best = 0.0
+    iterations = 0
+    residual = np.inf
+    for it in range(1, _BOYD_CAP + 1):
+        y = apply(x)
+        gamma = power_mean(np.abs(y), e, 1.0, axis=0)
+        top = gamma.max()
+        residual = top - best
+        iterations = it
+        if top > best:
+            best = top
+        if residual < _TOL_P and it > 1:
+            break
+        z = adjoint(_psi(y, pval))
+        x = _psi(z, pconj)
+        norms = power_mean(np.abs(x), e, 1.0, axis=0)
+        dead = norms == 0.0
+        if np.any(dead):
+            x[:, dead] = 1.0
+            norms = power_mean(np.abs(x), e, 1.0, axis=0)
+        x /= norms[None, :]
+    return NormEstimate(best, "boyd_p", iterations, residual, _RESTARTS, True)

@@ -388,7 +388,8 @@ def test_embedding_sweep_records_predicates():
 def test_embedding_task_makes_one_table_pass(monkeypatch):
     # the functions and every symbol's outputs on them share one
     # amalgam_norms pass, and each table row is computed as before, so
-    # the default CSV keeps its bytes
+    # the default CSV keeps its bytes (those of a multiplication applied
+    # as a * f, with no identity circulant)
     calls = []
     tables = experiments.amalgam_norms
 
@@ -402,7 +403,7 @@ def test_embedding_task_makes_one_table_pass(monkeypatch):
     suite = experiments.standard_suite(UniformGrid(1, 256, 16.0))
     assert calls == [50 * (1 + len(suite))]
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == "175007647eaa0faa2c74328a3d27196775bf1b0d66e2049ec8c0b7e9d3097330"
+    assert digest == "a91f9af8458f5f9a5b2199d5c1de2ffccbe7d78790e229b27873da7256fc11d2"
 
 
 def test_embedding_sweep_deterministic_across_jobs():

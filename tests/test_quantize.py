@@ -803,3 +803,31 @@ def test_every_factor_shape_matches_its_dense_twin(tmp_path, shape):
         assert np.array_equal(bits(back.values), bits(sigma.values))
     else:
         assert same_factors(back.factors, sigma.factors)
+
+
+@pytest.mark.parametrize("n", [8, 64, 96])
+def test_a_none_factor_is_not_applied(n):
+    # a multiplication (a, None) is diag(a): it applies as a * x and its
+    # adjoint as conj(a) * y, with no identity circulant; a multiplier
+    # (None, b) is the circulant alone, with no multiply by ones; each
+    # agrees with its dense twin
+    grid = UniformGrid(1, n, 8.0)
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    eig = np.fft.ifftshift(b)
+    for shape in ((n,), (n, 3)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows = x.T
+        _, apply, adjoint, *_ = quantize.kn_operator(PhaseSpaceSymbol.product(grid, a, None))
+        assert np.array_equal(bits(apply(x)), bits((a * rows).T))
+        assert np.array_equal(bits(adjoint(x)), bits((a.conj() * rows).T))
+        _, apply, adjoint, *_ = quantize.kn_operator(PhaseSpaceSymbol.product(grid, None, b))
+        assert np.array_equal(bits(apply(x)), bits(np.fft.ifft(eig * np.fft.fft(rows)).T))
+        assert np.array_equal(bits(adjoint(x)), bits(np.fft.ifft(eig.conj() * np.fft.fft(rows)).T))
+        for factors in ((a, None), (None, b), (a, b)):
+            symbol = PhaseSpaceSymbol.product(grid, *factors)
+            _, apply, adjoint, *_ = quantize.kn_operator(symbol)
+            _, dense, dense_adjoint, *_ = quantize.kn_operator(as_matrix(symbol))
+            assert rel_err(apply(x), dense(x)) <= 1e-13
+            assert rel_err(adjoint(x), dense_adjoint(x)) <= 1e-13
