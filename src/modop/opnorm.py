@@ -24,15 +24,8 @@ last two increments, are both below 1e-8; that gap is the residual, an
 estimate, not a bound.
 
 One dispatch on p, _estimate, is the only place an estimator is
-chosen; every entry point hands it the operator as quantize.kn_operator
-returns it: its size, apply and adjoint callables, the column and row
-sums of |A|, and exact_2, the spectral norm in closed form or None.
-An OperatorMatrix and a dense symbol act by their matrix and have no
-exact_2.  A rank-one symbol sigma = a(x) b(xi) acts as A = diag(a) C,
-C the circulant whose eigenvalues are b in FFT order, applied by FFT,
-so no N x N matrix is formed; C's singular values are |b|, so
-max|a| max|b| bounds the spectral norm, and it is exact_2 when a factor
-is None, identically 1, never from values.
+chosen; every entry point hands it the quantize.Operator that
+kn_operator builds, whose docstring is the contract the estimators read.
 """
 
 from dataclasses import dataclass, fields
@@ -95,20 +88,18 @@ class NormEstimate:
         )
 
 
-def _estimate(e, seed, n, apply, adjoint, column_sums, row_sums, exact_2):
-    """The estimator for the exponent e, on an operator given as
-    kn_operator returns it; its members are callables so that only what
-    the estimator needs is computed."""
+def _estimate(e, seed, op):
+    """The estimator for the exponent e on the Operator op; only what the
+    estimator needs is computed."""
     if e.u == 1.0:
-        return NormEstimate(column_sums().max(), "exact_1", 0, 0.0, 0, False)
+        return NormEstimate(op.column_sums().max(), "exact_1", 0, 0.0, 0, False)
     if e.u == 0.0:
-        return NormEstimate(row_sums().max(), "exact_inf", 0, 0.0, 0, False)
+        return NormEstimate(op.row_sums().max(), "exact_inf", 0, 0.0, 0, False)
     if e.u == 0.5:
-        value = exact_2()
-        if value is not None:
-            return NormEstimate(value, "exact_2", 0, 0.0, 0, False)
-        return _power_2(apply, adjoint, n, seed)
-    return _boyd(apply, adjoint, column_sums(), e, seed)
+        if op.exact_2 is not None:
+            return NormEstimate(op.exact_2, "exact_2", 0, 0.0, 0, False)
+        return _power_2(op, seed)
+    return _boyd(op, e, seed)
 
 
 def exact_norm(matrix, p):
@@ -116,22 +107,22 @@ def exact_norm(matrix, p):
     e = from_p(p)
     if e.u not in (0.0, 1.0):
         raise UnsupportedExponent(f"exact_norm handles p in {{1, inf}}, got p={e}")
-    return _estimate(e, 0, *kn_operator(matrix))
+    return _estimate(e, 0, kn_operator(matrix))
 
 
-def _power_2(apply, adjoint, n, seed):
+def _power_2(op, seed):
     rng = bulk_rng(derive_seed(seed, _NORM2_SALT))
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
     v /= np.linalg.norm(v)
     previous = 0.0
     sigma = 0.0
     residual = np.inf
     for it in range(1, _POWER_CAP + 1):
-        w = apply(v)
+        w = op.apply(v)
         sigma = np.linalg.norm(w)
         if sigma == 0.0:
             return NormEstimate(0.0, "power_2", it, 0.0, 0, False)
-        v = adjoint(w)
+        v = op.adjoint(w)
         v /= np.linalg.norm(v)
         residual = abs(sigma - previous)
         if residual < _TOL_2:
@@ -148,7 +139,7 @@ def norm_2(matrix, seed=0):
     differ by less than 1e-10; if the cap of 10^4 iterations is reached
     first the best estimate is returned flagged lower_bound_only.
     """
-    return _estimate(from_p(2), seed, *kn_operator(matrix))
+    return _estimate(from_p(2), seed, kn_operator(matrix))
 
 
 def _psi(values, mags, e, scale=None, out=None):
@@ -170,26 +161,26 @@ def _psi(values, mags, e, scale=None, out=None):
     return np.multiply(values, w, out=out)
 
 
-def _boyd(apply, adjoint, column_sums, e, seed):
+def _boyd(op, e, seed):
     """Boyd's iteration with safeguarded Anderson mixing (Walker and Ni
     2011) of depth _DEPTH on each start.  The starts are the rows of a
-    (starts, N) block; the coordinate start sits at the largest of
-    column_sums."""
+    (starts, N) block; the coordinate start sits at the largest column
+    sum of |A|."""
 
-    def rows(op, block):
-        return np.ascontiguousarray(op(block.T).T)
+    def rows(f, block):
+        return np.ascontiguousarray(f(block.T).T)
 
     ec = e.conjugate
-    n = column_sums.shape[0]
+    n = op.n
     k = _RESTARTS + 2
     x = np.zeros((k, n), dtype=complex)
     x[0] = 1.0
-    x[1, int(np.argmax(column_sums))] = 1.0
+    x[1, int(np.argmax(op.column_sums()))] = 1.0
     for r in range(_RESTARTS):
         rng = bulk_rng(derive_seed(seed, _BOYD_SALT, r))
         x[r + 2] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x *= (1.0 / power_mean(np.abs(x), e, 1.0, axis=1))[:, None]
-    y = rows(apply, x)
+    y = rows(op.apply, x)
     ymag = np.abs(y)
     quotients = power_mean(ymag, e, 1.0, axis=1)
     best = quotients.max()
@@ -207,7 +198,7 @@ def _boyd(apply, adjoint, column_sums, e, seed):
     residual = np.inf
     iterations = 1
     for iterations in range(2, _BOYD_CAP + 1):
-        z = rows(adjoint, _psi(y, ymag, e))
+        z = rows(op.adjoint, _psi(y, ymag, e))
         zmag = np.abs(z)
         # ||psi_p'(z)||_p = ||z||_p'^(p'-1)
         norms = power_mean(zmag, ec, 1.0, axis=1) ** (ec.p - 1.0)
@@ -234,7 +225,7 @@ def _boyd(apply, adjoint, column_sums, e, seed):
             scale[fresh] = 1.0  # a fresh start's step is g itself
             step *= scale[:, None]
             slot = (slot + 1) % _DEPTH
-        y = rows(apply, step)
+        y = rows(op.apply, step)
         ymag = np.abs(y)
         reached = power_mean(ymag, e, 1.0, axis=1)
         # the safeguard: a mixed step that lowers a start's quotient gives
@@ -242,7 +233,7 @@ def _boyd(apply, adjoint, column_sums, e, seed):
         fresh = ~(reached >= quotients) & ~fresh
         if fresh.any():
             step[fresh] = g[fresh]
-            y[fresh] = rows(apply, g[fresh])
+            y[fresh] = rows(op.apply, g[fresh])
             ymag[fresh] = np.abs(y[fresh])
             reached[fresh] = power_mean(ymag[fresh], e, 1.0, axis=1)
             history[:, fresh] = 0.0
@@ -278,12 +269,12 @@ def norm_p(matrix, p, seed=0):
     e = from_p(p)
     if e.u in (0.0, 1.0):
         raise UnsupportedExponent("norm_p needs finite p > 1; use exact_norm")
-    return _estimate(e, seed, *kn_operator(matrix))
+    return _estimate(e, seed, kn_operator(matrix))
 
 
 def estimate_norm(matrix, p, seed=0):
     """Dispatch to the right estimator for the exponent."""
-    return _estimate(from_p(p), seed, *kn_operator(matrix))
+    return _estimate(from_p(p), seed, kn_operator(matrix))
 
 
 def sobolev_opnorm(symbol, p, s=0.0, seed=0):

@@ -42,14 +42,12 @@ array in place, and the symbol, kernel or matrix they return adopts
 that array (grid._Owned) instead of copying it.
 
 Operators: kn_operator is the one place that says which operator a
-Kohn-Nirenberg symbol denotes.  kn_apply uses its apply, and every
-norm estimator in opnorm reads its size, apply, adjoint, sums of |A|
-and closed-form spectral norm.  A symbol with factors a(x) b(xi) is
-applied by FFT at any N; any other symbol is its dense as_matrix,
-N <= 1024.
+Kohn-Nirenberg symbol denotes, as an Operator record; kn_apply uses its
+apply, and every norm estimator in opnorm reads it.
 """
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,6 +148,8 @@ class OperatorMatrix:
     def __post_init__(self):
         n = len(self.entries) if np.ndim(self.entries) else 0
         object.__setattr__(self, "entries", _frozen(self.entries, (n, n), "matrix"))
+        if n == 0:
+            raise InvalidValue("an operator matrix must not be empty")
 
 
 def _require_tag(symbol, tag):
@@ -157,23 +157,26 @@ def _require_tag(symbol, tag):
         raise WrongQuantization(f"expected a {tag!r} symbol, got {symbol.quantization!r}")
 
 
-def kn_operator(source):
-    """The operator of an OperatorMatrix or of a Kohn-Nirenberg symbol, as
-    (n, apply, adjoint, column_sums, row_sums, exact_2).
+@dataclass(frozen=True, eq=False)
+class Operator:
+    """A linear operator A on C^n, as every norm estimator in opnorm reads
+    it: apply and adjoint take a vector or an (n, k) block and return
+    A x and A* y; column_sums and row_sums return the column and row sums
+    of |A|, paying for them only when called; exact_2 is the spectral
+    norm in closed form, or None where A has none."""
 
-    apply and adjoint take a vector or an (n, k) block; column_sums and
-    row_sums return the column and row sums of |A|, exact_2 the spectral
-    norm in closed form or None.  Every entry is a callable and pays for
-    its work only when called.  A symbol with factors (a, b) is diag(a) C,
-    C the circulant whose eigenvalues are b in FFT order (the centering
-    shifts and cell measures of forward_ft and inverse_ft cancel around a
-    Fourier multiplier): it applies by FFT at any N, its row sums are
-    |a| sum|c| (c = ifft of those eigenvalues), and so are the column
-    sums of a multiplier (a None); any other product's are a circular
-    correlation of |a| with |c|.  exact_2 is max|a| max|b| (C's singular
-    values are |b|) when a factor is None, identically 1, else None.
-    Any other symbol is its as_matrix, N <= 1024, with exact_2 None.
-    """
+    n: int
+    apply: Callable
+    adjoint: Callable
+    column_sums: Callable
+    row_sums: Callable
+    exact_2: float | None
+
+
+def kn_operator(source):
+    """The Operator of an OperatorMatrix or of a Kohn-Nirenberg symbol: a
+    symbol with factors is _rank_one_operator, any other its as_matrix,
+    N <= 1024.  A matrix has no exact_2."""
     if isinstance(source, PhaseSpaceSymbol):
         _require_tag(source, KOHN_NIRENBERG)
         if source.factors is not None:
@@ -182,69 +185,60 @@ def kn_operator(source):
     a = source.entries
     # the conjugate is formed on the first adjoint call, once per operator
     a_star = functools.cache(lambda: a.conj().T)
-    return (
-        len(a),
-        lambda x: a @ x,
-        lambda z: a_star() @ z,
-        lambda: np.abs(a).sum(axis=0),
-        lambda: np.abs(a).sum(axis=1),
-        lambda: None,
-    )
+    return Operator(len(a), lambda x: a @ x, lambda z: a_star() @ z,
+                    lambda: np.abs(a).sum(axis=0), lambda: np.abs(a).sum(axis=1), None)
+
+
+def _circulant(rows, eigenvalues):
+    """The circulant with these eigenvalues (FFT order) along the last
+    axis of rows, in place on one work array; each product keeps its
+    operand order, so the bits are those of eigenvalues * fft(rows)."""
+    work = np.fft.fft(rows)
+    np.multiply(eigenvalues, work, out=work)
+    return np.fft.ifft(work, out=work)
 
 
 def _rank_one_operator(symbol):
-    """kn_operator of a symbol with factors.  A None factor is identically
-    1 and is not applied: a multiplication (a, None) is diag(a), a
-    multiplier (None, b) the circulant alone.  The sums of |A| and
-    exact_2 read a None factor as ones."""
+    """kn_operator of a symbol with factors (a, b), applied by FFT at any
+    N: diag(a) C, C the circulant whose eigenvalues are b in FFT order
+    (the centering shifts and cell measures of forward_ft and inverse_ft
+    cancel around a Fourier multiplier).  C's singular values are |b|
+    and each of its rows and columns sums in |.| to sum|c|, c = ifft of
+    the eigenvalues.  A None factor is identically 1 and is not applied:
+    a multiplication (a, None) is diag(a), its sums |a| and exact_2
+    max|a|; a multiplier (None, b) is C, its sums sum|c| and exact_2
+    max|b|; a product's row sums are |a| sum|c|, its column sums a
+    circular correlation of |a| with |c|, and it has no exact_2."""
+    n = symbol.grid.points_per_axis
     a, b = symbol.factors
-    # formed on the first apply, once per operator
-    eig = functools.cache(lambda: np.fft.ifftshift(b))
+    # conjugates are formed on the first adjoint, once per operator; x.T
+    # batches a block's columns along axis 0, and a vector is unchanged
+    a_conj = None if a is None else functools.cache(a.conj)
+    if b is None:
+        return Operator(n, lambda x: (a * x.T).T, lambda y: (a_conj() * y.T).T,
+                        lambda: np.abs(a), lambda: np.abs(a), float(np.abs(a).max()))
+    eig = np.concatenate((b[n // 2:], b[:n // 2]))  # ifftshift(b), without np.roll's overhead
+    eig_conj = functools.cache(eig.conj)
 
-    @functools.cache
-    def conj():  # formed on the first adjoint, once per operator
-        return None if a is None else a.conj(), None if b is None else eig().conj()
+    def abs_c():  # b's half-period shift signs c by (-1)^j, which |.| drops to the bit
+        return np.abs(np.fft.ifft(b))
 
-    def abs_c():
-        # |c|, c the circulant's first column: b's half-period shift signs
-        # c by (-1)^j, which |.| drops to the bit; read once per norm
-        return np.abs(np.fft.ifft(symbol._factor_arrays()[1]))
+    if a is None:
+        def sums():  # every row and every column of C
+            return np.full(n, abs_c().sum())
 
-    # in place on one work array; each product keeps its operand order,
-    # so the bits are those of eigenvalues * fft(rows) and a * ifft(...)
-    def circulant(rows, eigenvalues):
-        work = np.fft.fft(rows)
-        np.multiply(eigenvalues, work, out=work)
-        return np.fft.ifft(work, out=work)
+        return Operator(n, lambda x: _circulant(x.T, eig).T,
+                        lambda y: _circulant(y.T, eig_conj()).T, sums, sums, float(np.abs(b).max()))
 
-    # x.T batches a block's columns along axis 0; a vector is unchanged
     def apply(x):
-        if b is None:
-            return (a * x.T).T
-        work = circulant(x.T, eig())
-        return (work if a is None else np.multiply(a, work, out=work)).T
+        work = _circulant(x.T, eig)
+        return np.multiply(a, work, out=work).T  # the bits of a * ifft(...)
 
-    def adjoint(y):
-        a_conj, eig_conj = conj()
-        y = y.T if a is None else a_conj * y.T
-        return y.T if b is None else circulant(y, eig_conj).T
+    def column_sums():  # sum_j |a_j| |c_{j - j'}|
+        return np.fft.irfft(np.fft.rfft(np.abs(a)) * np.fft.rfft(abs_c()).conj(), n)
 
-    def row_sums():
-        return np.abs(symbol._factor_arrays()[0]) * abs_c().sum()
-
-    def column_sums():
-        if a is None:  # a multiplier: a circulant's column sums are its row sums
-            return row_sums()
-        # sum_j |a_j| |c_{j - j'}|
-        return np.fft.irfft(np.fft.rfft(np.abs(a)) * np.fft.rfft(abs_c()).conj(), len(a))
-
-    def exact_2():
-        if a is not None and b is not None:
-            return None
-        arrays = symbol._factor_arrays()
-        return np.abs(arrays[0]).max() * np.abs(arrays[1]).max()
-
-    return symbol.grid.points_per_axis, apply, adjoint, column_sums, row_sums, exact_2
+    return Operator(n, apply, lambda y: _circulant(a_conj() * y.T, eig_conj()).T,
+                    column_sums, lambda: np.abs(a) * abs_c().sum(), None)
 
 
 def kn_apply(symbol, f):
@@ -253,8 +247,7 @@ def kn_apply(symbol, f):
     product with its as_matrix (N <= 1024) for any other."""
     if symbol.grid != f.grid:
         raise GridMismatch("symbol and function live on different grids")
-    _, apply, *_ = kn_operator(symbol)
-    return SampledFunction(f.grid, apply(f.values))
+    return SampledFunction(f.grid, kn_operator(symbol).apply(f.values))
 
 
 def weyl_apply(symbol, f):

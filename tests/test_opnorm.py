@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from modop import (
+    InvalidValue,
     OperatorMatrix,
     PhaseSpaceSymbol,
     TooLarge,
@@ -133,6 +134,13 @@ def test_norm_2_diagonal_and_unitary():
     assert (norm_2(zero).value, norm_p(zero, 3).value) == (0.0, 0.0)
     assert repr(norm_2(zero)) == "NormEstimate(0, power_2, iters=1)"
     assert repr(norm_p(zero, 3)) == "NormEstimate(0, boyd_p, iters=2, lower bound)"
+
+
+def test_an_empty_matrix_is_rejected():
+    # an empty matrix has no norm; it is refused with a ModopError, not
+    # left to a bare numpy ValueError in the estimators
+    with pytest.raises(InvalidValue, match="must not be empty"):
+        OperatorMatrix(np.zeros((0, 0)))
 
 
 def test_norm_2_flags_nonconvergence(monkeypatch):
@@ -425,8 +433,8 @@ def _lifted(symbol):
 
 
 def _plain(source, p):
-    n, apply, adjoint, column_sums, _, _ = kn_operator(source)
-    return oracles.plain_boyd(apply, adjoint, column_sums(), from_p(p), 0)
+    op = kn_operator(source)
+    return oracles.plain_boyd(op.apply, op.adjoint, op.column_sums(), from_p(p), 0)
 
 
 def _phases(seed):

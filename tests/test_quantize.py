@@ -18,6 +18,7 @@ from modop import (
     bessel_potential,
     bessel_symbol,
     constant_symbol,
+    estimate_norm,
     forward_ft,
     gaussian_bump_symbol,
     kernel_to_weyl,
@@ -36,7 +37,7 @@ from modop import (
     write_pss,
 )
 
-from modop import quantize
+from modop import cli, quantize
 from modop.grid import bessel_weights, ft_along, ift_along
 
 import oracles
@@ -120,15 +121,14 @@ def test_kn_factored_matches_dense_twin(default_grid):
         assert rel_err(got, kn_apply(dense, f).values) <= 1e-12, name
         # the FFT operator's adjoint, sums of |A| and closed-form spectral
         # norm against the twin's matrix
-        _, _, adjoint, *sums, exact_2 = quantize.kn_operator(sigma)
-        _, _, dense_adjoint, *dense_sums, dense_exact_2 = quantize.kn_operator(dense)
-        assert rel_err(adjoint(block), dense_adjoint(block)) <= 1e-12, name
-        for got_sums, want_sums in zip(sums, dense_sums):
-            assert rel_err(got_sums(), want_sums()) <= 1e-12, name
-        assert dense_exact_2() is None
-        if exact_2() is not None:
+        op, dense_op = quantize.kn_operator(sigma), quantize.kn_operator(dense)
+        assert rel_err(op.adjoint(block), dense_op.adjoint(block)) <= 1e-12, name
+        assert rel_err(op.column_sums(), dense_op.column_sums()) <= 1e-12, name
+        assert rel_err(op.row_sums(), dense_op.row_sums()) <= 1e-12, name
+        assert dense_op.exact_2 is None
+        if op.exact_2 is not None:
             spectral = np.linalg.norm(quantize.as_matrix(dense).entries, 2)
-            assert rel_err(exact_2(), spectral) <= 1e-12, name
+            assert rel_err(op.exact_2, spectral) <= 1e-12, name
 
 
 def test_kn_factored_skips_dense_apply_limit():
@@ -774,18 +774,17 @@ def test_every_factor_shape_matches_its_dense_twin(tmp_path, shape):
 
     # kn_operator: apply, adjoint, sums of |A| and exact_2
     block = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-    n, apply, adjoint, column_sums, row_sums, exact_2 = quantize.kn_operator(sigma)
-    _, dense_apply, dense_adjoint, dense_columns, dense_rows, _ = quantize.kn_operator(twin)
-    assert n == 16
-    assert rel_err(apply(block), dense_apply(block)) <= 1e-13
-    assert rel_err(adjoint(block), dense_adjoint(block)) <= 1e-13
-    assert rel_err(column_sums(), dense_columns()) <= 1e-13
-    assert rel_err(row_sums(), dense_rows()) <= 1e-13
+    op, dense = quantize.kn_operator(sigma), quantize.kn_operator(twin)
+    assert op.n == 16
+    assert rel_err(op.apply(block), dense.apply(block)) <= 1e-13
+    assert rel_err(op.adjoint(block), dense.adjoint(block)) <= 1e-13
+    assert rel_err(op.column_sums(), dense.column_sums()) <= 1e-13
+    assert rel_err(op.row_sums(), dense.row_sums()) <= 1e-13
     if one_variable:
         want = np.linalg.norm(as_matrix(twin).entries, 2)
-        assert abs(exact_2() - want) <= 1e-13 * want
+        assert abs(op.exact_2 - want) <= 1e-13 * want
     else:
-        assert exact_2() is None
+        assert op.exact_2 is None
 
     # sjostrand_norm and s_seminorms
     want = sjostrand_norm(twin, 0.5)
@@ -819,15 +818,46 @@ def test_a_none_factor_is_not_applied(n):
     for shape in ((n,), (n, 3)):
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows = x.T
-        _, apply, adjoint, *_ = quantize.kn_operator(PhaseSpaceSymbol.product(grid, a, None))
-        assert np.array_equal(bits(apply(x)), bits((a * rows).T))
-        assert np.array_equal(bits(adjoint(x)), bits((a.conj() * rows).T))
-        _, apply, adjoint, *_ = quantize.kn_operator(PhaseSpaceSymbol.product(grid, None, b))
-        assert np.array_equal(bits(apply(x)), bits(np.fft.ifft(eig * np.fft.fft(rows)).T))
-        assert np.array_equal(bits(adjoint(x)), bits(np.fft.ifft(eig.conj() * np.fft.fft(rows)).T))
+        op = quantize.kn_operator(PhaseSpaceSymbol.product(grid, a, None))
+        assert np.array_equal(bits(op.apply(x)), bits((a * rows).T))
+        assert np.array_equal(bits(op.adjoint(x)), bits((a.conj() * rows).T))
+        op = quantize.kn_operator(PhaseSpaceSymbol.product(grid, None, b))
+        assert np.array_equal(bits(op.apply(x)), bits(np.fft.ifft(eig * np.fft.fft(rows)).T))
+        assert np.array_equal(bits(op.adjoint(x)), bits(np.fft.ifft(eig.conj() * np.fft.fft(rows)).T))
         for factors in ((a, None), (None, b), (a, b)):
             symbol = PhaseSpaceSymbol.product(grid, *factors)
-            _, apply, adjoint, *_ = quantize.kn_operator(symbol)
-            _, dense, dense_adjoint, *_ = quantize.kn_operator(as_matrix(symbol))
-            assert rel_err(apply(x), dense(x)) <= 1e-13
-            assert rel_err(adjoint(x), dense_adjoint(x)) <= 1e-13
+            op = quantize.kn_operator(symbol)
+            dense = quantize.kn_operator(as_matrix(symbol))
+            assert rel_err(op.apply(x), dense.apply(x)) <= 1e-13
+            assert rel_err(op.adjoint(x), dense.adjoint(x)) <= 1e-13
+    # a multiplication's sums of |A| are |a| and its three closed forms
+    # max|a|, to the bit
+    multiplication = PhaseSpaceSymbol.product(grid, a, None)
+    op = quantize.kn_operator(multiplication)
+    assert np.array_equal(bits(op.column_sums()), bits(np.abs(a)))
+    assert np.array_equal(bits(op.row_sums()), bits(np.abs(a)))
+    top = np.abs(a).max()
+    for p, method in (("1", "exact_1"), ("inf", "exact_inf"), ("2", "exact_2")):
+        est = estimate_norm(multiplication, p)
+        assert (est.value, est.method) == (top, method), p
+
+
+def test_no_operator_forms_a_ones_array(monkeypatch):
+    # every gen kind has factors, and its operator reads a None factor by
+    # its kind, never as ones: kn_apply and every estimator run with
+    # _factor_arrays raising, on the kind and on its lift at s = 1/4
+    def no_ones(self):
+        raise AssertionError("a None factor was read as ones")
+
+    monkeypatch.setattr(PhaseSpaceSymbol, "_factor_arrays", no_ones)
+    grid = UniformGrid(1, 64, 4.0)
+    f = make_bandlimited(grid, seed=5)
+    for kind, build in cli._KINDS.items():
+        args = cli.build_parser().parse_args(["gen", "--kind", kind, "--n", "64",
+                                              "--extent", "4", "--out", "unused"])
+        symbol = build(grid, args)
+        for sigma in (symbol, lift_symbol(symbol, -0.25)):
+            assert sigma.factors is not None, kind
+            assert kn_apply(sigma, f).grid == grid
+            for p in ("1", "4/3", "2", "4", "inf"):
+                assert estimate_norm(sigma, p).value > 0.0, (kind, p)
